@@ -3,12 +3,17 @@
 A ``LieAlgebra`` stores the constants c^k_{ij} of ``[e_i, e_j] = sum_k c^k_{ij} e_k``
 sparsely on pairs i < j (indices are 1-based in the public API, 0-based
 internally).  Everything downstream -- forms, connections, curvature -- is
-driven by the dense bracket tensor this class exposes.
+driven by the dense bracket tensor this class exposes: brackets, ad, the
+unimodularity traces and the Jacobi residual are contractions of
+``structure_tensor``, and each table is computed once per algebra.  The same
+contractions serve exact (object arrays of Fractions) and float arithmetic.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
@@ -88,7 +93,6 @@ class LieAlgebra:
                     self._c.pop(key, None)
                 else:
                     self._c[key] = new
-        self._dense = None
 
     # -- scalars ------------------------------------------------------------
 
@@ -103,18 +107,17 @@ class LieAlgebra:
 
     # -- structure tensor ---------------------------------------------------
 
-    @property
+    @cached_property
     def structure_tensor(self):
-        """Dense C with C[k][i][j] = c^k_{ij} (0-based)."""
-        if self._dense is None:
-            c = np.array([[[self._zero] * self.dim for _ in range(self.dim)]
-                          for _ in range(self.dim)],
-                         dtype=object if self.exact else float)
-            for (i, j, k), v in self._c.items():
-                c[k][i][j] = v
-                c[k][j][i] = -v
-            self._dense = c
-        return self._dense
+        """Dense C with C[k][i][j] = c^k_{ij} (0-based); read-only."""
+        c = np.array([[[self._zero] * self.dim for _ in range(self.dim)]
+                      for _ in range(self.dim)],
+                     dtype=object if self.exact else float)
+        for (i, j, k), v in self._c.items():
+            c[k][i][j] = v
+            c[k][j][i] = -v
+        c.flags.writeable = False
+        return c
 
     def sparse_constants(self):
         """The stored (i, j, k) -> value map, 1-based, i < j."""
@@ -126,55 +129,42 @@ class LieAlgebra:
         y = np.asarray(y)
         if x.shape != (self.dim,) or y.shape != (self.dim,):
             raise DimensionMismatch("vector length != dim")
-        c = self.structure_tensor
-        return np.array([x @ c[k] @ y for k in range(self.dim)],
-                        dtype=object if self.exact else float)
+        return (self.structure_tensor @ y) @ x
 
     def basis_bracket(self, i, j):
-        """[e_i, e_j] as a vector, 0-based indices."""
-        c = self.structure_tensor
-        return np.array([c[k][i][j] for k in range(self.dim)],
-                        dtype=object if self.exact else float)
+        """[e_i, e_j] as a (read-only) vector, 0-based indices."""
+        return self.structure_tensor[:, i, j]
 
     def ad(self, x):
         """Matrix of ad(x): y -> [x, y]."""
         x = np.asarray(x)
         if x.shape != (self.dim,):
             raise DimensionMismatch("vector length != dim")
-        c = self.structure_tensor
-        m = arith.zeros_matrix(self.dim, self.dim, self.exact)
-        for k in range(self.dim):
-            row = x @ c[k]
-            for j in range(self.dim):
-                m[k, j] = row[j]
-        return m
+        return np.einsum('kij,i->kj', self.structure_tensor, x)
 
     def ad_basis(self, i):
-        v = arith.zeros_vector(self.dim, self.exact)
-        v[i] = Fraction(1) if self.exact else 1.0
-        return self.ad(v)
+        return self.structure_tensor[:, i, :]
+
+    @cached_property
+    def d_one_forms(self):
+        """d e^k = -sum_{i<j} c^k_ij e^ij for every k, as 2-forms."""
+        from .forms import KForm
+        c = self.structure_tensor
+        return [KForm(self, 2, {(i, j): -c[k, i, j]
+                                for i, j in combinations(range(self.dim), 2)})
+                for k in range(self.dim)]
 
     # -- axioms -------------------------------------------------------------
 
+    @cached_property
+    def _jacobi(self) -> float:
+        c = self.structure_tensor
+        t = np.einsum('mij,lmk->lijk', c, c)  # t[:, i, j, k] = [[e_i, e_j], e_k]
+        return arith.max_abs(t + t.transpose(0, 3, 1, 2) + t.transpose(0, 2, 3, 1))
+
     def jacobi_residual(self) -> float:
         """Max-norm of the cyclic sum [[e_i,e_j],e_k] over all triples."""
-        worst = 0.0
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                bij = self.basis_bracket(i, j)
-                for k in range(j + 1, self.dim):
-                    ek = arith.zeros_vector(self.dim, self.exact)
-                    ek[k] = Fraction(1) if self.exact else 1.0
-                    s = (self.bracket(bij, ek)
-                         + self.bracket(self.basis_bracket(j, k), self._basis(i))
-                         + self.bracket(self.basis_bracket(k, i), self._basis(j)))
-                    worst = max(worst, arith.max_abs(s))
-        return worst
-
-    def _basis(self, i):
-        v = arith.zeros_vector(self.dim, self.exact)
-        v[i] = Fraction(1) if self.exact else 1.0
-        return v
+        return self._jacobi
 
     def validate(self) -> AlgebraValidationReport:
         res = self.jacobi_residual()
@@ -183,8 +173,7 @@ class LieAlgebra:
 
     def is_unimodular(self):
         """(flag, traces): trace of ad(e_i) for every basis vector."""
-        traces = [sum(self.ad_basis(i)[k, k] for k in range(self.dim))
-                  for i in range(self.dim)]
+        traces = list(np.einsum('kik->i', self.structure_tensor))
         bound = 0 if self.exact else self.tol
         flag = all(abs(float(t)) <= bound for t in traces)
         return flag, traces

@@ -82,14 +82,7 @@ def check_lcs(structure: AlmostHermitianStructure) -> dict:
 
 def automorphism_algebra(structure: AlmostHermitianStructure) -> AutomorphismAlgebra:
     """Basis of {X : L_X F = 0} and the Lee morphism on it."""
-    dim = structure.dim
-    pairs = _pair_basis(dim)
-    m = arith.zeros_matrix(len(pairs), dim, structure.exact)
-    for col in range(dim):
-        lf = structure.lie_derivative_F(structure.basis_vector(col))
-        for row, key in enumerate(pairs):
-            m[row, col] = lf.coeffs.get(key, structure.g[0, 0] * 0)
-    basis = arith.nullspace(m, structure.exact, structure.tol)
+    basis = list(structure.automorphisms)
     theta_vec = structure.lee_form().theta.vector()
     lee_values = [x @ theta_vec for x in basis]
     scale = max(1.0, arith.max_abs(theta_vec))
@@ -98,18 +91,24 @@ def automorphism_algebra(structure: AlmostHermitianStructure) -> AutomorphismAlg
                                kind="first" if onto else "second")
 
 
+def _first_kind_flag(structure, strict):
+    """(first kind?, automorphism algebra); NotLCS on a strict non-LCS input."""
+    lcs = check_lcs(structure)
+    if strict and not lcs["is_lcs"]:
+        raise NotLCS("structure is not locally conformally symplectic")
+    aut = automorphism_algebra(structure)
+    return aut.kind == "first" and lcs["is_lcs"], aut
+
+
 def check_first_kind(structure: AlmostHermitianStructure, strict: bool = True) -> dict:
     """First kind: some infinitesimal automorphism T has theta(T) = 1.
 
     When it exists, T is normalized to the minimal g-norm solution and the
     reconstruction F = d eta - theta ^ eta with eta = -i_T F is verified.
     """
-    lcs = check_lcs(structure)
-    if strict and not lcs["is_lcs"]:
-        raise NotLCS("structure is not locally conformally symplectic")
-    aut = automorphism_algebra(structure)
+    first_kind, aut = _first_kind_flag(structure, strict)
     out = {
-        "first_kind": aut.kind == "first" and lcs["is_lcs"],
+        "first_kind": first_kind,
         "kind": aut.kind,
         "automorphism_dim": aut.dimension,
         "T_candidate": None,
@@ -148,14 +147,14 @@ def check_adapted(structure: AlmostHermitianStructure, strict: bool = True,
     H + span(T, V) is g-orthogonal with T, V orthonormal, and d eta(., J.)
     restricted to H is positive definite.
     """
-    fk = check_first_kind(structure, strict=strict)
-    if strict and not fk["first_kind"]:
+    first_kind, _ = _first_kind_flag(structure, strict)
+    if strict and not first_kind:
         raise NotFirstKind("LCS structure is not of the first kind")
     lee = structure.lee_form()
     norm_sq = lee.norm_sq
     out = {"adapted": False, "lee_norm_sq": norm_sq, "scale_normalized": False,
-           "residuals": {}, "first_kind": fk["first_kind"]}
-    if not fk["first_kind"] or float(norm_sq) <= 0:
+           "residuals": {}, "first_kind": first_kind}
+    if not first_kind or float(norm_sq) <= 0:
         return out
     s = structure
     if normalize_scale and norm_sq != 1:
@@ -241,15 +240,14 @@ def classify_metric(structure: AlmostHermitianStructure) -> ConditionReport:
     flags["is_gauduchon"] = residuals["delta_theta"] <= _bound(s, max(1.0, theta.max_abs()))
 
     # orthogonality of im N to span(T, JT)
-    orth = 0.0
-    for vec in s._nijenhuis_table.values():
-        orth = max(orth, abs(float(vec @ s.g @ lee.T)), abs(float(vec @ s.g @ lee.JT)))
+    nij = s._nijenhuis
+    orth = max(arith.max_abs(np.tensordot(s.g @ lee.T, nij, 1)),
+               arith.max_abs(np.tensordot(s.g @ lee.JT, nij, 1)))
     residuals["imN_span_T_JT"] = orth
-    n_scale = max(1.0, max((arith.max_abs(v) for v in s._nijenhuis_table.values()),
-                           default=0.0) * max(1.0, arith.max_abs(lee.T)))
+    n_scale = max(1.0, arith.max_abs(nij) * max(1.0, arith.max_abs(lee.T)))
     flags["T_orthogonal_to_imN"] = orth <= _bound(s, n_scale)
 
-    dth = connection.covariant_one_form(s, theta)
+    dth = s.Dtheta
     parts = s.split_tensor(dth)
     dth_scale = max(1.0, dth.max_abs())
     residuals["dtheta_j_plus"] = float(parts["j_plus"].max_abs())
@@ -304,20 +302,17 @@ def classify_metric(structure: AlmostHermitianStructure) -> ConditionReport:
         target = -1 * lee.norm_sq * s.F + theta.wedge(lee.jtheta)
         warn_if(True, "pluricanonical", "dJtheta = -|theta|^2 F + theta^Jtheta",
                 (djt - target).max_abs())
-    if flags["T_orthogonal_to_imN"]:
+    if flags["is_lcs"] and flags["T_orthogonal_to_imN"]:
+        # proved for LCS metrics only (dF = theta ^ F, d theta = 0)
         djt = lee.jtheta.d()
         jminus = s.split_tensor(Tensor2(s.alg, djt.matrix()))["j_minus"].max_abs()
         warn_if(True, "T orth im N", "dJtheta J-invariant", jminus)
         nt = s.nijenhuis_tensor(lee.T)
         warn_if(True, "T orth im N", "N(T) symmetric", nt.antisym().max_abs())
-        dtj = arith.max_abs(sum((lee.T[i] * connection.covariant_J(s, i)
-                                 for i in range(s.dim)),
-                                arith.zeros_matrix(s.dim, s.dim, s.exact)))
-        djtj = arith.max_abs(sum((lee.JT[i] * connection.covariant_J(s, i)
-                                  for i in range(s.dim)),
-                                 arith.zeros_matrix(s.dim, s.dim, s.exact)))
-        warn_if(True, "T orth im N", "D_T J = 0", dtj)
-        warn_if(True, "T orth im N", "D_JT J = 0", djtj)
+        dj = s.connection.DJ
+        warn_if(True, "T orth im N", "D_T J = 0", arith.max_abs(np.tensordot(lee.T, dj, 1)))
+        warn_if(True, "T orth im N", "D_JT J = 0",
+                arith.max_abs(np.tensordot(lee.JT, dj, 1)))
     if flags["vaisman"]:
         if not (flags["pluricanonical"] and flags["anti_pluricanonical"]):
             warnings.append("vaisman flag set but pluricanonical/anti-pluricanonical "
@@ -401,7 +396,7 @@ def verify_equivalences(structure: AlmostHermitianStructure, strict: bool = True
     }
 
     if pluri:
-        dth = connection.covariant_one_form(s, lee.theta)
+        dth = s.Dtheta
         djth = connection.covariant_one_form(s, lee.jtheta)
         vals = {
             "D_T_theta": arith.max_abs(lee.T @ dth.mat),

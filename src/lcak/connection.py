@@ -11,16 +11,20 @@ Curvature follows the convention  R_{X,Y} = D_{[X,Y]} - [D_X, D_Y];
 the star-Ricci form is  rho*(X, Y) = -1/2 tr(J o R_{X,Y})  (equivalently
 1/2 sum_i g(R_{X,Y} e_i, J e_i) over a g-orthonormal frame), and the
 first canonical Hermitian connection is  D - 1/2 J (DJ).
+
+The Christoffel table, the stack of D_{e_i} J and the curvature endomorphisms
+are contractions of the algebra's ``structure_tensor`` with g, g^{-1} and J;
+each is computed once per structure and read everywhere after that.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from . import arith
-from .errors import DegenerateMetric, DimensionMismatch
 from .forms import KForm, derive_along
 from .hermitian import AlmostHermitianStructure, Tensor2
 
@@ -35,65 +39,45 @@ class ConnectionTable:
         """D_{e_i} e_j as a vector."""
         return self.gamma[i][:, j]
 
+    @cached_property
+    def DJ(self):
+        """Stack of the endomorphisms D_{e_i} J = [Gamma_i, J], shape (dim, dim, dim)."""
+        gamma = np.asarray(self.gamma)
+        J = self.structure.J
+        return gamma @ J - J @ gamma
+
     def metric_residual(self) -> float:
         """max |g(D_X Y, Z) + g(Y, D_X Z)| over basis triples."""
+        gamma = np.asarray(self.gamma)
         g = self.structure.g
-        worst = 0.0
-        for gm in self.gamma:
-            worst = max(worst, arith.max_abs(gm.T @ g + g @ gm))
-        return worst
+        return arith.max_abs(gamma.transpose(0, 2, 1) @ g + g @ gamma)
 
     def torsion_residual(self) -> float:
         """max |D_X Y - D_Y X - [X, Y]| over basis pairs."""
-        alg = self.structure.alg
-        worst = 0.0
-        for i in range(alg.dim):
-            for j in range(i + 1, alg.dim):
-                t = self.gamma[i][:, j] - self.gamma[j][:, i] - alg.basis_bracket(i, j)
-                worst = max(worst, arith.max_abs(t))
-        return worst
+        gamma = np.asarray(self.gamma)  # gamma[i, :, j] = D_{e_i} e_j
+        return arith.max_abs(gamma.transpose(1, 0, 2) - gamma.transpose(1, 2, 0)
+                             - self.structure.alg.structure_tensor)
 
     def koszul_residual(self) -> float:
         """Defect of the Koszul formula itself, all basis triples."""
         s = self.structure
-        alg = s.alg
-        g = s.g
-        worst = 0.0
-        for i in range(alg.dim):
-            for j in range(alg.dim):
-                dij = self.gamma[i][:, j]
-                for k in range(alg.dim):
-                    ek = s.basis_vector(k)
-                    rhs = (alg.basis_bracket(i, j) @ g @ ek
-                           - alg.basis_bracket(j, k) @ g @ s.basis_vector(i)
-                           + alg.basis_bracket(k, i) @ g @ s.basis_vector(j))
-                    worst = max(worst, abs(float(2 * (dij @ g @ ek) - rhs)))
-        return worst
+        lhs = 2 * np.einsum('imj,mk->ijk', np.asarray(self.gamma), s.g)
+        return arith.max_abs(lhs - _koszul_table(s.alg.structure_tensor, s.g))
+
+
+def _koszul_table(c, g):
+    """Koszul table w[i,j,k] = 2 g(D_{e_i} e_j, e_k)
+    = g([e_i,e_j],e_k) - g([e_j,e_k],e_i) + g([e_k,e_i],e_j)."""
+    cg = np.einsum('lij,lk->ijk', c, g)  # cg[i, j, k] = g([e_i, e_j], e_k)
+    return cg - cg.transpose(2, 0, 1) + cg.transpose(1, 2, 0)
 
 
 def levi_civita(structure: AlmostHermitianStructure) -> ConnectionTable:
     """Connection table from the left-invariant Koszul formula."""
-    alg = structure.alg
-    dim = alg.dim
-    g = structure.g
-    ginv = structure.g_inv
     half = Fraction(1, 2) if structure.exact else 0.5
-    brk = [[alg.basis_bracket(i, j) for j in range(dim)] for i in range(dim)]
-    gamma = []
-    for i in range(dim):
-        m = arith.zeros_matrix(dim, dim, structure.exact)
-        for j in range(dim):
-            w = arith.zeros_vector(dim, structure.exact)
-            for k in range(dim):
-                ek = structure.basis_vector(k)
-                w[k] = (brk[i][j] @ g @ ek
-                        - brk[j][k] @ g @ structure.basis_vector(i)
-                        + brk[k][i] @ g @ structure.basis_vector(j))
-            col = half * (ginv @ w)
-            for k in range(dim):
-                m[k, j] = col[k]
-        gamma.append(m)
-    return ConnectionTable(structure=structure, gamma=gamma)
+    w = _koszul_table(structure.alg.structure_tensor, structure.g)
+    gamma = half * np.einsum('mk,ijk->imj', structure.g_inv, w)
+    return ConnectionTable(structure=structure, gamma=list(gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -103,14 +87,7 @@ def levi_civita(structure: AlmostHermitianStructure) -> ConnectionTable:
 def covariant_one_form(structure, theta) -> Tensor2:
     """D theta as the 2-tensor (X, Y) -> (D_X theta)(Y) = -theta(D_X Y)."""
     vec = theta.vector() if isinstance(theta, KForm) else np.asarray(theta)
-    gamma = structure.connection.gamma
-    dim = structure.dim
-    m = arith.zeros_matrix(dim, dim, structure.exact)
-    for i in range(dim):
-        row = -(vec @ gamma[i])
-        for j in range(dim):
-            m[i, j] = row[j]
-    return Tensor2(structure.alg, m)
+    return Tensor2(structure.alg, -(vec @ np.asarray(structure.connection.gamma)))
 
 
 def covariant_tensor(structure, phi, i):
@@ -127,16 +104,7 @@ def covariant_form(structure, a: KForm, i) -> KForm:
 
 def covariant_J(structure, i):
     """(D_{e_i} J) as an endomorphism matrix: [Gamma_i, J]."""
-    gi = structure.connection.gamma[i]
-    return gi @ structure.J - structure.J @ gi
-
-
-def covariant_J_list(structure):
-    cached = getattr(structure, "_cov_j_cache", None)
-    if cached is None:
-        cached = [covariant_J(structure, i) for i in range(structure.dim)]
-        structure._cov_j_cache = cached
-    return cached
+    return structure.connection.DJ[i]
 
 
 def covariant_F(structure, i) -> KForm:
@@ -154,7 +122,7 @@ def covariant_F(structure, i) -> KForm:
 class CurvatureTensor:
     """R_{e_i, e_j} endomorphisms plus the (0,4) components on demand."""
     structure: AlmostHermitianStructure
-    endos: list  # endos[i][j] = matrix of R_{e_i, e_j}
+    endos: np.ndarray  # endos[i][j] = matrix of R_{e_i, e_j}
     _components: object = field(default=None, repr=False)
 
     def endomorphism(self, i, j):
@@ -206,19 +174,10 @@ class CurvatureTensor:
 
 def curvature_of(structure, gamma) -> CurvatureTensor:
     """Curvature of an arbitrary connection table, R_{X,Y} = D_{[X,Y]} - [D_X, D_Y]."""
-    alg = structure.alg
-    dim = alg.dim
-    c = alg.structure_tensor
-    endos = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            m = -(gamma[i] @ gamma[j] - gamma[j] @ gamma[i])
-            for k in range(dim):
-                if c[k][i][j] != 0:
-                    m = m + c[k][i][j] * gamma[k]
-            row.append(m)
-        endos.append(row)
+    gamma = np.asarray(gamma)
+    prod = gamma[:, None] @ gamma[None, :]  # prod[i, j] = Gamma_i Gamma_j
+    endos = (np.einsum('kij,kab->ijab', structure.alg.structure_tensor, gamma)
+             - (prod - prod.transpose(1, 0, 2, 3)))
     return CurvatureTensor(structure=structure, endos=endos)
 
 
@@ -263,7 +222,7 @@ def star_ricci_frame_sum(structure, frame) -> KForm:
 def torsion_potential(structure):
     """The endomorphisms -1/2 J (D_{e_i} J) defining the first canonical connection."""
     half = Fraction(1, 2) if structure.exact else 0.5
-    return [(-half) * (structure.J @ dj) for dj in covariant_J_list(structure)]
+    return [(-half) * (structure.J @ dj) for dj in structure.connection.DJ]
 
 
 def first_canonical_connection(structure) -> ConnectionTable:
@@ -292,7 +251,7 @@ def phi_form(structure) -> KForm:
     """Phi(X, Y) = 1/4 <J (D_X J), D_Y J>_g."""
     dim = structure.dim
     quarter = Fraction(1, 4) if structure.exact else 0.25
-    djs = covariant_J_list(structure)
+    djs = structure.connection.DJ
     coeffs = {}
     for i in range(dim):
         for j in range(i + 1, dim):

@@ -247,7 +247,7 @@ class KForm:
         if self.degree >= alg.dim:
             return KForm(alg, self.degree + 1)
         result = KForm(alg, self.degree + 1)
-        d_basis = _d_one_forms(alg)
+        d_basis = alg.d_one_forms
         for key, val in self.coeffs.items():
             for pos, idx in enumerate(key):
                 prefix = KForm(alg, pos, {key[:pos]: 1}) if pos else _unit(alg)
@@ -321,24 +321,6 @@ def _small_det(rows):
         minor = [r[:j] + r[j + 1:] for r in rows[1:]]
         total = total + ((-1) ** j) * rows[0][j] * _small_det(minor)
     return total
-
-
-def _d_one_forms(alg):
-    """d e^k for every k, cached per algebra: d e^k = -sum_{i<j} c^k_ij e^ij."""
-    cached = getattr(alg, "_d_one_form_cache", None)
-    if cached is not None:
-        return cached
-    out = []
-    c = alg.structure_tensor
-    for k in range(alg.dim):
-        coeffs = {}
-        for i in range(alg.dim):
-            for j in range(i + 1, alg.dim):
-                if c[k][i][j] != 0:
-                    coeffs[(i, j)] = -c[k][i][j]
-        out.append(KForm(alg, 2, coeffs))
-    alg._d_one_form_cache = out
-    return out
 
 
 # ---------------------------------------------------------------------------

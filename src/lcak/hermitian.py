@@ -9,6 +9,11 @@ Conventions (fixed once, used everywhere):
   least-squares sense otherwise, with the residual reported);
 * characteristic field V solves ``i_V F = theta``;
 * codifferential ``(delta phi)(...) = -sum_ab g^{ab} (D_{e_a} phi)(e_b, ...)``.
+
+The Nijenhuis table and the Lie-derivative table of F are contractions of the
+algebra's ``structure_tensor`` with J and F, computed once per structure;
+N(X, Y), the forms N_X, the tensors N(X) and the image of N read from the
+table.
 """
 from __future__ import annotations
 
@@ -307,51 +312,34 @@ class AlmostHermitianStructure:
 
     # -- Nijenhuis tensor ----------------------------------------------------------
 
+    @cached_property
+    def _nijenhuis(self):
+        """N[:, i, j] = N(e_i, e_j) for all i, j, from the contracted brackets."""
+        c = self.alg.structure_tensor
+        J = self.J
+        c_jx = J.T @ c  # c_jx[:, i, j] = [J e_i, e_j]
+        c_jy = c @ J    # c_jy[:, i, j] = [e_i, J e_j]
+        quarter = Fraction(1, 4) if self.exact else 0.25
+        return quarter * (c_jx @ J - c - np.tensordot(J, c_jx + c_jy, 1))
+
     def nijenhuis(self, x, y):
         """4 N(X,Y) = [JX, JY] - [X, Y] - J[JX, Y] - J[X, JY], returns N(X,Y)."""
-        x = np.asarray(x)
-        y = np.asarray(y)
-        br = self.alg.bracket
-        jx, jy = self.J @ x, self.J @ y
-        quarter = Fraction(1, 4) if self.exact else 0.25
-        return quarter * (br(jx, jy) - br(x, y) - self.J @ br(jx, y) - self.J @ br(x, jy))
+        return (self._nijenhuis @ np.asarray(y)) @ np.asarray(x)
 
     @cached_property
     def _nijenhuis_table(self):
-        dim = self.dim
-        table = {}
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                ei = arith.zeros_vector(dim, self.exact)
-                ej = arith.zeros_vector(dim, self.exact)
-                ei[i] = Fraction(1) if self.exact else 1.0
-                ej[j] = Fraction(1) if self.exact else 1.0
-                table[(i, j)] = self.nijenhuis(ei, ej)
-        return table
+        return {(i, j): self._nijenhuis[:, i, j]
+                for i, j in combinations(range(self.dim), 2)}
 
     def nijenhuis_form(self, x):
         """N_X = g(N(., .), X) as a 2-form."""
-        x = np.asarray(x)
-        gx = self.g @ x
-        coeffs = {}
-        for (i, j), vec in self._nijenhuis_table.items():
-            val = vec @ gx
-            if val != 0:
-                coeffs[(i, j)] = val
-        return KForm(self.alg, 2, coeffs)
+        return KForm.from_matrix(self.alg, np.tensordot(self.g @ np.asarray(x),
+                                                        self._nijenhuis, 1))
 
     def nijenhuis_tensor(self, x):
         """N(X) = g(N(X, .), .) as a Tensor2."""
-        x = np.asarray(x)
-        dim = self.dim
-        m = arith.zeros_matrix(dim, dim, self.exact)
-        for j in range(dim):
-            ej = arith.zeros_vector(dim, self.exact)
-            ej[j] = Fraction(1) if self.exact else 1.0
-            row = self.g @ self.nijenhuis(x, ej)
-            for k in range(dim):
-                m[j, k] = row[k]
-        return Tensor2(self.alg, m)
+        return Tensor2(self.alg, np.einsum('kij,i,lk->jl', self._nijenhuis,
+                                           np.asarray(x), self.g, optimize=True))
 
     def nijenhuis_image(self):
         """Basis of span{N(e_i, e_j)} as a list of vectors."""
@@ -444,6 +432,12 @@ class AlmostHermitianStructure:
         from . import connection
         return connection.curvature(self)
 
+    @cached_property
+    def Dtheta(self) -> Tensor2:
+        """D theta, the covariant derivative of the Lee form."""
+        from . import connection
+        return connection.covariant_one_form(self, self._lee.theta)
+
     def codifferential(self, obj):
         """delta^g on forms and 2-tensors via the covariant-derivative trace."""
         gamma = self.connection.gamma
@@ -480,11 +474,21 @@ class AlmostHermitianStructure:
         ad = self.alg.ad(np.asarray(x))
         return ad @ self.J - self.J @ ad
 
+    @cached_property
+    def _lie_F(self):
+        """L[c] = L_{e_c} F as a matrix, from cf[c, a, b] = F([e_c, e_a], e_b)."""
+        cf = np.einsum('kca,kb->cab', self.alg.structure_tensor, self.f_matrix)
+        return cf.transpose(0, 2, 1) - cf
+
     def lie_derivative_F(self, x):
         """(L_X F)(Y, Z) = -F([X,Y], Z) - F(Y, [X,Z]) as a 2-form."""
-        ad = self.alg.ad(np.asarray(x))
-        m = -(ad.T @ self.f_matrix + self.f_matrix @ ad)
-        return KForm.from_matrix(self.alg, m)
+        return KForm.from_matrix(self.alg, np.tensordot(np.asarray(x), self._lie_F, 1))
+
+    @cached_property
+    def automorphisms(self):
+        """Basis of the infinitesimal automorphisms {X : L_X F = 0}."""
+        rows, cols = np.triu_indices(self.dim, 1)
+        return arith.nullspace(self._lie_F[:, rows, cols].T, self.exact, self.tol)
 
     def lie_derivative_g(self, x):
         ad = self.alg.ad(np.asarray(x))

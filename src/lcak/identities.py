@@ -41,7 +41,7 @@ def dj_theta_expansion_residual(structure: AlmostHermitianStructure) -> float:
     + 2 N_{JT} + theta ^ J theta - |theta|^2 F."""
     lee = structure.lee_form()
     dtheta = lee.theta.d()
-    dth = connection.covariant_one_form(structure, lee.theta)
+    dth = structure.Dtheta
     lhs = lee.jtheta.d()
     rhs = (2 * sym_j_plus_twisted(structure, dth)
            + dtheta_anti_invariant_twist(structure, dtheta)
@@ -88,7 +88,7 @@ def bochner_residual(structure: AlmostHermitianStructure, alpha) -> float:
     lhs = (s.codifferential(parts["j_plus"]) - s.codifferential(parts["j_minus"])).vector()
     lee = s.lee_form()
     rho = connection.star_ricci(s)
-    djs = connection.covariant_J_list(s)
+    djs = s.connection.DJ
     ginv = s.g_inv
     dim = s.dim
     sharp = s.sharp(alpha)
@@ -201,7 +201,7 @@ def self_dual_split_residual(structure) -> float:
     dtheta = theta.d()
     djt = lee.jtheta.d()
     delta_theta = s.codifferential(theta).coeffs.get((), 0)
-    dth = connection.covariant_one_form(s, theta)
+    dth = s.Dtheta
     half = _half(s)
     sd_claim = ((-(delta_theta + lee.norm_sq)) * half * s.F
                 + 2 * s.nijenhuis_form(lee.JT)
@@ -229,7 +229,7 @@ def dim4_integrand_value(structure) -> float:
     theta = lee.theta
     dtheta = theta.d()
     delta_theta = s.codifferential(theta).coeffs.get((), 0)
-    dth = connection.covariant_one_form(s, theta)
+    dth = s.Dtheta
     sd_part = 2 * s.nijenhuis_form(lee.JT) + dtheta_anti_invariant_twist(s, dtheta)
     asd_part = sym_j_plus_twisted(s, dth)
     bracket_t_jt = s.alg.bracket(lee.T, lee.JT)
@@ -246,7 +246,7 @@ def unimodular_pluricanonical_defect(structure):
     LCS structures with T orthogonal to im N (both terms reported)."""
     s = structure
     lee = s.lee_form()
-    dth = connection.covariant_one_form(s, lee.theta)
+    dth = s.Dtheta
     jplus = s.split_tensor(dth)["j_plus"]
     d_jt_theta = lee.JT @ dth.mat  # (D_{JT} theta)(e_j) row vector
     inner = d_jt_theta @ s.g_inv @ lee.jtheta.vector()

@@ -114,7 +114,8 @@ def test_jacobi_residual_exact_zero_on_catalog():
 
 def test_bracket_matches_structure_constants():
     alg = LieAlgebra(4, A48_BRACKETS)
-    e2, e3 = alg._basis(1), alg._basis(2)
+    e2 = np.array([Fraction(k == 1) for k in range(4)], dtype=object)
+    e3 = np.array([Fraction(k == 2) for k in range(4)], dtype=object)
     br = alg.bracket(e2, e3)
     assert br[0] == 1 and all(br[k] == 0 for k in (1, 2, 3))
 

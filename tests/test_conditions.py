@@ -247,3 +247,18 @@ def test_feasibility_certificate_is_exact_isotropic(a41):
     from lcak.conditions import _feasibility_subspace
     for w in _feasibility_subspace(a41):
         assert u @ w.matrix() @ (a41.J @ u) == 0
+
+
+def test_t_orth_im_n_warnings_only_on_lcs_structures():
+    # T orth im N holds here but the structure is not LCS; the implications
+    # behind the "T orth im N should imply ..." warnings need dF = theta ^ F
+    # with d theta = 0, so none may fire
+    from lcak.almostabelian import AlmostAbelianParams
+    from lcak.specfile import run_report
+    params = AlmostAbelianParams(2, -3, (0, -1), (-3, -1), ((0, -1), (1, 0)))
+    _, s = build_almost_abelian(params)
+    report = run_report(s)
+    flags = report.condition_report["flags"]
+    assert s.exact and not flags["is_lcs"] and flags["T_orthogonal_to_imN"]
+    assert report.condition_report["warnings"] == []
+    assert report.all_checks_pass

@@ -1,0 +1,228 @@
+"""The contracted tensor kernels against plain-loop references.
+
+Every reference below is written from ``sparse_constants()`` with explicit
+loops over basis indices, independently of the dense structure tensor the
+library contracts.  Exact cases must agree entry for entry; the float case
+within a relative bound fixed from float64 round-off.
+"""
+from fractions import Fraction
+from itertools import combinations
+
+import numpy as np
+import pytest
+
+from lcak import arith, conditions
+from lcak.algebra import LieAlgebra
+from lcak.almostabelian import AlmostAbelianParams, build_almost_abelian
+from lcak.catalogs import CATALOG_NAMES, catalog_entry
+from lcak.specfile import run_report
+
+FLOAT_RTOL = 1e-12
+
+
+def _rational(rng):
+    return Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4)))
+
+
+def _aa_member(seed, n):
+    rng = np.random.default_rng(seed)
+    m = 2 * n - 2
+    params = AlmostAbelianParams(
+        n, _rational(rng), tuple(_rational(rng) for _ in range(m)),
+        tuple(_rational(rng) for _ in range(m)),
+        tuple(tuple(_rational(rng) for _ in range(m)) for _ in range(m)))
+    return build_almost_abelian(params)[1]
+
+
+def _moved_a48():
+    p = [[1, Fraction(1, 2), 0, 0], [0, 1, 0, 2], [0, -1, 1, 0], [1, 0, 0, 1]]
+    return catalog_entry("A4_8").change_basis(np.array(p, dtype=object))
+
+
+CASES = {name: (lambda name=name: catalog_entry(name)) for name in CATALOG_NAMES}
+CASES.update({
+    "A4_8_moved": _moved_a48,
+    "aa_dim6_seed3": lambda: _aa_member(3, 3),
+    "aa_dim6_seed4": lambda: _aa_member(4, 3),
+    "aa_dim8_seed5": lambda: _aa_member(5, 4),
+    "A4_8_moved_float": lambda: _moved_a48().as_float(),
+})
+
+
+@pytest.fixture(params=sorted(CASES))
+def structure(request):
+    return CASES[request.param]()
+
+
+# -- loop references -----------------------------------------------------------
+
+def ref_bracket(alg, x, y):
+    out = [0] * alg.dim
+    for (i, j, k), v in alg.sparse_constants().items():
+        out[k - 1] += v * (x[i - 1] * y[j - 1] - x[j - 1] * y[i - 1])
+    return out
+
+
+def unit(dim, i, exact):
+    return [(Fraction(1) if exact else 1.0) if k == i else 0 for k in range(dim)]
+
+
+def ref_jacobi(alg):
+    dim, worst = alg.dim, 0.0
+    e = [unit(dim, i, alg.exact) for i in range(dim)]
+    for i, j, k in combinations(range(dim), 3):
+        s = [a + b + c for a, b, c in zip(
+            ref_bracket(alg, ref_bracket(alg, e[i], e[j]), e[k]),
+            ref_bracket(alg, ref_bracket(alg, e[j], e[k]), e[i]),
+            ref_bracket(alg, ref_bracket(alg, e[k], e[i]), e[j]))]
+        worst = max([worst] + [abs(float(v)) for v in s])
+    return worst
+
+
+def ref_christoffel(s):
+    """D_{e_i} e_j as a list of vectors, from the Koszul formula term by term."""
+    dim, g, ginv = s.dim, s.g, s.g_inv
+    half = Fraction(1, 2) if s.exact else 0.5
+    e = [unit(dim, i, s.exact) for i in range(dim)]
+
+    def inner(x, y):
+        return sum(x[a] * g[a, b] * y[b] for a in range(dim) for b in range(dim))
+
+    table = {}
+    for i in range(dim):
+        for j in range(dim):
+            w = [inner(ref_bracket(s.alg, e[i], e[j]), e[k])
+                 - inner(ref_bracket(s.alg, e[j], e[k]), e[i])
+                 + inner(ref_bracket(s.alg, e[k], e[i]), e[j]) for k in range(dim)]
+            table[i, j] = [half * sum(ginv[m, k] * w[k] for k in range(dim))
+                           for m in range(dim)]
+    return table
+
+
+def ref_nijenhuis(s, x, y):
+    dim, J = s.dim, s.J
+    quarter = Fraction(1, 4) if s.exact else 0.25
+
+    def jv(v):
+        return [sum(J[a, b] * v[b] for b in range(dim)) for a in range(dim)]
+
+    br = lambda a, b: ref_bracket(s.alg, a, b)  # noqa: E731
+    terms = zip(br(jv(x), jv(y)), br(x, y), jv(br(jv(x), y)), jv(br(x, jv(y))))
+    return [quarter * (a - b - c - d) for a, b, c, d in terms]
+
+
+def assert_same(got, want, exact):
+    got = np.asarray(got, dtype=object if exact else float)
+    want = np.asarray(want, dtype=object if exact else float)
+    assert got.shape == want.shape
+    if exact:
+        assert all(a == b for a, b in zip(got.ravel(), want.ravel()))
+    else:
+        scale = max(1.0, arith.max_abs(want))
+        assert arith.max_abs(got - want) <= FLOAT_RTOL * scale
+
+
+# -- kernels -------------------------------------------------------------------
+
+def test_bracket_and_ad_match_loops(structure):
+    alg = structure.alg
+    rng = np.random.default_rng(alg.dim)
+    for _ in range(3):
+        x = arith.to_vector([_rational(rng) if alg.exact else float(_rational(rng))
+                             for _ in range(alg.dim)], alg.exact)
+        y = arith.to_vector([_rational(rng) if alg.exact else float(_rational(rng))
+                             for _ in range(alg.dim)], alg.exact)
+        assert_same(alg.bracket(x, y), ref_bracket(alg, x, y), alg.exact)
+        ad_ref = [[ref_bracket(alg, x, unit(alg.dim, j, alg.exact))[k]
+                   for j in range(alg.dim)] for k in range(alg.dim)]
+        assert_same(alg.ad(x), ad_ref, alg.exact)
+    for i, j in combinations(range(alg.dim), 2):
+        want = ref_bracket(alg, unit(alg.dim, i, alg.exact), unit(alg.dim, j, alg.exact))
+        assert_same(alg.basis_bracket(i, j), want, alg.exact)
+
+
+def test_jacobi_residual_matches_loops(structure):
+    alg = structure.alg
+    got = alg.jacobi_residual()
+    assert isinstance(got, float)
+    if alg.exact:
+        assert got == ref_jacobi(alg) == 0
+    else:
+        assert abs(got - ref_jacobi(alg)) <= FLOAT_RTOL
+
+
+def test_jacobi_residual_of_planted_non_lie_bracket():
+    # [e1,e2] = e3, [e3,e4] = 2/3 e1: the cyclic sums on (1,2,4) and (2,3,4)
+    # are 2/3 e1 and 2/3 e3, the others vanish
+    alg = LieAlgebra(4, {(1, 2): {3: 1}, (3, 4): {1: Fraction(2, 3)}})
+    assert alg.jacobi_residual() == ref_jacobi(alg) == float(Fraction(2, 3))
+    assert not alg.validate().ok
+
+
+def test_koszul_table_matches_loops(structure):
+    table = ref_christoffel(structure)
+    gamma = structure.connection.gamma
+    for (i, j), col in table.items():
+        assert_same(gamma[i][:, j], col, structure.exact)
+
+
+def test_connection_residuals_vanish(structure):
+    conn = structure.connection
+    residuals = (conn.koszul_residual(), conn.torsion_residual(), conn.metric_residual())
+    if structure.exact:
+        assert residuals == (0, 0, 0)
+    else:
+        assert max(residuals) <= FLOAT_RTOL * max(1.0, arith.max_abs(structure.g))
+
+
+def test_nijenhuis_table_matches_loops(structure):
+    s = structure
+    dim = s.dim
+    e = [unit(dim, i, s.exact) for i in range(dim)]
+    for i, j in combinations(range(dim), 2):
+        want = ref_nijenhuis(s, e[i], e[j])
+        assert_same(s._nijenhuis_table[(i, j)], want, s.exact)
+        assert_same(s.nijenhuis(np.array(e[i]), np.array(e[j])), want, s.exact)
+    x = s.lee_form().T
+    cols = [ref_nijenhuis(s, list(x), e[j]) for j in range(dim)]
+    want = [[sum(s.g[k, m] * cols[j][m] for m in range(dim)) for k in range(dim)]
+            for j in range(dim)]
+    assert_same(s.nijenhuis_tensor(x).mat, want, s.exact)
+
+
+def test_lie_derivative_F_matches_ad(structure):
+    s = structure
+    for c in range(s.dim):
+        ad = s.alg.ad(np.array(unit(s.dim, c, s.exact), dtype=object if s.exact else float))
+        want = -(ad.T @ s.f_matrix + s.f_matrix @ ad)
+        assert_same(s.lie_derivative_F(unit(s.dim, c, s.exact)).matrix(), want, s.exact)
+
+
+# -- computed once per report ----------------------------------------------------
+
+def test_exact_report_computes_shared_results_once(monkeypatch):
+    s = catalog_entry("A4_1")
+    npairs = s.dim * (s.dim - 1) // 2
+    counts = {"jacobi": 0, "automorphisms": 0, "first_kind": 0}
+    einsum, nullspace = np.einsum, arith.nullspace
+    check_first_kind = conditions.check_first_kind
+
+    def counting_einsum(subscripts, *operands, **kwargs):
+        counts["jacobi"] += subscripts == "mij,lmk->lijk"
+        return einsum(subscripts, *operands, **kwargs)
+
+    def counting_nullspace(a, *args, **kwargs):
+        counts["automorphisms"] += np.asarray(a).shape == (npairs, s.dim)
+        return nullspace(a, *args, **kwargs)
+
+    def counting_check_first_kind(*args, **kwargs):
+        counts["first_kind"] += 1
+        return check_first_kind(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counting_einsum)
+    monkeypatch.setattr(arith, "nullspace", counting_nullspace)
+    monkeypatch.setattr(conditions, "check_first_kind", counting_check_first_kind)
+    report = run_report(s)
+    assert report.condition_report["flags"]["adapted"]
+    assert report.all_checks_pass
+    assert counts == {"jacobi": 1, "automorphisms": 1, "first_kind": 1}
