@@ -278,11 +278,6 @@ def determinant(a, exact: bool):
     return det
 
 
-def is_symmetric(a, tol=0.0) -> bool:
-    a = np.asarray(a)
-    return max_abs(a - a.T) <= tol
-
-
 def is_positive_definite(a, exact: bool, tol: float = DEFAULT_TOL) -> bool:
     """Sylvester's criterion in exact mode, eigenvalues in float mode.
 
@@ -300,11 +295,6 @@ def is_positive_definite(a, exact: bool, tol: float = DEFAULT_TOL) -> bool:
         return True
     scale = max(1.0, float(np.max(np.abs(w))))
     return bool(np.min(w) > tol * scale)
-
-
-def min_eigenvalue(a) -> float:
-    """Smallest eigenvalue of a symmetric matrix (float)."""
-    return float(np.min(np.linalg.eigvalsh(np.asarray(a, dtype=float))))
 
 
 def gram_schmidt(g, exact: bool = False):

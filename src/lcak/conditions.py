@@ -480,7 +480,6 @@ def symplectic_feasibility(structure: AlmostHermitianStructure, seed: int = 0,
     * ``inconclusive`` otherwise.
     """
     s = structure
-    dim = s.dim
     basis_forms = _feasibility_subspace(s)
     out = {
         "search_space": "closed_j_invariant" if s.n > 2 else "balanced_j_invariant",
@@ -495,32 +494,10 @@ def symplectic_feasibility(structure: AlmostHermitianStructure, seed: int = 0,
         out["status"] = "infeasible"
         out["certificate"] = "empty_subspace"
         return out
-    g_mats = [np.asarray(w.matrix(), dtype=float) @ np.asarray(s.J, dtype=float)
-              for w in basis_forms]
-    g_mats = [0.5 * (m + m.T) for m in g_mats]
-    k = len(g_mats)
-    rng = np.random.default_rng(seed)
-    best_val = -np.inf
-    best_x = None
-    for _ in range(restarts):
-        x = rng.standard_normal(k)
-        x /= np.linalg.norm(x)
-        step = 0.5
-        for it in range(iterations):
-            m = sum(x[a] * g_mats[a] for a in range(k))
-            w_eig, v_eig = np.linalg.eigh(m)
-            u = v_eig[:, 0]
-            grad = np.array([u @ g_mats[a] @ u for a in range(k)])
-            x = x + step * grad
-            nrm = np.linalg.norm(x)
-            if nrm == 0:
-                break
-            x /= nrm
-            step = 0.5 / (1 + it / 25.0)
-        m = sum(x[a] * g_mats[a] for a in range(k))
-        val = float(np.min(np.linalg.eigvalsh(m)))
-        if val > best_val:
-            best_val, best_x = val, x
+    G = np.stack([np.asarray(w.matrix(), dtype=float) @ np.asarray(s.J, dtype=float)
+                  for w in basis_forms])
+    G = 0.5 * (G + G.transpose(0, 2, 1))
+    best_val, best_x = _ascent(G, seed, restarts, iterations)
     out["optimum"] = best_val
     if best_val > s.tol:
         out["status"] = "feasible"
@@ -533,11 +510,36 @@ def symplectic_feasibility(structure: AlmostHermitianStructure, seed: int = 0,
     if best_val <= -s.tol:
         out["status"] = "infeasible"
         return out
-    cert = _isotropic_certificate(s, basis_forms, g_mats, best_x)
+    cert = _isotropic_certificate(s, basis_forms, G, best_x)
     if cert is not None:
         out["status"] = "infeasible"
         out["certificate"] = cert
     return out
+
+
+def _ascent(G, seed, restarts, iterations):
+    """Maximize the least eigenvalue of sum_a x_a G[a] over the unit sphere.
+
+    ``G`` stacks the symmetrized matrices of omega_a(., J.).  All restarts
+    take each step together: one stacked ``eigh`` per iteration.  A restart
+    whose step lands on 0 stays there.  Returns the best optimum (the first
+    restart reaching it) and its coefficients.
+    """
+    X = np.random.default_rng(seed).standard_normal((restarts, len(G)))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    live = np.ones(restarts, dtype=bool)
+    step = 0.5
+    for it in range(iterations):
+        _, V = np.linalg.eigh(np.einsum("rk,kij->rij", X, G))
+        U = V[:, :, 0]
+        X = X + step * np.einsum("ri,kij,rj->rk", U, G, U) * live[:, None]
+        nrm = np.linalg.norm(X, axis=1)
+        live &= nrm > 0
+        X /= np.where(live, nrm, 1.0)[:, None]
+        step = 0.5 / (1 + it / 25.0)
+    vals = np.linalg.eigvalsh(np.einsum("rk,kij->rij", X, G))[:, 0]
+    best = int(np.argmax(vals))
+    return float(vals[best]), X[best]
 
 
 def _float_form(form, structure):
@@ -580,31 +582,39 @@ def _normalize_witness(structure, witness, basis_forms, x):
     return wfloat
 
 
-def _isotropic_certificate(structure, basis_forms, g_mats, best_x):
-    """A vector u with omega(u, Ju) = 0 for every omega in the subspace."""
+def _isotropic_certificate(structure, basis_forms, G, best_x):
+    """A vector u with omega(u, Ju) = 0 for every omega in the subspace.
+
+    ``G[a]`` is the symmetrized matrix of omega_a(., J.), so u @ G[a] @ u is
+    omega_a(u, Ju).  Candidates are the coordinate axes and a basis of the
+    near-kernel of sum_a x_a G[a] at the optimum.  In exact mode each is
+    scaled so its largest entry is 1, rounded to small rationals and checked
+    exactly.
+    """
     s = structure
     dim = s.dim
-    candidates = [np.eye(dim)[i] for i in range(dim)]
-    if best_x is not None:
-        m = sum(best_x[a] * g_mats[a] for a in range(len(g_mats)))
-        w_eig, v_eig = np.linalg.eigh(m)
-        for idx in range(dim):
-            if abs(w_eig[idx]) <= 10 * s.tol:
-                candidates.append(v_eig[:, idx])
+    w_eig, v_eig = np.linalg.eigh(np.tensordot(best_x, G, 1))
+    kernel = v_eig[:, np.abs(w_eig) <= 10 * s.tol]
+    candidates = list(np.eye(dim)) + list(kernel.T)
+    nk = kernel.shape[1]
+    if nk > 1:
+        # eigh returns an arbitrary basis of a degenerate kernel; the basis
+        # that is the identity on its best-conditioned nk rows is rational
+        # whenever the kernel is
+        rows = list(max(combinations(range(dim), nk),
+                        key=lambda r: abs(np.linalg.det(kernel[list(r)]))))
+        candidates += list((kernel @ np.linalg.inv(kernel[rows])).T)
+    if s.exact:
+        wj = [w.matrix() @ s.J for w in basis_forms]
     for cand in candidates:
-        nrm = np.linalg.norm(cand)
-        if nrm < 1e-12:
-            continue
-        cand = cand / nrm
         if s.exact:
-            u = np.array([arith.rationalize(c, 64) for c in cand], dtype=object)
-            if all(u @ w.matrix() @ (s.J @ u) == 0 for w in basis_forms):
-                if arith.max_abs(u) > 0:
+            cand = cand / cand[np.argmax(np.abs(cand))]
+            for max_den in (64, 4096):
+                u = np.array([arith.rationalize(c, max_den) for c in cand], dtype=object)
+                if all(u @ m @ u == 0 for m in wj):
                     return [arith.format_scalar(c) for c in u]
         else:
-            ok = all(abs(float(cand @ np.asarray(w.matrix(), dtype=float)
-                          @ (np.asarray(s.J, dtype=float) @ cand))) <= s.tol
-                     for w in basis_forms)
-            if ok:
+            cand = cand / np.linalg.norm(cand)
+            if np.all(np.abs(np.einsum("i,kij,j->k", cand, G, cand)) <= s.tol):
                 return [float(c) for c in cand]
     return None

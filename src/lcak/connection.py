@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from . import arith
-from .forms import KForm, derive_along
+from .forms import KForm
 from .hermitian import AlmostHermitianStructure, Tensor2
 
 
@@ -95,11 +95,6 @@ def covariant_tensor(structure, phi, i):
     m = phi.mat if isinstance(phi, Tensor2) else np.asarray(phi)
     gi = structure.connection.gamma[i]
     return -(gi.T @ m + m @ gi)
-
-
-def covariant_form(structure, a: KForm, i) -> KForm:
-    """(D_{e_i} alpha) for a k-form."""
-    return derive_along(a, structure.connection.gamma[i])
 
 
 def covariant_J(structure, i):

@@ -56,9 +56,6 @@ class Tensor2:
     def __rmul__(self, scalar):
         return Tensor2(self.alg, scalar * self.mat)
 
-    def transpose(self):
-        return Tensor2(self.alg, self.mat.T)
-
     def sym(self):
         half = Fraction(1, 2) if _mat_exact(self.mat) else 0.5
         return Tensor2(self.alg, half * (self.mat + self.mat.T))
@@ -66,10 +63,6 @@ class Tensor2:
     def antisym(self):
         half = Fraction(1, 2) if _mat_exact(self.mat) else 0.5
         return Tensor2(self.alg, half * (self.mat - self.mat.T))
-
-    def as_form(self):
-        """Interpret an antisymmetric tensor as a 2-form."""
-        return KForm.from_matrix(self.alg, self.antisym().mat * 1)
 
     def max_abs(self):
         return arith.max_abs(self.mat)
@@ -241,23 +234,11 @@ class AlmostHermitianStructure:
 
     # -- J actions --------------------------------------------------------------
 
-    def j_vector(self, x):
-        return self.J @ np.asarray(x)
-
     def j_one_form(self, a):
         """(J alpha)(X) = -alpha(JX)."""
         if isinstance(a, KForm):
             return KForm.from_vector(self.alg, -(self.J.T @ a.vector()))
         return -(self.J.T @ np.asarray(a))
-
-    def two_form_j_twist(self, phi):
-        """phi -> -phi(J., .), the J-action on J-anti-invariant 2-forms."""
-        m = phi.matrix() if isinstance(phi, KForm) else np.asarray(phi)
-        return KForm.from_matrix(self.alg, -(self.J.T @ m))
-
-    def compose_first_slot_with_j(self, mat):
-        """phi(J., .) as a matrix."""
-        return self.J.T @ np.asarray(mat)
 
     # -- tensor splittings -------------------------------------------------------
 
@@ -274,17 +255,6 @@ class AlmostHermitianStructure:
         }
 
     # -- norms and inner products -------------------------------------------------
-
-    def vector_norm_sq(self, x):
-        x = np.asarray(x)
-        return x @ self.g @ x
-
-    def vector_inner(self, x, y):
-        return np.asarray(x) @ self.g @ np.asarray(y)
-
-    def one_form_norm_sq(self, a):
-        v = a.vector() if isinstance(a, KForm) else np.asarray(a)
-        return v @ self.g_inv @ v
 
     def form_inner(self, a, b):
         return form_inner_product(a, b, self.g_inv)

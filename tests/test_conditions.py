@@ -3,8 +3,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lcak import arith
+from lcak import arith, conditions
 from lcak.algebra import LieAlgebra, abelian_algebra
+from lcak.catalogs import CATALOG_NAMES, catalog_entry
 from lcak.conditions import (automorphism_algebra, check_adapted, check_first_kind,
                              check_lcs, classify_metric, symplectic_feasibility,
                              verify_equivalences)
@@ -232,7 +233,6 @@ def test_feasibility_abelian_witness_is_f(abelian_kahler):
 def test_feasibility_witness_properties(rng):
     # any returned witness must satisfy the constraints and be genuinely
     # compatible: d omega^{n-1} = 0 exactly and omega(., J.) positive definite
-    from lcak.catalogs import catalog_entry
     s = catalog_entry("abelian_kahler")
     out = symplectic_feasibility(s)
     w = out["witness"]
@@ -241,12 +241,121 @@ def test_feasibility_witness_properties(rng):
     assert arith.is_positive_definite(Fraction(1, 2) * (m + m.T), True)
 
 
+def assert_exactly_isotropic(s, certificate):
+    u = np.array([Fraction(c) for c in certificate], dtype=object)
+    assert any(c != 0 for c in u)
+    for w in conditions._feasibility_subspace(s):
+        assert u @ w.matrix() @ (s.J @ u) == 0
+
+
 def test_feasibility_certificate_is_exact_isotropic(a41):
-    out = symplectic_feasibility(a41)
-    u = np.array([Fraction(c) for c in out["certificate"]], dtype=object)
-    from lcak.conditions import _feasibility_subspace
-    for w in _feasibility_subspace(a41):
-        assert u @ w.matrix() @ (a41.J @ u) == 0
+    assert_exactly_isotropic(a41, symplectic_feasibility(a41)["certificate"])
+
+
+# -- the batched search against a per-restart loop ------------------------------
+
+def ref_ascent(G, seed, restarts, iterations):
+    """The ascent one restart at a time, one matrix per eigh call."""
+    g_mats = list(G)
+    k = len(g_mats)
+    rng = np.random.default_rng(seed)
+    best_val, best_x = -np.inf, None
+    for _ in range(restarts):
+        x = rng.standard_normal(k)
+        x /= np.linalg.norm(x)
+        step = 0.5
+        for it in range(iterations):
+            m = sum(x[a] * g_mats[a] for a in range(k))
+            _, v_eig = np.linalg.eigh(m)
+            u = v_eig[:, 0]
+            grad = np.array([u @ g_mats[a] @ u for a in range(k)])
+            x = x + step * grad
+            nrm = np.linalg.norm(x)
+            if nrm == 0:
+                break
+            x /= nrm
+            step = 0.5 / (1 + it / 25.0)
+        m = sum(x[a] * g_mats[a] for a in range(k))
+        val = float(np.min(np.linalg.eigvalsh(m)))
+        if val > best_val:
+            best_val, best_x = val, x
+    return best_val, best_x
+
+
+@pytest.mark.parametrize("k", [1, 3, 7])
+def test_batched_starts_equal_sequential_draws(k):
+    rng = np.random.default_rng(11)
+    sequential = np.stack([rng.standard_normal(k) for _ in range(64)])
+    assert np.array_equal(np.random.default_rng(11).standard_normal((64, k)), sequential)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_batched_search_matches_per_restart_loop(name, monkeypatch):
+    s = catalog_entry(name)
+    got = symplectic_feasibility(s)
+    monkeypatch.setattr(conditions, "_ascent", ref_ascent)
+    want = symplectic_feasibility(s)
+    assert got["status"] == want["status"]
+    assert got["witness"] == want["witness"]
+    assert got["certificate"] == want["certificate"]
+    assert abs(got["optimum"] - want["optimum"]) <= 1e-12
+
+
+def test_restart_stepping_onto_zero_stops_there():
+    # one 1x1 form: a start at -1 steps exactly onto 0 and must stay there
+    # (optimum 0); a start at +1 stays at +1 (optimum 2)
+    G = np.array([[[2.0]]])
+    seen = set()
+    for seed in range(6):
+        got = conditions._ascent(G, seed, 1, 5)
+        want = ref_ascent(G, seed, 1, 5)
+        assert got[0] == want[0] and np.array_equal(got[1], want[1])
+        seen.add(got[0])
+    assert seen == {0.0, 2.0}
+
+
+HALF = Fraction(1, 2)
+
+
+@pytest.mark.parametrize("name, p", [
+    # certificate (1, -4/17, 5/34, -13/34)
+    ("A4_1", [[-1, 0, -2, 1], [HALF, HALF, 0, 1], [2, -HALF, -HALF, 1], [0, -2, 2, 2]]),
+    # no near-kernel eigenvector is isotropic: the certificate (1, -2/7, -3/7, 0)
+    # is a vector of the kernel's rational basis
+    ("A4_1", [[0, HALF, -2, HALF], [-1, -HALF, -2, -HALF], [-HALF, 0, -1, 0],
+              [-1, -2, -1, -HALF]]),
+    # certificate (1, 0, 5/8, -1/4)
+    ("A4_8", [[-2, 2, 0, -2], [-1, 2, 2, 1], [-HALF, -HALF, 0, -2], [0, 1, 2, -HALF]]),
+    # certificate (1042/3961, -1720/3961, 1, -1356/3961), beyond denominator 64
+    ("A4_8", [[-2, 1, HALF, -HALF], [-2, -2, 0, 1], [-HALF, 2, 1, 0], [0, -HALF, 1, -HALF]]),
+])
+def test_certificate_lifted_in_a_rational_basis(name, p):
+    # these changes of basis once left the search inconclusive: the
+    # near-kernel eigenvectors, normalized to unit length and rounded to
+    # denominator 64, were not isotropic
+    s = catalog_entry(name).change_basis(np.array(p, dtype=object))
+    out = symplectic_feasibility(s)
+    assert out["status"] == "infeasible"
+    assert_exactly_isotropic(s, out["certificate"])
+
+
+@pytest.mark.parametrize("name", [n for n in CATALOG_NAMES if n != "abelian_kahler"])
+def test_feasibility_sound_under_changes_of_basis(name):
+    # soundness only: an undecided status is allowed, a wrong one or a
+    # certificate that is not exactly isotropic is not
+    entries = [0, 0, 1, -1, Fraction(1, 2), Fraction(-1, 2), 2, -2]
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        while True:
+            p = np.array([[entries[i] for i in row] for row in rng.integers(0, 8, (4, 4))],
+                         dtype=object)
+            if arith.determinant(p, True) != 0:
+                break
+        s = catalog_entry(name).change_basis(p)
+        out = symplectic_feasibility(s)
+        assert out["status"] != "feasible"
+        if isinstance(out["certificate"], list):
+            assert_exactly_isotropic(s, out["certificate"])
 
 
 def test_t_orth_im_n_warnings_only_on_lcs_structures():
