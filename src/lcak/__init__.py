@@ -20,7 +20,7 @@ from .conditions import (AutomorphismAlgebra, ConditionReport, automorphism_alge
                          symplectic_feasibility, verify_equivalences)
 from .connection import (ConnectionTable, CurvatureTensor, RicciForms,
                          canonical_connection_forms, covariant_F, covariant_J,
-                         covariant_one_form, covariant_tensor, curvature,
+                         covariant_one_form, curvature,
                          first_canonical_connection, levi_civita, star_ricci)
 from .conventions import CONVENTIONS
 from .errors import (Degenerate, DegenerateMetric, DimensionMismatch, IndexOutOfRange,
@@ -39,7 +39,7 @@ __all__ = [
     "AlmostHermitianStructure", "LeeData", "Tensor2", "validate_structure",
     "ConnectionTable", "CurvatureTensor", "RicciForms", "levi_civita",
     "curvature", "star_ricci", "canonical_connection_forms",
-    "first_canonical_connection", "covariant_one_form", "covariant_tensor",
+    "first_canonical_connection", "covariant_one_form",
     "covariant_F", "covariant_J",
     "ConditionReport", "AutomorphismAlgebra", "check_lcs", "check_first_kind",
     "check_adapted", "classify_metric", "verify_equivalences",

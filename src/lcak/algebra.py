@@ -6,12 +6,13 @@ internally).  Everything downstream -- forms, connections, curvature -- is
 driven by the dense bracket tensor this class exposes: brackets, ad, the
 unimodularity traces and the Jacobi residual are contractions of
 ``structure_tensor``, and each table is computed once per algebra.  The same
-contractions serve exact (object arrays of Fractions) and float arithmetic.
+contractions serve exact (object arrays of Fractions) and float arithmetic;
+the algebra's :class:`~lcak.arith.Field` says which, and structures, forms
+and tensors built on the algebra use the same field.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
@@ -65,8 +66,7 @@ class LieAlgebra:
                 values.append(arith.parse_scalar(v) if isinstance(v, str) else v)
         if exact is None:
             exact = arith.all_exact(values)
-        self.exact = bool(exact)
-        self.tol = float(tol)
+        self.field = arith.Field(bool(exact), float(tol))
         self.labels = list(labels) if labels else [f"e{i}" for i in range(1, dim + 1)]
         if len(self.labels) != dim:
             raise DimensionMismatch("labels length != dim")
@@ -87,7 +87,7 @@ class LieAlgebra:
                     raise IndexOutOfRange(f"target index {k} outside 1..{dim}")
                 val = self._coerce(v) * sign
                 key = (a - 1, b - 1, k - 1)
-                cur = self._c.get(key, self._zero)
+                cur = self._c.get(key, 0)
                 new = cur + val
                 if new == 0:
                     self._c.pop(key, None)
@@ -97,22 +97,22 @@ class LieAlgebra:
     # -- scalars ------------------------------------------------------------
 
     @property
-    def _zero(self):
-        return Fraction(0) if self.exact else 0.0
+    def exact(self):
+        return self.field.exact
+
+    @property
+    def tol(self):
+        return self.field.tol
 
     def _coerce(self, v):
-        if isinstance(v, str):
-            v = arith.parse_scalar(v)
-        return arith.as_scalar(v, self.exact)
+        return self.field.scalar(arith.parse_scalar(v) if isinstance(v, str) else v)
 
     # -- structure tensor ---------------------------------------------------
 
     @cached_property
     def structure_tensor(self):
         """Dense C with C[k][i][j] = c^k_{ij} (0-based); read-only."""
-        c = np.array([[[self._zero] * self.dim for _ in range(self.dim)]
-                      for _ in range(self.dim)],
-                     dtype=object if self.exact else float)
+        c = self.field.zeros(self.dim, self.dim, self.dim)
         for (i, j, k), v in self._c.items():
             c[k][i][j] = v
             c[k][j][i] = -v
@@ -168,15 +168,13 @@ class LieAlgebra:
 
     def validate(self) -> AlgebraValidationReport:
         res = self.jacobi_residual()
-        ok = res <= (0 if self.exact else self.tol)
-        return AlgebraValidationReport(antisymmetry_ok=True, jacobi_residual=res, ok=ok)
+        return AlgebraValidationReport(antisymmetry_ok=True, jacobi_residual=res,
+                                       ok=self.field.is_zero(res))
 
     def is_unimodular(self):
         """(flag, traces): trace of ad(e_i) for every basis vector."""
         traces = list(np.einsum('kik->i', self.structure_tensor))
-        bound = 0 if self.exact else self.tol
-        flag = all(abs(float(t)) <= bound for t in traces)
-        return flag, traces
+        return self.field.is_zero(traces), traces
 
     # -- transforms ---------------------------------------------------------
 
@@ -187,8 +185,8 @@ class LieAlgebra:
             raise DimensionMismatch("change-of-basis matrix has wrong shape")
         exact = self.exact and arith.all_exact(p.ravel().tolist())
         base = self if exact else self.as_float()
-        p = arith.to_matrix(p.tolist(), exact)
-        pinv = arith.invert(p, exact)
+        p = base.field.array(p)
+        pinv = arith.invert(p, base.field)
         new = {}
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
@@ -223,7 +221,7 @@ def validate_lie_algebra(constants, dim, exact=None, tol=DEFAULT_TOL) -> Algebra
     if exact is None:
         exact = arith.all_exact([arith.parse_scalar(v) if isinstance(v, str) else v
                                  for v in values])
-    bound = 0 if exact else tol
+    field = arith.Field(bool(exact), tol)
     anti_ok = True
     seen = {}
     for (i, j), comps in constants.items():
@@ -233,12 +231,12 @@ def validate_lie_algebra(constants, dim, exact=None, tol=DEFAULT_TOL) -> Algebra
             if not 1 <= k <= dim:
                 raise IndexOutOfRange(f"target index {k} outside 1..{dim}")
             v = arith.parse_scalar(v) if isinstance(v, str) else v
-            if i == j and abs(float(v)) > bound:
+            if i == j and not field.is_zero(v):
                 anti_ok = False
             seen[(i, j, k)] = v
     for (i, j, k), v in seen.items():
         w = seen.get((j, i, k))
-        if w is not None and abs(float(v + w)) > bound:
+        if w is not None and not field.is_zero(v + w):
             anti_ok = False
     # Jacobi on the antisymmetrized algebra
     normalized = {}
@@ -258,13 +256,13 @@ def validate_lie_algebra(constants, dim, exact=None, tol=DEFAULT_TOL) -> Algebra
         for k, v in comps.items():
             tgt[k] = tgt.get(k, 0) + sign * v
     both = {p for p in normalized if (p[1], p[0]) in normalized}
-    half = Fraction(1, 2) if exact else 0.5
+    half = field.scalar(1, 2)
     for (a, b) in list(collapsed):
         if (a, b) in both and (b, a) in both:
             collapsed[(a, b)] = {k: half * v for k, v in collapsed[(a, b)].items()}
     alg = LieAlgebra(dim, collapsed, exact=exact, tol=tol)
     res = alg.jacobi_residual()
-    ok = anti_ok and res <= bound
+    ok = anti_ok and field.is_zero(res)
     return AlgebraValidationReport(antisymmetry_ok=anti_ok, jacobi_residual=res, ok=ok)
 
 

@@ -14,16 +14,13 @@ orthonormal metric, so F = e^1 ^ e^{2n} + ... + e^n ^ e^{n+1}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-
-import numpy as np
 
 from . import arith
 from .algebra import LieAlgebra
 from .arith import DEFAULT_TOL
 from .errors import Degenerate, DimensionMismatch, PreconditionFailed, UnsupportedDimension
 from .forms import KForm
-from .hermitian import AlmostHermitianStructure
+from .hermitian import AlmostHermitianStructure, preset_j
 
 
 @dataclass
@@ -62,31 +59,12 @@ class AlmostAbelianParams:
         return sum(self.A[i][i] for i in range(2 * self.n - 2))
 
     def is_unimodular(self):
-        t = self.a + self.trace_a()
-        return t == 0 if self.exact else abs(float(t)) <= DEFAULT_TOL
+        return arith.Field(self.exact).is_zero(self.a + self.trace_a())
 
     def ad_matrix(self):
         """ad_{e_{2n}}|_n as a (2n-1) x (2n-1) matrix over (e_1, .., e_{2n-1})."""
-        m = 2 * self.n - 1
-        out = arith.zeros_matrix(m, m, self.exact)
-        out[0, 0] = arith.as_scalar(self.a, self.exact)
-        for i in range(m - 1):
-            out[0, 1 + i] = arith.as_scalar(self.b[i], self.exact)
-            out[1 + i, 0] = arith.as_scalar(self.v[i], self.exact)
-            for j in range(m - 1):
-                out[1 + i, 1 + j] = arith.as_scalar(self.A[i][j], self.exact)
-        return out
-
-
-def standard_j_matrix(n, exact=True):
-    """J e_i = e_{2n+1-i} for i = 1..n (and J^2 = -id)."""
-    dim = 2 * n
-    j = arith.zeros_matrix(dim, dim, exact)
-    one = Fraction(1) if exact else 1.0
-    for i in range(n):
-        j[dim - 1 - i, i] = one
-        j[i, dim - 1 - i] = -one
-    return j
+        rows = [[self.a, *self.b]] + [[vi, *row] for vi, row in zip(self.v, self.A)]
+        return arith.Field(self.exact).array(rows)
 
 
 def build_almost_abelian(params: AlmostAbelianParams, tol=DEFAULT_TOL):
@@ -103,8 +81,7 @@ def build_almost_abelian(params: AlmostAbelianParams, tol=DEFAULT_TOL):
         if comps:
             brackets[(dim, col + 1)] = comps
     alg = LieAlgebra(dim, brackets, exact=exact, tol=tol)
-    j = standard_j_matrix(params.n, exact)
-    structure = AlmostHermitianStructure(alg, j, tol=tol)
+    structure = AlmostHermitianStructure(alg, preset_j("mirror", dim), tol=tol)
     return alg, structure
 
 
@@ -117,18 +94,12 @@ def lee_form_aa(params: AlmostAbelianParams, structure=None) -> KForm:
     """
     if structure is None:
         _, structure = build_almost_abelian(params)
-    exact = structure.exact
-    dim = params.dim
-    v_full = arith.zeros_vector(dim, exact)
-    for i, vi in enumerate(params.v):
-        v_full[1 + i] = arith.as_scalar(vi, exact)
-    jv = structure.J @ v_full
-    theta_vec = structure.g @ jv
-    tra = arith.as_scalar(params.trace_a(), exact)
-    theta_vec[dim - 1] = theta_vec[dim - 1] - tra
+    field = structure.field
+    v_full = field.array([0, *params.v, 0])
+    theta_vec = structure.g @ (structure.J @ v_full)
+    theta_vec[-1] = theta_vec[-1] - field.scalar(params.trace_a())
     if params.n > 2:
-        scale = (Fraction(1, params.n - 1) if exact else 1.0 / (params.n - 1))
-        theta_vec = scale * theta_vec
+        theta_vec = field.scalar(1, params.n - 1) * theta_vec
     return KForm.from_vector(structure.alg, theta_vec)
 
 
@@ -183,25 +154,22 @@ def ad_jordan_type(alg: LieAlgebra, tol=DEFAULT_TOL) -> str:
     """
     if alg.dim != 4:
         raise UnsupportedDimension("Jordan cross-check is for dim 4")
-    exact = alg.exact
+    field = arith.Field(alg.exact, tol)
     ad4 = alg.ad_basis(3)
     m = ad4[:3, :3]
-    bound = 0 if exact else tol * max(1.0, arith.max_abs(m))
+    scale = arith.max_abs(m)
     tr = m[0, 0] + m[1, 1] + m[2, 2]
-    det = arith.determinant(m, exact)
+    det = arith.determinant(m, field)
     sigma2 = (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
               + m[0, 0] * m[2, 2] - m[0, 2] * m[2, 0]
               + m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-    if abs(float(tr)) > bound or abs(float(det)) > bound:
+    if not (field.is_zero(tr, scale) and field.is_zero(det, scale)):
         return "general"
-    if abs(float(sigma2)) > bound:
+    if not field.is_zero(sigma2, scale):
         return "semisimple_real" if float(sigma2) < 0 else "rotation"
-    m2 = m @ m
-    r1 = arith.rank(m, exact, tol)
-    r2 = arith.rank(m2, exact, tol)
-    if r1 == 0:
+    if arith.rank(m, field) == 0:
         return "zero"
-    if r2 == 0:
+    if arith.rank(m @ m, field) == 0:
         return "nilpotent_j2"
     return "nilpotent_j3"
 
@@ -222,15 +190,14 @@ def classify_4d(params: AlmostAbelianParams, tol=DEFAULT_TOL) -> ClassLabel:
     """
     if params.n != 2:
         raise UnsupportedDimension("classification is for dim 4")
-    exact = params.exact
-    bound = 0 if exact else tol
+    field = arith.Field(params.exact, tol)
     conds = pluricanonical_conditions_aa(params)
-    if conds["max_residual"] > bound:
+    if not field.is_zero(conds["max_residual"]):
         raise PreconditionFailed("pluricanonical condition systems do not vanish")
     if not params.is_unimodular():
         raise PreconditionFailed("parameters are not unimodular")
-    b_zero = all(abs(float(x)) <= bound for x in params.b)
-    v_zero = all(abs(float(x)) <= bound for x in params.v)
+    b_zero = field.is_zero(params.b)
+    v_zero = field.is_zero(params.v)
     if v_zero and b_zero:
         raise Degenerate("v = 0 and b = 0: abelian algebra")
     if v_zero:
@@ -244,7 +211,7 @@ def classify_4d(params: AlmostAbelianParams, tol=DEFAULT_TOL) -> ClassLabel:
         "jordan_type": jordan,
         "unimodular": bool(uni),
     }
-    if abs(float(bv)) <= bound:
+    if field.is_zero(bv):
         name = "A4_1" if not b_zero else "other"
         if b_zero:
             invariants["note"] = "two-step nilpotent (heisenberg3 + line)"

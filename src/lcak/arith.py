@@ -1,17 +1,22 @@
-"""Dual-mode scalar arithmetic and small dense linear algebra.
+"""One arithmetic field for the package, and small dense linear algebra.
 
 Every quantity in the package is either *exact* (``fractions.Fraction``,
 closed under +,-,*,/) or *float* (binary64, compared against a tolerance).
-Matrices are numpy arrays: ``dtype=object`` filled with Fractions in exact
-mode, ``float64`` otherwise, so ``@``, ``+`` and transposition work in both
-modes with the same code paths.
+A frozen :class:`Field` carries that choice with its tolerance: it builds
+scalars and arrays of the right kind and holds the one tolerance rule.  A
+``LieAlgebra`` holds its field and passes it on to structures, forms and
+tensors, so no other module branches on the mode.  Matrices are numpy
+arrays: ``dtype=object`` filled with Fractions in exact mode, ``float64``
+otherwise, so ``@``, ``+`` and transposition work in both modes with the
+same code paths.
 
-The solvers below are written for the tiny systems that show up here
-(dimensions <= ~70 coming from spaces of 2- and 3-forms on algebras of
-dimension <= 8); nothing is optimized beyond that.
+The solvers below take the field; they are written for the tiny systems
+that show up here (dimensions <= ~70 coming from spaces of 2- and 3-forms
+on algebras of dimension <= 8); nothing is optimized beyond that.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -21,25 +26,65 @@ from .errors import DegenerateMetric
 DEFAULT_TOL = 1e-9
 
 
+@dataclass(frozen=True)
+class Field:
+    """Exact (Fraction) or float arithmetic, with the float tolerance ``tol``.
+
+    ``bound(scale)`` is the tolerance rule: 0 in exact mode and
+    ``tol * max(1, scale)`` in float mode.  Nondegeneracy is decided by
+    ``det != 0`` in exact mode and by the scale-free singular value ratio
+    ``sigma_min > tol * sigma_max`` in float mode.
+    """
+    exact: bool
+    tol: float = DEFAULT_TOL
+
+    def scalar(self, x, den=1):
+        """``x / den`` in this field; exact mode takes ints, Fractions and
+        fraction strings, and refuses floats."""
+        if not self.exact:
+            return float(x) / den
+        if isinstance(x, bool) or not isinstance(x, (int, Fraction, str)):
+            raise TypeError(f"cannot use {x!r} in exact mode")
+        return Fraction(x) / den
+
+    def array(self, values):
+        """An array of this field's scalars from nested lists or an array."""
+        if not self.exact:
+            return np.array(values, dtype=float)
+        a = np.array(values, dtype=object)
+        return np.array([self.scalar(v) for v in a.flat], dtype=object).reshape(a.shape)
+
+    def zeros(self, *shape):
+        return np.full(shape, Fraction(0), dtype=object) if self.exact else np.zeros(shape)
+
+    def eye(self, n):
+        return self.array(np.eye(n, dtype=int))
+
+    def bound(self, scale=1.0):
+        return 0 if self.exact else self.tol * max(1.0, float(scale))
+
+    def is_zero(self, x, scale=1.0):
+        """Whether every entry of ``x`` vanishes, within ``bound(scale)``."""
+        if self.exact:
+            return bool(np.all(np.asarray(x) == 0))
+        return max_abs(x) <= self.bound(scale)
+
+    def is_nondegenerate(self, m):
+        if self.exact:
+            return determinant(m, self) != 0
+        m = np.asarray(m, dtype=float)
+        if not np.all(np.isfinite(m)):
+            return False
+        s = np.linalg.svd(m, compute_uv=False)
+        return bool(s[-1] > self.tol * s[0])
+
+
 def is_exact_scalar(x) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
 def all_exact(values) -> bool:
     return all(is_exact_scalar(v) for v in values)
-
-
-def as_scalar(x, exact: bool):
-    """Coerce ``x`` into the requested arithmetic mode."""
-    if exact:
-        if isinstance(x, Fraction):
-            return x
-        if isinstance(x, int) and not isinstance(x, bool):
-            return Fraction(x)
-        if isinstance(x, str):
-            return Fraction(x)
-        raise TypeError(f"cannot use {x!r} in exact mode")
-    return float(x)
 
 
 def parse_scalar(text):
@@ -61,49 +106,6 @@ def format_scalar(x) -> str:
     if isinstance(x, int):
         return str(x)
     return repr(float(x))
-
-
-def zeros_matrix(n, m, exact: bool):
-    if exact:
-        a = np.empty((n, m), dtype=object)
-        a[:] = Fraction(0)
-        return a
-    return np.zeros((n, m))
-
-
-def zeros_vector(n, exact: bool):
-    if exact:
-        a = np.empty(n, dtype=object)
-        a[:] = Fraction(0)
-        return a
-    return np.zeros(n)
-
-
-def identity_matrix(n, exact: bool):
-    a = zeros_matrix(n, n, exact)
-    one = Fraction(1) if exact else 1.0
-    for i in range(n):
-        a[i, i] = one
-    return a
-
-
-def to_matrix(rows, exact: bool):
-    rows = [list(r) for r in rows]
-    n, m = len(rows), len(rows[0]) if rows else 0
-    a = zeros_matrix(n, m, exact)
-    for i, r in enumerate(rows):
-        if len(r) != m:
-            raise ValueError("ragged matrix")
-        for j, v in enumerate(r):
-            a[i, j] = as_scalar(v, exact)
-    return a
-
-
-def to_vector(entries, exact: bool):
-    a = zeros_vector(len(list(entries)), exact)
-    for i, v in enumerate(entries):
-        a[i] = as_scalar(v, exact)
-    return a
 
 
 def max_abs(a) -> float:
@@ -154,43 +156,50 @@ def _as_fraction_rows(a):
     return [[Fraction(x) for x in row] for row in np.asarray(a)]
 
 
-def nullspace(a, exact: bool, tol: float = DEFAULT_TOL):
+def _svd_rank(s, tol):
+    return int(np.sum(s > tol * max(1.0, (s[0] if s.size else 0.0))))
+
+
+def nullspace(a, field: Field):
     """Basis of the right nullspace, as a list of vectors."""
     a = np.asarray(a)
     n, m = a.shape
     if n == 0:
-        return [identity_matrix(m, exact)[i] for i in range(m)]
-    if exact:
+        return list(field.eye(m))
+    if field.exact:
         rows = _as_fraction_rows(a)
         pivots = _rref(rows)
         free = [c for c in range(m) if c not in pivots]
         basis = []
         for fc in free:
-            v = zeros_vector(m, True)
+            v = field.zeros(m)
             v[fc] = Fraction(1)
             for r, pc in enumerate(pivots):
                 v[pc] = -rows[r][fc]
             basis.append(v)
         return basis
     u, s, vt = np.linalg.svd(a.astype(float))
-    cutoff = tol * max(1.0, (s[0] if s.size else 0.0))
-    rank = int(np.sum(s > cutoff))
-    return [vt[i] for i in range(rank, m)]
+    return list(vt[_svd_rank(s, field.tol):])
 
 
-def rank(a, exact: bool, tol: float = DEFAULT_TOL) -> int:
+def row_space(a, field: Field):
+    """Basis of the row space: the nonzero rows of the reduced echelon form
+    in exact mode, the leading right singular vectors in float mode."""
     a = np.asarray(a)
     if a.size == 0:
-        return 0
-    if exact:
+        return []
+    if field.exact:
         rows = _as_fraction_rows(a)
-        return len(_rref(rows))
-    s = np.linalg.svd(a.astype(float), compute_uv=False)
-    cutoff = tol * max(1.0, (s[0] if s.size else 0.0))
-    return int(np.sum(s > cutoff))
+        return [np.array(rows[r], dtype=object) for r in range(len(_rref(rows)))]
+    u, s, vt = np.linalg.svd(a.astype(float))
+    return list(vt[:_svd_rank(s, field.tol)])
 
 
-def solve_least_squares(a, b, exact: bool):
+def rank(a, field: Field) -> int:
+    return len(row_space(a, field))
+
+
+def solve_least_squares(a, b, field: Field):
     """Solve ``a x = b``; fall back to least squares when inconsistent.
 
     Returns ``(x, residual_vector)``.  In exact mode an exact solution is
@@ -201,11 +210,11 @@ def solve_least_squares(a, b, exact: bool):
     a = np.asarray(a)
     b = np.asarray(b)
     n, m = a.shape
-    if exact:
+    if field.exact:
         aug = [[Fraction(a[i, j]) for j in range(m)] + [Fraction(b[i])] for i in range(n)]
         pivots = _rref(aug)
         if m not in pivots:  # consistent system
-            x = zeros_vector(m, True)
+            x = field.zeros(m)
             for r, pc in enumerate(pivots):
                 x[pc] = aug[r][m]
             return x, b - a @ x
@@ -214,7 +223,7 @@ def solve_least_squares(a, b, exact: bool):
         rhs = at @ b
         aug2 = [[Fraction(gram[i, j]) for j in range(m)] + [Fraction(rhs[i])] for i in range(m)]
         piv2 = _rref(aug2)
-        x = zeros_vector(m, True)
+        x = field.zeros(m)
         for r, pc in enumerate(piv2):
             if pc < m:
                 x[pc] = aug2[r][m]
@@ -225,36 +234,32 @@ def solve_least_squares(a, b, exact: bool):
     return x, bf - af @ x
 
 
-def solve_square(a, b, exact: bool):
+def solve_square(a, b, field: Field):
     """Solve an invertible square system exactly or in floats."""
-    x, res = solve_least_squares(a, b, exact)
-    if max_abs(res) > 0 and exact:
+    x, res = solve_least_squares(a, b, field)
+    if max_abs(res) > 0 and field.exact:
         raise DegenerateMetric("singular square system")
     return x
 
 
-def invert(a, exact: bool):
+def invert(a, field: Field):
     a = np.asarray(a)
     n = a.shape[0]
-    if exact:
+    if field.exact:
         aug = [[Fraction(a[i, j]) for j in range(n)]
                + [Fraction(1) if j == i else Fraction(0) for j in range(n)]
                for i in range(n)]
         pivots = _rref(aug)
         if pivots != list(range(n)):
             raise DegenerateMetric("matrix not invertible")
-        inv = zeros_matrix(n, n, True)
-        for i in range(n):
-            for j in range(n):
-                inv[i, j] = aug[i][n + j]
-        return inv
+        return np.array([row[n:] for row in aug], dtype=object)
     return np.linalg.inv(a.astype(float))
 
 
-def determinant(a, exact: bool):
+def determinant(a, field: Field):
     a = np.asarray(a)
     n = a.shape[0]
-    if not exact:
+    if not field.exact:
         return float(np.linalg.det(a.astype(float)))
     rows = _as_fraction_rows(a)
     det = Fraction(1)
@@ -278,26 +283,26 @@ def determinant(a, exact: bool):
     return det
 
 
-def is_positive_definite(a, exact: bool, tol: float = DEFAULT_TOL) -> bool:
+def is_positive_definite(a, field: Field) -> bool:
     """Sylvester's criterion in exact mode, eigenvalues in float mode.
 
     Assumes ``a`` symmetric.
     """
     a = np.asarray(a)
     n = a.shape[0]
-    if exact:
+    if field.exact:
         for k in range(1, n + 1):
-            if determinant(a[:k, :k], True) <= 0:
+            if determinant(a[:k, :k], field) <= 0:
                 return False
         return True
     w = np.linalg.eigvalsh(a.astype(float))
     if w.size == 0:
         return True
     scale = max(1.0, float(np.max(np.abs(w))))
-    return bool(np.min(w) > tol * scale)
+    return bool(np.min(w) > field.tol * scale)
 
 
-def gram_schmidt(g, exact: bool = False):
+def gram_schmidt(g):
     """A g-orthonormal frame, rows of the returned matrix (float only)."""
     gf = np.asarray(g, dtype=float)
     n = gf.shape[0]

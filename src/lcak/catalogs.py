@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .algebra import LieAlgebra
 from .almostabelian import AlmostAbelianParams, build_almost_abelian
-from .hermitian import AlmostHermitianStructure
+from .hermitian import AlmostHermitianStructure, preset_j
 
 __all__ = ["catalog", "catalog_entry", "CATALOG_NAMES"]
 
@@ -17,34 +17,18 @@ CATALOG_NAMES = ("A4_1", "A4_8", "abelian_kahler",
                  "A4_1_aa", "A3_4_plus_A1", "A3_6_plus_A1")
 
 
-def _split_j():
-    # J e1 = e3, J e2 = e4
-    return [[0, 0, -1, 0],
-            [0, 0, 0, -1],
-            [1, 0, 0, 0],
-            [0, 1, 0, 0]]
-
-
-def _mirror_j():
-    # J e1 = e4, J e2 = e3
-    return [[0, 0, 0, -1],
-            [0, 0, -1, 0],
-            [0, 1, 0, 0],
-            [1, 0, 0, 0]]
-
-
 def _a4_1():
     alg = LieAlgebra(4, {(2, 4): {1: 1}, (3, 4): {2: 1}})
-    return AlmostHermitianStructure(alg, _split_j(), name="A4_1")
+    return AlmostHermitianStructure(alg, preset_j("split", 4), name="A4_1")
 
 
 def _a4_8():
     alg = LieAlgebra(4, {(2, 3): {1: 1}, (2, 4): {2: 1}, (3, 4): {3: -1}})
-    return AlmostHermitianStructure(alg, _mirror_j(), name="A4_8")
+    return AlmostHermitianStructure(alg, preset_j("mirror", 4), name="A4_8")
 
 
 def _abelian_kahler():
-    return AlmostHermitianStructure(LieAlgebra(4, {}), _split_j(),
+    return AlmostHermitianStructure(LieAlgebra(4, {}), preset_j("split", 4),
                                     name="abelian_kahler")
 
 

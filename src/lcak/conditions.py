@@ -8,14 +8,13 @@ the tensors involved.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
 from . import arith, connection, identities
 from .conventions import CONVENTIONS
-from .errors import NotFirstKind, NotLCS, UnsupportedDimension
+from .errors import NotFirstKind, NotLCS
 from .forms import KForm
 from .hermitian import AlmostHermitianStructure, Tensor2
 
@@ -50,10 +49,6 @@ class ConditionReport:
         }
 
 
-def _bound(structure, scale=1.0):
-    return 0.0 if structure.exact else structure.tol * max(1.0, float(scale))
-
-
 def _pair_basis(dim):
     return list(combinations(range(dim), 2))
 
@@ -68,8 +63,8 @@ def check_lcs(structure: AlmostHermitianStructure) -> dict:
     lee = structure.lee_form()
     scale = max(1.0, lee.theta.max_abs())
     is_lcs = (val.ok
-              and lee.solve_residual <= _bound(structure, 1.0)
-              and lee.dtheta_residual <= _bound(structure, scale))
+              and lee.solve_residual <= structure.field.bound()
+              and lee.dtheta_residual <= structure.field.bound(scale))
     return {
         "is_lcs": bool(is_lcs),
         "theta": lee.theta,
@@ -86,7 +81,7 @@ def automorphism_algebra(structure: AlmostHermitianStructure) -> AutomorphismAlg
     theta_vec = structure.lee_form().theta.vector()
     lee_values = [x @ theta_vec for x in basis]
     scale = max(1.0, arith.max_abs(theta_vec))
-    onto = any(abs(float(v)) > _bound(structure, scale) for v in lee_values)
+    onto = not structure.field.is_zero(lee_values, scale)
     return AutomorphismAlgebra(basis=basis, lee_values=lee_values,
                                kind="first" if onto else "second")
 
@@ -119,15 +114,12 @@ def check_first_kind(structure: AlmostHermitianStructure, strict: bool = True) -
         return out
     lee = structure.lee_form()
     theta_vec = lee.theta.vector()
-    n_mat = arith.zeros_matrix(structure.dim, aut.dimension, structure.exact)
-    for c, x in enumerate(aut.basis):
-        for r in range(structure.dim):
-            n_mat[r, c] = x[r]
+    n_mat = np.array(aut.basis).T
     gram = n_mat.T @ structure.g @ n_mat
     w = n_mat.T @ theta_vec
-    y = arith.solve_square(gram, w, structure.exact)
+    y = arith.solve_square(gram, w, structure.field)
     lam = w @ y
-    coef = y * (Fraction(1) / lam if structure.exact else 1.0 / lam)
+    coef = y * (structure.field.scalar(1) / lam)
     t_vec = n_mat @ coef
     eta = -1 * structure.F.contract(t_vec)
     recon = eta.d() - lee.theta.wedge(eta) - structure.F
@@ -170,12 +162,8 @@ def check_adapted(structure: AlmostHermitianStructure, strict: bool = True,
     eta = -1 * s.F.contract(t_vec)
     res["jtheta_plus_eta"] = (s.j_one_form(lee.theta) + eta).max_abs()
     # H = ker theta  /\  ker eta
-    two = arith.zeros_matrix(2, s.dim, s.exact)
     eta_vec = eta.vector()
-    for c in range(s.dim):
-        two[0, c] = theta_vec[c]
-        two[1, c] = eta_vec[c]
-    h_basis = arith.nullspace(two, s.exact, s.tol)
+    h_basis = arith.nullspace(np.array([theta_vec, eta_vec]), s.field)
     res["h_dimension_defect"] = abs(len(h_basis) - (s.dim - 2))
     j_pres = 0.0
     orth = 0.0
@@ -190,18 +178,17 @@ def check_adapted(structure: AlmostHermitianStructure, strict: bool = True,
                                 abs(float(t_vec @ s.g @ v_vec)))
     d_eta = eta.d()
     k = len(h_basis)
-    gram = arith.zeros_matrix(k, k, s.exact)
+    gram = s.field.zeros(k, k)
     for a in range(k):
         for b in range(k):
             gram[a, b] = d_eta(h_basis[a], s.J @ h_basis[b])
     sym_defect = arith.max_abs(gram - gram.T)
     res["deta_metric_symmetric"] = sym_defect
-    half = Fraction(1, 2) if s.exact else 0.5
-    sym = half * (gram + gram.T)
-    pd = arith.is_positive_definite(sym, s.exact, s.tol) if k else True
+    sym = s.field.scalar(1, 2) * (gram + gram.T)
+    pd = arith.is_positive_definite(sym, s.field) if k else True
     res["deta_metric_positive"] = 0.0 if pd else 1.0
     scale = max(1.0, s.F.max_abs(), 1.0 + float(abs(norm_sq)))
-    bound = _bound(s, scale)
+    bound = s.field.bound(scale)
     out["adapted"] = (pd
                       and res["h_dimension_defect"] == 0
                       and all(r <= bound for key, r in res.items()
@@ -223,7 +210,7 @@ def classify_metric(structure: AlmostHermitianStructure) -> ConditionReport:
     val = s.validation
     residuals["jacobi"] = float(s.alg.jacobi_residual())
     residuals["compatibility"] = float(val.compatibility_residual)
-    flags["structure_valid"] = bool(val.ok and residuals["jacobi"] <= _bound(s))
+    flags["structure_valid"] = bool(val.ok and residuals["jacobi"] <= s.field.bound())
 
     lcs = check_lcs(s)
     lee = s.lee_form()
@@ -231,13 +218,13 @@ def classify_metric(structure: AlmostHermitianStructure) -> ConditionReport:
     residuals["lee_solve"] = float(lcs["lee_residual"])
     residuals["dtheta"] = float(lcs["dtheta_residual"])
     flags["is_lcs"] = lcs["is_lcs"]
-    flags["lee_closed"] = residuals["dtheta"] <= _bound(s, max(1.0, theta.max_abs()))
+    flags["lee_closed"] = residuals["dtheta"] <= s.field.bound(theta.max_abs())
     residuals["theta_norm"] = float(theta.max_abs())
-    flags["is_gcs"] = residuals["theta_norm"] <= _bound(s)
+    flags["is_gcs"] = residuals["theta_norm"] <= s.field.bound()
 
     delta_theta = s.codifferential(theta).coeffs.get((), 0)
     residuals["delta_theta"] = abs(float(delta_theta))
-    flags["is_gauduchon"] = residuals["delta_theta"] <= _bound(s, max(1.0, theta.max_abs()))
+    flags["is_gauduchon"] = residuals["delta_theta"] <= s.field.bound(theta.max_abs())
 
     # orthogonality of im N to span(T, JT)
     nij = s._nijenhuis
@@ -245,7 +232,7 @@ def classify_metric(structure: AlmostHermitianStructure) -> ConditionReport:
                arith.max_abs(np.tensordot(s.g @ lee.JT, nij, 1)))
     residuals["imN_span_T_JT"] = orth
     n_scale = max(1.0, arith.max_abs(nij) * max(1.0, arith.max_abs(lee.T)))
-    flags["T_orthogonal_to_imN"] = orth <= _bound(s, n_scale)
+    flags["T_orthogonal_to_imN"] = orth <= s.field.bound(n_scale)
 
     dth = s.Dtheta
     parts = s.split_tensor(dth)
@@ -253,10 +240,10 @@ def classify_metric(structure: AlmostHermitianStructure) -> ConditionReport:
     residuals["dtheta_j_plus"] = float(parts["j_plus"].max_abs())
     residuals["dtheta_j_minus"] = float(parts["j_minus"].max_abs())
     residuals["dtheta_full"] = float(dth.max_abs())
-    flags["Dtheta_J_anti_invariant"] = residuals["dtheta_j_plus"] <= _bound(s, dth_scale)
-    flags["Dtheta_J_invariant"] = residuals["dtheta_j_minus"] <= _bound(s, dth_scale)
-    flags["vaisman"] = flags["is_lcs"] and residuals["dtheta_full"] <= _bound(
-        s, max(1.0, theta.max_abs()))
+    flags["Dtheta_J_anti_invariant"] = residuals["dtheta_j_plus"] <= s.field.bound(dth_scale)
+    flags["Dtheta_J_invariant"] = residuals["dtheta_j_minus"] <= s.field.bound(dth_scale)
+    flags["vaisman"] = (flags["is_lcs"]
+                        and residuals["dtheta_full"] <= s.field.bound(theta.max_abs()))
 
     flags["pluricanonical"] = (flags["is_lcs"] and flags["T_orthogonal_to_imN"]
                                and flags["Dtheta_J_anti_invariant"])
@@ -265,11 +252,11 @@ def classify_metric(structure: AlmostHermitianStructure) -> ConditionReport:
 
     ltj = s.lie_derivative_J(lee.T)
     residuals["lie_T_J"] = float(arith.max_abs(ltj))
-    flags["lee_field_holomorphic"] = residuals["lie_T_J"] <= _bound(
-        s, max(1.0, arith.max_abs(lee.T)))
+    flags["lee_field_holomorphic"] = (residuals["lie_T_J"]
+                                      <= s.field.bound(arith.max_abs(lee.T)))
     ljt_g = s.lie_derivative_g(lee.JT)
     residuals["lie_JT_g"] = float(ljt_g.max_abs())
-    flags["JT_killing"] = residuals["lie_JT_g"] <= _bound(s, max(1.0, arith.max_abs(lee.JT)))
+    flags["JT_killing"] = residuals["lie_JT_g"] <= s.field.bound(arith.max_abs(lee.JT))
 
     kind = "second"
     flags["first_kind"] = False
@@ -290,7 +277,7 @@ def classify_metric(structure: AlmostHermitianStructure) -> ConditionReport:
     # implication warnings: hypotheses proved in the source theory; a failure
     # here indicates an implementation bug, not a property of the input.
     def warn_if(cond, hypothesis, conclusion, residual):
-        if cond and residual > _bound(s, 10.0):
+        if cond and residual > s.field.bound(10.0):
             warnings.append(f"{hypothesis} should imply {conclusion}; "
                             f"residual {float(residual):.3e}")
 
@@ -357,7 +344,7 @@ def verify_equivalences(structure: AlmostHermitianStructure, strict: bool = True
         raise NotLCS("equivalences need an LCS structure")
     lee = s.lee_form()
     out = {}
-    bound = _bound(s, max(1.0, float(abs(lee.norm_sq)) ** 1.5))
+    bound = s.field.bound(max(1.0, float(abs(lee.norm_sq)) ** 1.5))
 
     pluri = rep.flags["pluricanonical"]
     nondegenerate_theta = not rep.flags["is_gcs"]
@@ -374,7 +361,7 @@ def verify_equivalences(structure: AlmostHermitianStructure, strict: bool = True
     bk = s.alg.bracket(lee.T, lee.JT)
     g_bk = bk @ s.g @ lee.JT
     scale_b = max(1.0, arith.max_abs(bk) * max(1.0, arith.max_abs(lee.JT)))
-    rhs_b = abs(float(g_bk)) <= _bound(s, scale_b)
+    rhs_b = abs(float(g_bk)) <= s.field.bound(scale_b)
     applicable_b = bool(rep.flags["is_lcs"] and rep.flags["unimodular"]
                         and rep.flags["T_orthogonal_to_imN"])
     out["unimodular_bracket"] = {
@@ -419,7 +406,7 @@ def verify_equivalences(structure: AlmostHermitianStructure, strict: bool = True
         out["dim4_integrand"] = {
             "applicable": True,
             "value": float(integrand),
-            "consistent": abs(integrand) <= _bound(s, 10 * scale_e),
+            "consistent": abs(integrand) <= s.field.bound(10 * scale_e),
         }
     else:
         out["dim4_integrand"] = {"applicable": False, "consistent": True}
@@ -446,10 +433,10 @@ def _feasibility_subspace(structure):
     three = list(combinations(range(dim), 3))
     tkey = {k: p for p, k in enumerate(three)}
     nrows = len(pairs) + len(three)
-    mat = arith.zeros_matrix(nrows, len(pairs), s.exact)
-    one = Fraction(1) if s.exact else 1.0
+    mat = s.field.zeros(nrows, len(pairs))
+    one = s.field.scalar(1)
     for q, (a, b) in enumerate(pairs):
-        m = arith.zeros_matrix(dim, dim, s.exact)
+        m = s.field.zeros(dim, dim)
         m[a, b] = one
         m[b, a] = -one
         diff = m - s.J.T @ m @ s.J  # J-invariance defect of e^{ab}
@@ -458,7 +445,7 @@ def _feasibility_subspace(structure):
         w = KForm(s.alg, 2, {(a, b): one}).d()
         for key, val in w.coeffs.items():
             mat[len(pairs) + tkey[key], q] = val
-    basis = arith.nullspace(mat, s.exact, s.tol)
+    basis = arith.nullspace(mat, s.field)
     forms = []
     for x in basis:
         forms.append(KForm(s.alg, 2, {pairs[q]: x[q] for q in range(len(pairs))
@@ -503,8 +490,7 @@ def symplectic_feasibility(structure: AlmostHermitianStructure, seed: int = 0,
         out["status"] = "feasible"
         witness = KForm(s.alg, 2)
         for a, w in enumerate(basis_forms):
-            witness = witness + float(best_x[a]) * (w if not s.exact
-                                                    else _float_form(w, s))
+            witness = witness + float(best_x[a]) * _float_form(w, s)
         out["witness"] = _normalize_witness(s, witness, basis_forms, best_x)
         return out
     if best_val <= -s.tol:
@@ -566,11 +552,10 @@ def _normalize_witness(structure, witness, basis_forms, x):
             pairing = s.form_inner(cand, s.F)
             if pairing <= 0:
                 continue
-            cand = (Fraction(s.n) / pairing) * cand
+            cand = (s.field.scalar(s.n) / pairing) * cand
             gw = cand.matrix() @ s.J
-            half = Fraction(1, 2)
-            sym = half * (gw + gw.T)
-            if arith.is_positive_definite(sym, True):
+            sym = s.field.scalar(1, 2) * (gw + gw.T)
+            if arith.is_positive_definite(sym, s.field):
                 return cand
     from .forms import form_inner_product
     ginv = np.asarray(s.g_inv, dtype=float)

@@ -19,7 +19,6 @@ each is computed once per structure and read everywhere after that.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -34,10 +33,6 @@ class ConnectionTable:
     """Christoffel data: gamma[i] is the matrix of Y -> D_{e_i} Y."""
     structure: AlmostHermitianStructure
     gamma: list
-
-    def derivative(self, i, j):
-        """D_{e_i} e_j as a vector."""
-        return self.gamma[i][:, j]
 
     @cached_property
     def DJ(self):
@@ -74,9 +69,8 @@ def _koszul_table(c, g):
 
 def levi_civita(structure: AlmostHermitianStructure) -> ConnectionTable:
     """Connection table from the left-invariant Koszul formula."""
-    half = Fraction(1, 2) if structure.exact else 0.5
     w = _koszul_table(structure.alg.structure_tensor, structure.g)
-    gamma = half * np.einsum('mk,ijk->imj', structure.g_inv, w)
+    gamma = structure.field.scalar(1, 2) * np.einsum('mk,ijk->imj', structure.g_inv, w)
     return ConnectionTable(structure=structure, gamma=list(gamma))
 
 
@@ -88,13 +82,6 @@ def covariant_one_form(structure, theta) -> Tensor2:
     """D theta as the 2-tensor (X, Y) -> (D_X theta)(Y) = -theta(D_X Y)."""
     vec = theta.vector() if isinstance(theta, KForm) else np.asarray(theta)
     return Tensor2(structure.alg, -(vec @ np.asarray(structure.connection.gamma)))
-
-
-def covariant_tensor(structure, phi, i):
-    """(D_{e_i} phi) for a 2-tensor phi, as a matrix."""
-    m = phi.mat if isinstance(phi, Tensor2) else np.asarray(phi)
-    gi = structure.connection.gamma[i]
-    return -(gi.T @ m + m @ gi)
 
 
 def covariant_J(structure, i):
@@ -181,10 +168,15 @@ def curvature(structure) -> CurvatureTensor:
 
 
 def star_ricci(structure, curv: CurvatureTensor = None) -> KForm:
-    """rho*(X, Y) = -1/2 tr(J o R_{X,Y}); frame independent."""
+    """rho*(X, Y) = -1/2 tr(J o R_{X,Y}); frame independent.
+
+    With the curvature of the Levi-Civita connection (the default) this is
+    the star-Ricci form; with the curvature of a Hermitian connection nabla it
+    is its Hermitian-Ricci form 1/2 sum_i g(R^nabla_{X,Y} e_i, J e_i).
+    """
     curv = curv or structure.curvature
     dim = structure.dim
-    half = Fraction(1, 2) if structure.exact else 0.5
+    half = structure.field.scalar(1, 2)
     coeffs = {}
     for i in range(dim):
         for j in range(i + 1, dim):
@@ -216,7 +208,7 @@ def star_ricci_frame_sum(structure, frame) -> KForm:
 
 def torsion_potential(structure):
     """The endomorphisms -1/2 J (D_{e_i} J) defining the first canonical connection."""
-    half = Fraction(1, 2) if structure.exact else 0.5
+    half = structure.field.scalar(1, 2)
     return [(-half) * (structure.J @ dj) for dj in structure.connection.DJ]
 
 
@@ -228,24 +220,10 @@ def first_canonical_connection(structure) -> ConnectionTable:
                            gamma=[gamma[i] + corr[i] for i in range(structure.dim)])
 
 
-def hermitian_ricci_form(structure, gamma_table) -> KForm:
-    """gamma(X,Y) = 1/2 sum_i g(R^nabla_{X,Y} e_i, J e_i) = -1/2 tr(J o R^nabla)."""
-    curv = curvature_of(structure, gamma_table)
-    dim = structure.dim
-    half = Fraction(1, 2) if structure.exact else 0.5
-    coeffs = {}
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            val = -half * np.trace(structure.J @ curv.endos[i][j])
-            if val != 0:
-                coeffs[(i, j)] = val
-    return KForm(structure.alg, 2, coeffs)
-
-
 def phi_form(structure) -> KForm:
     """Phi(X, Y) = 1/4 <J (D_X J), D_Y J>_g."""
     dim = structure.dim
-    quarter = Fraction(1, 4) if structure.exact else 0.25
+    quarter = structure.field.scalar(1, 4)
     djs = structure.connection.DJ
     coeffs = {}
     for i in range(dim):
@@ -271,12 +249,7 @@ class RicciForms:
         s = self.structure
         lee = s.lee_form()
         djt = lee.jtheta.d()
-        n = s.n
-        if s.exact:
-            coef = -Fraction(t) * Fraction(n - 1, 2)
-        else:
-            coef = -t * (n - 1) / 2.0
-        return self.gamma0 + coef * djt
+        return self.gamma0 + (-t * s.field.scalar(s.n - 1, 2)) * djt
 
     @property
     def chern(self):
@@ -291,7 +264,8 @@ def canonical_connection_forms(structure) -> RicciForms:
     """Compute gamma^0 two independent ways and package the family."""
     rho = star_ricci(structure)
     phi = phi_form(structure)
-    gamma0 = hermitian_ricci_form(structure, first_canonical_connection(structure).gamma)
+    gamma0 = star_ricci(structure,
+                        curvature_of(structure, first_canonical_connection(structure).gamma))
     diff = gamma0 - (rho + phi)
     scale = max(1.0, rho.max_abs(), phi.max_abs(), gamma0.max_abs())
     return RicciForms(rho_star=rho, phi=phi, gamma0=gamma0,

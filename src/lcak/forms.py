@@ -9,18 +9,17 @@ equality tests are literal.  Conventions used throughout:
   ``d . d = 0`` is equivalent to the Jacobi identity.
 * ``contract(X, alpha) = alpha(X, . , ..., .)``.
 * The inner product on k-forms extends g with ``<e^I, e^J> = det(g^{-1}[I, J])``.
+* Coefficients live in the algebra's field (``alg.field``).
 * ``hodge_star`` uses the volume form ``F^n / n!`` of the ambient
   almost-Hermitian structure, i.e. the orientation making that top form
   positive.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
-from . import arith
 from .errors import DegenerateMetric, DimensionMismatch, LcakError
 
 
@@ -76,10 +75,6 @@ class KForm:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, alg, degree):
-        return cls(alg, degree)
-
-    @classmethod
     def from_terms(cls, alg, terms):
         """Build from {(1-based increasing indices): coefficient}."""
         degree = len(next(iter(terms))) if terms else 0
@@ -88,15 +83,14 @@ class KForm:
             sign, key = sort_sign(tuple(i - 1 for i in idx))
             if sign == 0:
                 continue
-            val = arith.as_scalar(val, alg.exact) * sign
+            val = alg.field.scalar(val) * sign
             coeffs[key] = coeffs.get(key, 0) + val
         return cls(alg, degree, coeffs)
 
     @classmethod
     def basis_one_form(cls, alg, i):
         """e^i, 0-based."""
-        one = Fraction(1) if alg.exact else 1.0
-        return cls(alg, 1, {(i,): one})
+        return cls(alg, 1, {(i,): alg.field.scalar(1)})
 
     @classmethod
     def from_vector(cls, alg, v):
@@ -119,9 +113,6 @@ class KForm:
         if self.alg is not other.alg and self.alg.dim != other.alg.dim:
             raise DimensionMismatch("forms live on different algebras")
 
-    def copy(self):
-        return KForm(self.alg, self.degree, dict(self.coeffs))
-
     def is_zero(self, tol=0.0):
         return all(abs(float(v)) <= tol for v in self.coeffs.values())
 
@@ -132,7 +123,7 @@ class KForm:
         """Degree-1 component vector."""
         if self.degree != 1:
             raise DimensionMismatch("vector() needs a 1-form")
-        v = arith.zeros_vector(self.alg.dim, self.alg.exact)
+        v = self.alg.field.zeros(self.alg.dim)
         for (i,), val in self.coeffs.items():
             v[i] = val
         return v
@@ -141,7 +132,7 @@ class KForm:
         """Degree-2 antisymmetric component matrix."""
         if self.degree != 2:
             raise DimensionMismatch("matrix() needs a 2-form")
-        m = arith.zeros_matrix(self.alg.dim, self.alg.dim, self.alg.exact)
+        m = self.alg.field.zeros(self.alg.dim, self.alg.dim)
         for (i, j), val in self.coeffs.items():
             m[i, j] = val
             m[j, i] = -val
@@ -250,10 +241,9 @@ class KForm:
         d_basis = alg.d_one_forms
         for key, val in self.coeffs.items():
             for pos, idx in enumerate(key):
-                prefix = KForm(alg, pos, {key[:pos]: 1}) if pos else _unit(alg)
+                prefix = KForm(alg, pos, {key[:pos]: 1})
                 suffix_key = key[pos + 1:]
-                suffix = (KForm(alg, len(suffix_key), {suffix_key: 1})
-                          if suffix_key else _unit(alg))
+                suffix = KForm(alg, len(suffix_key), {suffix_key: 1})
                 term = prefix.wedge(d_basis[idx]).wedge(suffix)
                 result = result + ((-1) ** pos) * val * term
         return result
@@ -272,10 +262,6 @@ class KForm:
             label = "e^" + "".join(str(i + 1) for i in key) if key else "1"
             parts.append(f"{self.coeffs[key]}*{label}")
         return " + ".join(parts)
-
-
-def _unit(alg):
-    return KForm(alg, 0, {(): Fraction(1) if alg.exact else 1.0})
 
 
 def derive_along(a: KForm, m) -> KForm:

@@ -25,7 +25,7 @@ from . import conditions, identities
 from .algebra import LieAlgebra
 from .almostabelian import AlmostAbelianParams, build_almost_abelian
 from .forms import KForm
-from .hermitian import AlmostHermitianStructure
+from .hermitian import AlmostHermitianStructure, preset_j
 
 FAMILIES = ("almost_abelian_4d", "random_unimodular", "random_hermitian")
 
@@ -41,13 +41,8 @@ def _well_conditioned(rng, dim, spread=0.35, cond_cap=20.0):
 
 def random_compatible_pair(rng, dim):
     """A random (J, g) with J^2 = -id, g J-invariant positive definite."""
-    n = dim // 2
-    j0 = np.zeros((dim, dim))
-    for i in range(n):
-        j0[n + i, i] = 1.0
-        j0[i, n + i] = -1.0
     q = _well_conditioned(rng, dim)
-    jm = q @ j0 @ np.linalg.inv(q)
+    jm = q @ preset_j("split", dim) @ np.linalg.inv(q)
     h = 0.3 * rng.standard_normal((dim, dim))
     h = h @ h.T + np.eye(dim)
     g = 0.5 * (h + jm.T @ h @ jm)

@@ -5,20 +5,21 @@ Conventions (fixed once, used everywhere):
 * fundamental form  ``F(X, Y) = g(JX, Y)``;
 * on 1-forms        ``(J alpha)(X) = -alpha(JX)``;
 * Nijenhuis tensor  ``4 N(X, Y) = [JX, JY] - [X, Y] - J[JX, Y] - J[X, JY]``;
-* Lee form theta solves ``dF = theta ^ F`` (exactly on LCS structures, in the
-  least-squares sense otherwise, with the residual reported);
-* characteristic field V solves ``i_V F = theta``;
-* codifferential ``(delta phi)(...) = -sum_ab g^{ab} (D_{e_a} phi)(e_b, ...)``.
+* codifferential ``(delta phi)(...) = -sum_ab g^{ab} (D_{e_a} phi)(e_b, ...)``;
+* Lee form ``theta = J delta^g F / (n - 1)`` (0 when n = 1).  It solves
+  ``dF = theta ^ F`` on LCS structures and is the least-squares solution in
+  the metric norm on 3-forms otherwise; ``max |dF - theta ^ F|`` is reported;
+* characteristic field V solves ``i_V F = theta``, so ``V = -JT``.
 
-The Nijenhuis table and the Lie-derivative table of F are contractions of the
-algebra's ``structure_tensor`` with J and F, computed once per structure;
-N(X, Y), the forms N_X, the tensors N(X) and the image of N read from the
-table.
+The structure holds the algebra's arithmetic field (``field``), with its own
+tolerance when one is given.  The Nijenhuis table and the Lie-derivative
+table of F are contractions of the algebra's ``structure_tensor`` with J and
+F, computed once per structure; N(X, Y), the forms N_X, the tensors N(X) and
+the image of N read from the table.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
@@ -30,6 +31,18 @@ from .arith import DEFAULT_TOL
 from .errors import (DegenerateMetric, DimensionMismatch, NondegeneracyFailure,
                      ValidationError)
 from .forms import KForm, derive_along, form_inner_product
+
+
+def preset_j(name, dim):
+    """Integer J of a named frame: "split" J e_i = e_{n+i}, "mirror"
+    J e_i = e_{2n+1-i} (i = 1..n, dim = 2n)."""
+    n = dim // 2
+    j = np.zeros((dim, dim), dtype=int)
+    for i in range(n):
+        k = n + i if name == "split" else dim - 1 - i
+        j[k, i] = 1
+        j[i, k] = -1
+    return j
 
 
 class Tensor2:
@@ -57,22 +70,16 @@ class Tensor2:
         return Tensor2(self.alg, scalar * self.mat)
 
     def sym(self):
-        half = Fraction(1, 2) if _mat_exact(self.mat) else 0.5
-        return Tensor2(self.alg, half * (self.mat + self.mat.T))
+        return Tensor2(self.alg, self.alg.field.scalar(1, 2) * (self.mat + self.mat.T))
 
     def antisym(self):
-        half = Fraction(1, 2) if _mat_exact(self.mat) else 0.5
-        return Tensor2(self.alg, half * (self.mat - self.mat.T))
+        return Tensor2(self.alg, self.alg.field.scalar(1, 2) * (self.mat - self.mat.T))
 
     def max_abs(self):
         return arith.max_abs(self.mat)
 
     def __repr__(self):
         return f"Tensor2({self.mat!r})"
-
-
-def _mat_exact(mat):
-    return mat.dtype == object
 
 
 @dataclass
@@ -106,9 +113,10 @@ class StructureValidationReport:
 class LeeData:
     """Lee form and its companions for one structure.
 
-    ``theta`` solves dF = theta ^ F (residual reported), ``T`` is its metric
-    dual, ``V`` the characteristic field (i_V F = theta), ``eta = -i_T F``
-    (identically -J theta for T = theta sharp), ``norm_sq = theta(T)``.
+    ``theta = J delta^g F / (n - 1)``, with ``solve_residual`` the relative
+    max-norm of dF - theta ^ F; ``T`` is its metric dual, ``V = -JT`` the
+    characteristic field (i_V F = theta), ``eta = -i_T F`` (identically
+    -J theta for T = theta sharp), ``norm_sq = theta(T)``.
     """
     theta: KForm
     T: np.ndarray
@@ -131,28 +139,16 @@ def validate_structure(J, g, alg=None, tol=DEFAULT_TOL) -> StructureValidationRe
         raise DimensionMismatch("matrix size != algebra dimension")
     dim = J.shape[0]
     exact = arith.all_exact(J.ravel().tolist()) and arith.all_exact(g.ravel().tolist())
-    bound = 0 if exact else tol
-    Jm = arith.to_matrix(J.tolist(), exact)
-    gm = arith.to_matrix(g.tolist(), exact)
-    ident = arith.identity_matrix(dim, exact)
-    j_sq = arith.max_abs(Jm @ Jm + ident) <= bound
-    g_sym = arith.max_abs(gm - gm.T) <= bound
-    g_pd = g_sym and arith.is_positive_definite(gm, exact, tol)
+    field = arith.Field(exact, tol)
+    Jm, gm = field.array(J), field.array(g)
+    g_sym = field.is_zero(gm - gm.T)
     compat = arith.max_abs(Jm.T @ gm @ Jm - gm)
-    g_jinv = compat <= bound * max(1.0, arith.max_abs(gm)) if not exact else compat == 0
-    f_mat = Jm.T @ gm
-    f_nondeg = True
-    try:
-        f_nondeg = arith.determinant(f_mat, exact) != 0 if exact else \
-            abs(arith.determinant(f_mat, False)) > tol
-    except Exception:
-        f_nondeg = False
     return StructureValidationReport(
-        j_squared_ok=bool(j_sq),
-        g_symmetric=bool(g_sym),
-        g_positive_definite=bool(g_pd),
-        g_j_invariant=bool(g_jinv),
-        f_nondegenerate=bool(f_nondeg),
+        j_squared_ok=field.is_zero(Jm @ Jm + field.eye(dim)),
+        g_symmetric=g_sym,
+        g_positive_definite=g_sym and arith.is_positive_definite(gm, field),
+        g_j_invariant=field.is_zero(compat, arith.max_abs(gm)),
+        f_nondegenerate=field.is_nondegenerate(Jm.T @ gm),
         compatibility_residual=float(compat),
     )
 
@@ -171,18 +167,14 @@ class AlmostHermitianStructure:
     """
 
     def __init__(self, alg: LieAlgebra, J, g=None, tol=None, validate=True, name=None):
-        dim = alg.dim
         J = np.asarray(J)
-        if g is None:
-            g = arith.identity_matrix(dim, alg.exact)
-        g = np.asarray(g)
+        g = alg.field.eye(alg.dim) if g is None else np.asarray(g)
         exact = (alg.exact and arith.all_exact(J.ravel().tolist())
                  and arith.all_exact(g.ravel().tolist()))
         self.alg = alg if exact == alg.exact else alg.as_float()
-        self.exact = exact
-        self.tol = float(tol) if tol is not None else self.alg.tol
-        self.J = arith.to_matrix(J.tolist(), exact)
-        self.g = arith.to_matrix(g.tolist(), exact)
+        self.field = arith.Field(exact, self.alg.tol if tol is None else float(tol))
+        self.J = self.field.array(J)
+        self.g = self.field.array(g)
         self.name = name
         self.validation = validate_structure(self.J, self.g, self.alg, self.tol)
         if validate and not self.validation.ok:
@@ -195,6 +187,14 @@ class AlmostHermitianStructure:
     # -- basic derived data ---------------------------------------------------
 
     @property
+    def exact(self):
+        return self.field.exact
+
+    @property
+    def tol(self):
+        return self.field.tol
+
+    @property
     def dim(self):
         return self.alg.dim
 
@@ -205,7 +205,7 @@ class AlmostHermitianStructure:
     @cached_property
     def g_inv(self):
         try:
-            return arith.invert(self.g, self.exact)
+            return arith.invert(self.g, self.field)
         except DegenerateMetric as e:
             raise DegenerateMetric("metric is singular") from e
 
@@ -225,12 +225,7 @@ class AlmostHermitianStructure:
         for k in range(2, self.n + 1):
             out = out.wedge(v)
             fact *= k
-        inv = Fraction(1, fact) if self.exact else 1.0 / fact
-        return inv * out
-
-    def is_zero(self, value, scale=1.0):
-        bound = 0 if self.exact else self.tol * max(1.0, float(scale))
-        return abs(float(value)) <= bound
+        return self.field.scalar(1, fact) * out
 
     # -- J actions --------------------------------------------------------------
 
@@ -245,7 +240,7 @@ class AlmostHermitianStructure:
     def split_tensor(self, phi):
         """J-(anti)invariant and (anti)symmetric parts; parts sum back exactly."""
         m = phi.mat if isinstance(phi, Tensor2) else np.asarray(phi)
-        half = Fraction(1, 2) if self.exact else 0.5
+        half = self.field.scalar(1, 2)
         pulled = self.J.T @ m @ self.J
         return {
             "j_plus": Tensor2(self.alg, half * (m + pulled)),
@@ -289,8 +284,7 @@ class AlmostHermitianStructure:
         J = self.J
         c_jx = J.T @ c  # c_jx[:, i, j] = [J e_i, e_j]
         c_jy = c @ J    # c_jy[:, i, j] = [e_i, J e_j]
-        quarter = Fraction(1, 4) if self.exact else 0.25
-        return quarter * (c_jx @ J - c - np.tensordot(J, c_jx + c_jy, 1))
+        return self.field.scalar(1, 4) * (c_jx @ J - c - np.tensordot(J, c_jx + c_jy, 1))
 
     def nijenhuis(self, x, y):
         """4 N(X,Y) = [JX, JY] - [X, Y] - J[JX, Y] - J[X, JY], returns N(X,Y)."""
@@ -313,18 +307,8 @@ class AlmostHermitianStructure:
 
     def nijenhuis_image(self):
         """Basis of span{N(e_i, e_j)} as a list of vectors."""
-        cols = [vec for vec in self._nijenhuis_table.values()
-                if arith.max_abs(vec) > (0 if self.exact else self.tol)]
-        if not cols:
-            return []
-        mat = np.array(cols, dtype=object if self.exact else float)
-        if self.exact:
-            rows = [[Fraction(v) for v in row] for row in mat]
-            pivots = arith._rref(rows)
-            return [np.array(rows[r], dtype=object) for r in range(len(pivots))]
-        u, s, vt = np.linalg.svd(mat.astype(float))
-        cutoff = self.tol * max(1.0, s[0] if s.size else 0.0)
-        return [vt[i] for i in range(int(np.sum(s > cutoff)))]
+        cols = [vec for vec in self._nijenhuis_table.values() if not self.field.is_zero(vec)]
+        return arith.row_space(np.array(cols), self.field)
 
     # -- Lee form ----------------------------------------------------------------
 
@@ -333,62 +317,21 @@ class AlmostHermitianStructure:
 
     @cached_property
     def _lee(self) -> LeeData:
-        alg = self.alg
-        dim = self.dim
-        if self.exact:
-            if arith.determinant(self.f_matrix, True) == 0:
-                raise NondegeneracyFailure("fundamental form is degenerate")
-        elif abs(arith.determinant(self.f_matrix, False)) <= self.tol:
+        if not self.field.is_nondegenerate(self.f_matrix):
             raise NondegeneracyFailure("fundamental form is degenerate")
+        theta = KForm(self.alg, 1)
+        if self.n > 1:
+            delta_f = self.codifferential(Tensor2(self.alg, self.f_matrix))
+            theta = self.field.scalar(1, self.n - 1) * self.j_one_form(delta_f)
         dF = self.F.d()
-        three_keys = list(combinations(range(dim), 3))
-        key_pos = {k: p for p, k in enumerate(three_keys)}
-        nkeys = len(three_keys)
-        theta_vec = arith.zeros_vector(dim, self.exact)
-        solve_residual = 0.0
-        if nkeys:
-            a = arith.zeros_matrix(nkeys, dim, self.exact)
-            for i in range(dim):
-                ei = KForm.basis_one_form(alg, i)
-                w = ei.wedge(self.F)
-                for key, val in w.coeffs.items():
-                    a[key_pos[key], i] = val
-            b = arith.zeros_vector(nkeys, self.exact)
-            for key, val in dF.coeffs.items():
-                b[key_pos[key]] = val
-            theta_vec, res = arith.solve_least_squares(a, b, self.exact)
-            if arith.max_abs(res) > (0 if self.exact else
-                                     self.tol * max(1.0, arith.max_abs(b))):
-                # no exact solution: minimize ||dF - theta ^ F|| in the metric
-                # norm on 3-forms, which recovers the usual Lee form
-                # J delta^g F / (n - 1) of a non-LCS structure.
-                gram = arith.zeros_matrix(nkeys, nkeys, self.exact)
-                basis3 = [KForm(alg, 3, {k: Fraction(1) if self.exact else 1.0})
-                          for k in three_keys]
-                for p in range(nkeys):
-                    for q in range(p, nkeys):
-                        val = form_inner_product(basis3[p], basis3[q], self.g_inv)
-                        gram[p, q] = val
-                        gram[q, p] = val
-                normal = a.T @ gram @ a
-                rhs = a.T @ gram @ b
-                theta_vec = arith.solve_square(normal, rhs, self.exact)
-                res = b - a @ theta_vec
-            scale = max(1.0, arith.max_abs(b))
-            solve_residual = arith.max_abs(res) / scale
-        theta = KForm.from_vector(alg, theta_vec)
+        solve_residual = (dF - theta.wedge(self.F)).max_abs() / max(1.0, dF.max_abs())
+        theta_vec = theta.vector()
         T = self.g_inv @ theta_vec
-        jtheta = self.j_one_form(theta)
         JT = self.J @ T
-        # i_V F = theta  <=>  F^T V = theta
-        V = arith.solve_square(self.f_matrix.T, theta_vec, self.exact)
-        eta = -1 * self.F.contract(T)
-        norm_sq = theta_vec @ T
-        dtheta = theta.d()
-        return LeeData(theta=theta, T=T, jtheta=jtheta, JT=JT, eta=eta, V=V,
-                       norm_sq=norm_sq,
-                       solve_residual=float(solve_residual),
-                       dtheta_residual=dtheta.max_abs())
+        # i_V F = theta  <=>  JV = T
+        return LeeData(theta=theta, T=T, jtheta=self.j_one_form(theta), JT=JT,
+                       eta=-1 * self.F.contract(T), V=-JT, norm_sq=theta_vec @ T,
+                       solve_residual=solve_residual, dtheta_residual=theta.d().max_abs())
 
     # -- connection-dependent operations (tables built in connection.py) -------
 
@@ -414,21 +357,16 @@ class AlmostHermitianStructure:
         ginv = self.g_inv
         dim = self.dim
         if isinstance(obj, Tensor2):
-            out = arith.zeros_vector(dim, self.exact)
-            for a in range(dim):
-                da = -(gamma[a].T @ obj.mat + obj.mat @ gamma[a])
-                for b in range(dim):
-                    if ginv[a, b] != 0:
-                        out = out - ginv[a, b] * da[b]
+            # (D_{e_a} phi)(e_b, .) = -(Gamma_a^T phi + phi Gamma_a)[b], traced with g^{ab}
+            g3 = np.asarray(gamma)
+            out = (np.einsum('ab,akb->k', ginv, g3) @ obj.mat
+                   + np.einsum('ak,akc->c', ginv @ obj.mat, g3))
             return KForm.from_vector(self.alg, out)
         if isinstance(obj, KForm):
             if obj.degree == 0:
                 return KForm(self.alg, 0)
             result = KForm(self.alg, obj.degree - 1)
-            basis = [arith.zeros_vector(dim, self.exact) for _ in range(dim)]
-            one = Fraction(1) if self.exact else 1.0
-            for b in range(dim):
-                basis[b][b] = one
+            basis = self.field.eye(dim)
             for a in range(dim):
                 da = derive_along(obj, gamma[a])
                 for b in range(dim):
@@ -458,7 +396,7 @@ class AlmostHermitianStructure:
     def automorphisms(self):
         """Basis of the infinitesimal automorphisms {X : L_X F = 0}."""
         rows, cols = np.triu_indices(self.dim, 1)
-        return arith.nullspace(self._lie_F[:, rows, cols].T, self.exact, self.tol)
+        return arith.nullspace(self._lie_F[:, rows, cols].T, self.field)
 
     def lie_derivative_g(self, x):
         ad = self.alg.ad(np.asarray(x))
@@ -468,17 +406,15 @@ class AlmostHermitianStructure:
 
     def rescaled(self, factor):
         """Same J, metric scaled: g -> factor * g."""
-        factor = arith.as_scalar(factor, self.exact)
+        factor = self.field.scalar(factor)
         return AlmostHermitianStructure(self.alg, self.J, factor * self.g,
                                         tol=self.tol, validate=False, name=self.name)
 
     def change_basis(self, p):
         """Transport the whole structure to the basis with columns of P."""
-        p = np.asarray(p)
-        exact = self.exact and arith.all_exact(p.ravel().tolist())
         alg2 = self.alg.change_basis(p)
-        pm = arith.to_matrix(p.tolist(), exact)
-        pinv = arith.invert(pm, exact)
+        pm = alg2.field.array(p)
+        pinv = arith.invert(pm, alg2.field)
         j2 = pinv @ self.J @ pm
         g2 = pm.T @ self.g @ pm
         return AlmostHermitianStructure(alg2, j2, g2, tol=self.tol, validate=False,
@@ -493,8 +429,8 @@ class AlmostHermitianStructure:
             tol=self.tol, validate=False, name=self.name)
 
     def basis_vector(self, i):
-        v = arith.zeros_vector(self.dim, self.exact)
-        v[i] = Fraction(1) if self.exact else 1.0
+        v = self.field.zeros(self.dim)
+        v[i] = self.field.scalar(1)
         return v
 
     def __repr__(self):

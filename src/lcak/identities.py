@@ -7,25 +7,19 @@ these; a correct implementation keeps all of them at zero.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
 from . import arith, connection
 from .errors import UnsupportedDimension
-from .forms import KForm, form_inner_product, form_norm_sq, hodge_star
+from .forms import KForm, form_norm_sq, hodge_star
 from .hermitian import AlmostHermitianStructure, Tensor2
-
-
-def _half(s):
-    return Fraction(1, 2) if s.exact else 0.5
 
 
 def dtheta_anti_invariant_twist(structure, dtheta: KForm) -> KForm:
     """J (d theta)^{J,-} with (J phi)(X, Y) = -phi(JX, Y)."""
     m = dtheta.matrix()
     pulled = structure.J.T @ m @ structure.J
-    minus = _half(structure) * (m - pulled)
+    minus = structure.field.scalar(1, 2) * (m - pulled)
     return KForm.from_matrix(structure.alg, -(structure.J.T @ minus))
 
 
@@ -58,7 +52,7 @@ def covariant_f_residual(structure: AlmostHermitianStructure) -> float:
     max over basis X.  Valid for LCS structures (any structure in dim 4)."""
     lee = structure.lee_form()
     worst = 0.0
-    half = _half(structure)
+    half = structure.field.scalar(1, 2)
     for i in range(structure.dim):
         x = structure.basis_vector(i)
         lhs = connection.covariant_F(structure, i)
@@ -92,7 +86,7 @@ def bochner_residual(structure: AlmostHermitianStructure, alpha) -> float:
     ginv = s.g_inv
     dim = s.dim
     sharp = s.sharp(alpha)
-    rhs = arith.zeros_vector(dim, s.exact)
+    rhs = s.field.zeros(dim)
     for x in range(dim):
         jx = s.J @ s.basis_vector(x)
         val = rho(sharp, jx) - (dim // 2 - 1) * (lee.JT @ da.mat @ jx)
@@ -115,19 +109,13 @@ def j_invariant_wedge_residual(structure, phi: KForm, psi: KForm) -> float:
     n = s.n
     if n < 2:
         raise UnsupportedDimension("needs dim >= 4")
-    fpow = KForm(s.alg, 0, {(): Fraction(1) if s.exact else 1.0})
+    fpow = KForm(s.alg, 0, {(): s.field.scalar(1)})
     for _ in range(n - 2):
         fpow = fpow.wedge(s.F)
     lhs = phi.wedge(psi).wedge(fpow)
-    fn = KForm(s.alg, 0, {(): Fraction(1) if s.exact else 1.0})
-    for _ in range(n):
-        fn = fn.wedge(s.F)
+    fn = fpow.wedge(s.F).wedge(s.F)
     coef = (s.form_inner(phi, s.F) * s.form_inner(psi, s.F)
-            - s.form_inner(phi, psi))
-    if s.exact:
-        coef = coef * Fraction(1, n * (n - 1))
-    else:
-        coef = coef / (n * (n - 1))
+            - s.form_inner(phi, psi)) / s.field.scalar(n * (n - 1))
     rhs = coef * fn
     diff = lhs - rhs
     scale = max(1.0, lhs.max_abs(), rhs.max_abs())
@@ -148,7 +136,7 @@ def nijenhuis_cyclic_residual(structure) -> float:
             elif i > j:
                 table[(i, j)] = -1 * s._nijenhuis_table[(j, i)]
             else:
-                table[(i, j)] = arith.zeros_vector(dim, s.exact)
+                table[(i, j)] = s.field.zeros(dim)
     for i in range(dim):
         for j in range(i + 1, dim):
             for k in range(j + 1, dim):
@@ -176,11 +164,7 @@ def lie_derivative_nijenhuis_residual(structure) -> float:
     s = structure
     lee = s.lee_form()
     lhs = s.lie_derivative_J(lee.JT) - s.J @ s.lie_derivative_J(lee.T)
-    cols = [4 * s.nijenhuis(lee.T, s.basis_vector(j)) for j in range(s.dim)]
-    rhs = arith.zeros_matrix(s.dim, s.dim, s.exact)
-    for j, col in enumerate(cols):
-        for k in range(s.dim):
-            rhs[k, j] = col[k]
+    rhs = np.array([4 * s.nijenhuis(lee.T, s.basis_vector(j)) for j in range(s.dim)]).T
     diff = lhs - rhs
     scale = max(1.0, arith.max_abs(lhs), arith.max_abs(rhs))
     return arith.max_abs(diff) / scale
@@ -202,7 +186,7 @@ def self_dual_split_residual(structure) -> float:
     djt = lee.jtheta.d()
     delta_theta = s.codifferential(theta).coeffs.get((), 0)
     dth = s.Dtheta
-    half = _half(s)
+    half = s.field.scalar(1, 2)
     sd_claim = ((-(delta_theta + lee.norm_sq)) * half * s.F
                 + 2 * s.nijenhuis_form(lee.JT)
                 + dtheta_anti_invariant_twist(s, dtheta))

@@ -28,27 +28,11 @@ from . import arith, conditions
 from .algebra import LieAlgebra
 from .almostabelian import AlmostAbelianParams, classify_4d
 from .arith import DEFAULT_TOL
-from .errors import Degenerate, ParseError, PreconditionFailed, UnsupportedDimension, ValidationError
-from .hermitian import AlmostHermitianStructure
+from .errors import (Degenerate, LcakError, ParseError, PreconditionFailed,
+                     UnsupportedDimension, ValidationError)
+from .hermitian import AlmostHermitianStructure, preset_j
 
 J_PRESETS = ("split", "mirror")
-
-
-def _j_preset(name, dim):
-    n = dim // 2
-    j = [[0] * dim for _ in range(dim)]
-    if name == "split":      # J e_i = e_{n+i}
-        for i in range(n):
-            j[n + i][i] = 1
-            j[i][n + i] = -1
-    elif name == "mirror":   # J e_i = e_{2n+1-i}
-        for i in range(n):
-            j[dim - 1 - i][i] = 1
-            j[i][dim - 1 - i] = -1
-    else:
-        raise ParseError(f"unknown J preset {name!r}; have {J_PRESETS}",
-                         code="BAD_FIELD", field="J")
-    return j
 
 
 def _parse_value(raw, field_name):
@@ -115,10 +99,13 @@ def load_spec(source, tol=None) -> AlmostHermitianStructure:
             cur[k] = cur.get(k, 0) + v
 
     jraw = data.get("J", "split")
+    if isinstance(jraw, dict) and "preset" in jraw:
+        jraw = str(jraw["preset"])
     if isinstance(jraw, str):
-        jmat = _j_preset(jraw, dim)
-    elif isinstance(jraw, dict) and "preset" in jraw:
-        jmat = _j_preset(jraw["preset"], dim)
+        if jraw not in J_PRESETS:
+            raise ParseError(f"unknown J preset {jraw!r}; have {J_PRESETS}",
+                             code="BAD_FIELD", field="J")
+        jmat = preset_j(jraw, dim).tolist()
     else:
         jmat = [[_parse_value(v, "J") for v in row] for row in jraw]
         if len(jmat) != dim or any(len(r) != dim for r in jmat):
@@ -244,18 +231,12 @@ def _detect_aa_params(structure):
     if s.dim != 4 or getattr(s, "aa_params", None) is not None:
         return getattr(s, "aa_params", None)
     alg = s.alg
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if arith.max_abs(alg.basis_bracket(i, j)) > (0 if s.exact else s.tol):
-                return None
-    from .almostabelian import standard_j_matrix
-    if arith.max_abs(s.J - standard_j_matrix(2, s.exact)) > (0 if s.exact else s.tol):
-        return None
-    ident = arith.identity_matrix(4, s.exact)
-    if arith.max_abs(s.g - ident) > (0 if s.exact else s.tol):
+    zero = s.field.is_zero
+    if not all(zero(alg.basis_bracket(i, j)) for i, j in ((0, 1), (0, 2), (1, 2))):
         return None
     ad = alg.ad_basis(3)
-    if arith.max_abs(ad[3]) > (0 if s.exact else s.tol):
+    if not (zero(s.J - preset_j("mirror", 4)) and zero(s.g - s.field.eye(4))
+            and zero(ad[3])):
         return None
     return AlmostAbelianParams(
         2, ad[0, 0], (ad[0, 1], ad[0, 2]), (ad[1, 0], ad[2, 0]),
@@ -268,7 +249,7 @@ def run_report(structure: AlmostHermitianStructure, feasibility: bool = False,
     rep = conditions.classify_metric(structure)
     try:
         eq = conditions.verify_equivalences(structure, strict=False, report=rep)
-    except Exception as e:  # equivalences are reporting, never fatal
+    except LcakError as e:  # equivalences are reporting, never fatal
         eq = {"error": str(e), "all_consistent": False}
     classification = {"applicable": False}
     params = _detect_aa_params(structure)

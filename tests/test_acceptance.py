@@ -36,11 +36,11 @@ def test_criterion_1_exact_reproduction_a41():
     lee = s.lee_form()
     assert lee.theta == KForm.from_terms(s.alg, {(3,): -1})
     n12 = s.nijenhuis(s.basis_vector(0), s.basis_vector(1))
-    expected_n = arith.zeros_vector(4, True)
+    expected_n = arith.Field(True).zeros(4)
     expected_n[1] = Fraction(1, 4)
     assert all(a == b for a, b in zip(n12, expected_n))
     dth_sym = connection.covariant_one_form(s, lee.theta).sym().mat
-    expected = arith.zeros_matrix(4, 4, True)
+    expected = arith.Field(True).zeros(4, 4)
     expected[1, 3] = Fraction(1, 2)
     expected[3, 1] = Fraction(1, 2)
     assert arith.max_abs(dth_sym - expected) == 0
@@ -56,11 +56,11 @@ def test_criterion_2_exact_reproduction_a48():
     lee = s.lee_form()
     assert lee.theta == KForm.from_terms(s.alg, {(4,): -1})
     n12 = s.nijenhuis(s.basis_vector(0), s.basis_vector(1))
-    expected_n = arith.zeros_vector(4, True)
+    expected_n = arith.Field(True).zeros(4)
     expected_n[2] = Fraction(1, 2)
     assert all(a == b for a, b in zip(n12, expected_n))
     dth_sym = connection.covariant_one_form(s, lee.theta).sym().mat
-    expected = arith.zeros_matrix(4, 4, True)
+    expected = arith.Field(True).zeros(4, 4)
     expected[1, 1] = Fraction(-1)
     expected[2, 2] = Fraction(1)
     assert arith.max_abs(dth_sym - expected) == 0
@@ -68,11 +68,11 @@ def test_criterion_2_exact_reproduction_a48():
     assert len(image) == 2
     for vec in image:
         assert vec[0] == 0 and vec[3] == 0  # contained in span(e2, e3)
-    span = arith.zeros_matrix(2, 4, True)
+    span = arith.Field(True).zeros(2, 4)
     span[0, 1] = Fraction(1)
     span[1, 2] = Fraction(1)
     assert arith.rank(np.vstack([np.array([list(v) for v in image], dtype=object),
-                                 span]), True) == 2  # equals span(e2, e3)
+                                 span]), arith.Field(True)) == 2  # equals span(e2, e3)
     rep = classify_metric(s)
     assert rep.flags["pluricanonical"] is True
     _report(2, "A4_8 tensors reproduced with exact equality", time.time() - t0, 1.0)

@@ -186,3 +186,23 @@ def test_cli_subprocess_entry_point(tmp_path):
 def test_report_all_checks_pass_flag():
     rep = run_report(catalog_entry("A4_1"))
     assert rep.all_checks_pass
+
+
+def test_equivalence_errors_are_reported_only_when_typed(monkeypatch):
+    from lcak import conditions
+    from lcak.errors import NotLCS
+
+    def raise_typed(*args, **kwargs):
+        raise NotLCS("planted")
+
+    monkeypatch.setattr(conditions, "verify_equivalences", raise_typed)
+    rep = run_report(catalog_entry("A4_1"))
+    assert rep.equivalences == {"error": "planted", "all_consistent": False}
+    assert not rep.all_checks_pass
+
+    def raise_untyped(*args, **kwargs):
+        raise ZeroDivisionError("planted")
+
+    monkeypatch.setattr(conditions, "verify_equivalences", raise_untyped)
+    with pytest.raises(ZeroDivisionError):
+        run_report(catalog_entry("A4_1"))

@@ -1,3 +1,5 @@
+import io
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -124,8 +126,8 @@ def test_flipped_j_breaks_characteristic_identity(a41):
     # and F(., j_flipped .) is negative definite, so the flipped J is not
     # compatible with F at all
     metric = a41.f_matrix @ j_flipped
-    assert not arith.is_positive_definite(metric, True)
-    assert arith.is_positive_definite(-1 * metric, True)
+    assert not arith.is_positive_definite(metric, arith.Field(True))
+    assert arith.is_positive_definite(-1 * metric, arith.Field(True))
 
 
 def test_check_adapted_raises_not_first_kind(abelian_kahler):
@@ -238,7 +240,7 @@ def test_feasibility_witness_properties(rng):
     w = out["witness"]
     assert w.d().is_zero()
     m = w.matrix() @ s.J
-    assert arith.is_positive_definite(Fraction(1, 2) * (m + m.T), True)
+    assert arith.is_positive_definite(Fraction(1, 2) * (m + m.T), arith.Field(True))
 
 
 def assert_exactly_isotropic(s, certificate):
@@ -349,7 +351,7 @@ def test_feasibility_sound_under_changes_of_basis(name):
         while True:
             p = np.array([[entries[i] for i in row] for row in rng.integers(0, 8, (4, 4))],
                          dtype=object)
-            if arith.determinant(p, True) != 0:
+            if arith.determinant(p, arith.Field(True)) != 0:
                 break
         s = catalog_entry(name).change_basis(p)
         out = symplectic_feasibility(s)
@@ -371,3 +373,38 @@ def test_t_orth_im_n_warnings_only_on_lcs_structures():
     assert s.exact and not flags["is_lcs"] and flags["T_orthogonal_to_imN"]
     assert report.condition_report["warnings"] == []
     assert report.all_checks_pass
+
+
+def _float_scaled(s, bracket=1.0, metric=1.0):
+    brackets = {}
+    for (i, j, k), v in s.alg.sparse_constants().items():
+        brackets.setdefault((i, j), {})[k] = bracket * float(v)
+    alg = LieAlgebra(s.dim, brackets, exact=False)
+    return AlmostHermitianStructure(alg, s.J.astype(float), metric * s.g.astype(float))
+
+
+# bracket scale 1e-6 is left out: absolute bounds on D theta and L_T J still
+# flip adapted and Dtheta_J_invariant there
+@pytest.mark.parametrize("kind,scale", [("bracket", 1e-3), ("bracket", 1e3), ("bracket", 1e6),
+                                        ("metric", 1e-6), ("metric", 1e-3),
+                                        ("metric", 1e3), ("metric", 1e6)])
+def test_float_flags_match_exact_under_scaling(kind, scale):
+    for name in CATALOG_NAMES:
+        s = catalog_entry(name)
+        want = classify_metric(s).flags
+        got = classify_metric(_float_scaled(s, **{kind: scale})).flags
+        assert got == want, (name, sorted(k for k in want if got[k] != want[k]))
+
+
+def test_float_reproducer_with_small_brackets_passes(tmp_path):
+    # A4_8 with every bracket scaled by 1/1000: check_adapted rescales g by
+    # |theta|^2 = 1e-6, so F must be judged nondegenerate without an absolute bound
+    from lcak.cli import main
+    spec = {"dim": 4, "J": "mirror", "options": {"arithmetic_mode": "float"},
+            "brackets": [{"i": 2, "j": 3, "coefficients": {"1": "1/1000"}},
+                         {"i": 2, "j": 4, "coefficients": {"2": "1/1000"}},
+                         {"i": 3, "j": 4, "coefficients": {"3": "-1/1000"}}]}
+    path = tmp_path / "a48_small.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    assert main(["check", str(path), "--expect", "pluricanonical=true"],
+                out=io.StringIO()) == 0

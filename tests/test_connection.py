@@ -44,7 +44,7 @@ def test_covariant_j_parallel_along_lee_field(a41):
     lee = a41.lee_form()
     for x in (lee.T, lee.JT):
         total = sum((x[i] * connection.covariant_J(a41, i) for i in range(4)),
-                    arith.zeros_matrix(4, 4, True))
+                    arith.Field(True).zeros(4, 4))
         assert arith.max_abs(total) == 0
 
 

@@ -62,7 +62,7 @@ def test_dj_theta_identity_a41(a41):
 def test_split_tensor_a41_dtheta(a41):
     dth = connection.covariant_one_form(a41, a41.lee_form().theta)
     sym = dth.sym()
-    expected = arith.zeros_matrix(4, 4, True)
+    expected = arith.Field(True).zeros(4, 4)
     expected[1, 3] = Fraction(1, 2)
     expected[3, 1] = Fraction(1, 2)
     assert arith.matrices_equal(sym.mat, expected)
@@ -73,7 +73,7 @@ def test_split_tensor_a41_dtheta(a41):
 
 def test_split_tensor_a48_dtheta(a48):
     dth = connection.covariant_one_form(a48, a48.lee_form().theta)
-    expected = arith.zeros_matrix(4, 4, True)
+    expected = arith.Field(True).zeros(4, 4)
     expected[1, 1] = Fraction(-1)
     expected[2, 2] = Fraction(1)
     assert arith.matrices_equal(dth.sym().mat, expected)
@@ -134,7 +134,7 @@ def test_orthogonal_to_image_closed_under_j(a41, a48, rng):
     for s in (a41, a48):
         img = s.nijenhuis_image()
         mat = np.array([list(v) for v in img], dtype=object)
-        kernel = arith.nullspace(mat @ s.g, True)
+        kernel = arith.nullspace(mat @ s.g, s.field)
         for x in kernel:
             jx = s.J @ x
             for vec in img:
@@ -173,7 +173,7 @@ def test_codifferential_unimodular_kills_one_forms(a41, a48, rng):
 def test_codifferential_abelian_everything():
     s = AlmostHermitianStructure(abelian_algebra(4), split_j())
     assert s.codifferential(s.F).is_zero()
-    assert s.codifferential(Tensor2(s.alg, arith.identity_matrix(4, True))).is_zero()
+    assert s.codifferential(Tensor2(s.alg, arith.Field(True).eye(4))).is_zero()
 
 
 def test_codifferential_f_proportional_to_theta(a41, a48):

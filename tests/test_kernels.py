@@ -2,8 +2,9 @@
 
 Every reference below is written from ``sparse_constants()`` with explicit
 loops over basis indices, independently of the dense structure tensor the
-library contracts.  Exact cases must agree entry for entry; the float case
-within a relative bound fixed from float64 round-off.
+library contracts.  The Lee data, read off the codifferential, is checked
+against a direct solve of dF = theta ^ F.  Exact cases must agree entry for
+entry; float cases within a relative bound fixed from float64 round-off.
 """
 from fractions import Fraction
 from itertools import combinations
@@ -15,6 +16,7 @@ from lcak import arith, conditions
 from lcak.algebra import LieAlgebra
 from lcak.almostabelian import AlmostAbelianParams, build_almost_abelian
 from lcak.catalogs import CATALOG_NAMES, catalog_entry
+from lcak.forms import KForm, form_inner_product
 from lcak.specfile import run_report
 
 FLOAT_RTOL = 1e-12
@@ -128,10 +130,10 @@ def test_bracket_and_ad_match_loops(structure):
     alg = structure.alg
     rng = np.random.default_rng(alg.dim)
     for _ in range(3):
-        x = arith.to_vector([_rational(rng) if alg.exact else float(_rational(rng))
-                             for _ in range(alg.dim)], alg.exact)
-        y = arith.to_vector([_rational(rng) if alg.exact else float(_rational(rng))
-                             for _ in range(alg.dim)], alg.exact)
+        x = alg.field.array([_rational(rng) if alg.exact else float(_rational(rng))
+                             for _ in range(alg.dim)])
+        y = alg.field.array([_rational(rng) if alg.exact else float(_rational(rng))
+                             for _ in range(alg.dim)])
         assert_same(alg.bracket(x, y), ref_bracket(alg, x, y), alg.exact)
         ad_ref = [[ref_bracket(alg, x, unit(alg.dim, j, alg.exact))[k]
                    for j in range(alg.dim)] for k in range(alg.dim)]
@@ -226,3 +228,114 @@ def test_exact_report_computes_shared_results_once(monkeypatch):
     assert report.condition_report["flags"]["adapted"]
     assert report.all_checks_pass
     assert counts == {"jacobi": 1, "automorphisms": 1, "first_kind": 1}
+
+
+# -- Lee data against the two-stage solve of dF = theta ^ F --------------------
+
+def ref_lee(s):
+    """theta, V and solve_residual from solving dF = theta ^ F for theta:
+    by elimination when it has a solution, otherwise by least squares in the
+    metric norm on 3-forms (normal equations with the Lambda^3 Gram matrix)."""
+    alg, dim, field = s.alg, s.dim, s.field
+    three_keys = list(combinations(range(dim), 3))
+    key_pos = {k: p for p, k in enumerate(three_keys)}
+    nkeys = len(three_keys)
+    theta_vec = field.zeros(dim)
+    solve_residual = 0.0
+    if nkeys:
+        a = field.zeros(nkeys, dim)
+        for i in range(dim):
+            for key, val in KForm.basis_one_form(alg, i).wedge(s.F).coeffs.items():
+                a[key_pos[key], i] = val
+        b = field.zeros(nkeys)
+        for key, val in s.F.d().coeffs.items():
+            b[key_pos[key]] = val
+        theta_vec, res = arith.solve_least_squares(a, b, field)
+        if arith.max_abs(res) > field.bound(arith.max_abs(b)):
+            basis3 = [KForm(alg, 3, {k: field.scalar(1)}) for k in three_keys]
+            gram = field.zeros(nkeys, nkeys)
+            for p in range(nkeys):
+                for q in range(p, nkeys):
+                    gram[p, q] = gram[q, p] = form_inner_product(basis3[p], basis3[q],
+                                                                 s.g_inv)
+            theta_vec = arith.solve_square(a.T @ gram @ a, a.T @ gram @ b, field)
+            res = b - a @ theta_vec
+        solve_residual = arith.max_abs(res) / max(1.0, arith.max_abs(b))
+    V = arith.solve_square(s.f_matrix.T, theta_vec, field)
+    return theta_vec, V, float(solve_residual)
+
+
+def _aa_lcs_member(n, a, lam):
+    m = 2 * n - 2
+    params = AlmostAbelianParams(n, a, (0,) * m, (0,) * m,
+                                 tuple(tuple(lam if r == c else 0 for c in range(m))
+                                       for r in range(m)))
+    return build_almost_abelian(params)[1]
+
+
+HALF = Fraction(1, 2)
+MOVES = {
+    "A4_1": [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 2], [0, 0, 0, 1]],
+    "A4_8": [[1, HALF, 0, 0], [0, 1, 0, 2], [0, -1, 1, 0], [1, 0, 0, 1]],
+    "A3_4_plus_A1": [[2, 0, 1, 0], [0, 1, 0, -1], [HALF, 0, 1, 0], [0, 1, 1, 1]],
+    "A3_6_plus_A1": [[1, 0, 0, HALF], [1, 1, 0, 0], [0, -2, 1, 0], [0, 0, 1, 1]],
+}
+
+
+def _moved_aa_dim6():
+    p = np.eye(6, dtype=int).astype(object)
+    p[0, 3], p[2, 5], p[4, 1] = HALF, -1, 2
+    return _aa_member(3, 3).change_basis(p)
+
+
+LEE_CASES = dict(CASES)
+LEE_CASES.pop("A4_8_moved_float")
+LEE_CASES.update({
+    "aa_dim8_seed6": lambda: _aa_member(6, 4),
+    "aa_dim6_lcs": lambda: _aa_lcs_member(3, Fraction(1, 3), Fraction(-3, 2)),
+    "aa_dim8_lcs": lambda: _aa_lcs_member(4, -2, Fraction(2, 3)),
+    "aa_dim6_moved": _moved_aa_dim6,
+})
+LEE_CASES.update({f"{name}_moved": (lambda name=name, p=p: catalog_entry(name).change_basis(
+    np.array(p, dtype=object))) for name, p in MOVES.items()})
+
+
+@pytest.mark.parametrize("case", sorted(LEE_CASES))
+def test_lee_data_equals_two_stage_solve(case):
+    s = LEE_CASES[case]()
+    assert s.exact
+    lee = s.lee_form()
+    theta_vec, V, solve_residual = ref_lee(s)
+    assert list(lee.theta.vector()) == list(theta_vec)
+    assert list(lee.V) == list(V)
+    assert lee.solve_residual == solve_residual
+
+
+def test_lee_cases_cover_non_orthonormal_and_non_lcs_structures():
+    structures = [make() for make in LEE_CASES.values()]
+    assert any(arith.max_abs(s.g - s.field.eye(s.dim)) > 0 for s in structures)
+    assert any(s.lee_form().solve_residual > 0 for s in structures)
+    assert any(s.dim == 8 and s.lee_form().solve_residual == 0 for s in structures)
+
+
+def test_lee_form_vanishes_in_dim_2():
+    from lcak.hermitian import AlmostHermitianStructure, preset_j
+    s = AlmostHermitianStructure(LieAlgebra(2, {(1, 2): {2: 1}}), preset_j("split", 2))
+    lee = s.lee_form()
+    assert lee.theta.is_zero() and lee.solve_residual == 0 and arith.max_abs(lee.V) == 0
+    assert list(ref_lee(s)[0]) == [0, 0]
+
+
+def test_float_lee_data_matches_two_stage_solve():
+    from lcak.fuzzing import random_hermitian_structure
+    rng = np.random.default_rng(11)
+    structures = [random_hermitian_structure(rng, dim=4) for _ in range(6)]
+    structures += [random_hermitian_structure(rng, dim=6) for _ in range(2)]
+    structures += [_aa_member(seed, 3).as_float() for seed in (3, 4)]
+    for s in structures:
+        lee = s.lee_form()
+        theta_vec, V, solve_residual = ref_lee(s)
+        assert arith.max_abs(lee.theta.vector() - theta_vec) <= FLOAT_RTOL * max(
+            1.0, arith.max_abs(theta_vec))
+        assert arith.max_abs(lee.V - V) <= FLOAT_RTOL * max(1.0, arith.max_abs(V))
+        assert abs(lee.solve_residual - solve_residual) <= FLOAT_RTOL
