@@ -8,7 +8,9 @@ unimodularity traces and the Jacobi residual are contractions of
 ``structure_tensor``, and each table is computed once per algebra.  The same
 contractions serve exact (object arrays of Fractions) and float arithmetic;
 the algebra's :class:`~lcak.arith.Field` says which, and structures, forms
-and tensors built on the algebra use the same field.
+and tensors built on the algebra use the same field.  The Jacobi residual
+is contracted on the integer numerators of the structure tensor and divided
+by the square of its denominator once, after the maximum is taken.
 """
 from __future__ import annotations
 
@@ -129,7 +131,7 @@ class LieAlgebra:
         y = np.asarray(y)
         if x.shape != (self.dim,) or y.shape != (self.dim,):
             raise DimensionMismatch("vector length != dim")
-        return (self.structure_tensor @ y) @ x
+        return self.field.einsum('kij,i,j->k', self.structure_tensor, x, y)
 
     def basis_bracket(self, i, j):
         """[e_i, e_j] as a (read-only) vector, 0-based indices."""
@@ -140,7 +142,7 @@ class LieAlgebra:
         x = np.asarray(x)
         if x.shape != (self.dim,):
             raise DimensionMismatch("vector length != dim")
-        return np.einsum('kij,i->kj', self.structure_tensor, x)
+        return self.field.einsum('kij,i->kj', self.structure_tensor, x)
 
     def ad_basis(self, i):
         return self.structure_tensor[:, i, :]
@@ -158,9 +160,10 @@ class LieAlgebra:
 
     @cached_property
     def _jacobi(self) -> float:
-        c = self.structure_tensor
-        t = np.einsum('mij,lmk->lijk', c, c)  # t[:, i, j, k] = [[e_i, e_j], e_k]
-        return arith.max_abs(t + t.transpose(0, 3, 1, 2) + t.transpose(0, 2, 3, 1))
+        num, den = self.field.numerators(self.structure_tensor)
+        t = np.einsum('mij,lmk->lijk', num, num)  # t[:, i, j, k] = den^2 [[e_i, e_j], e_k]
+        cyclic = t + t.transpose(0, 3, 1, 2) + t.transpose(0, 2, 3, 1)
+        return float(self.field.scalar(np.max(np.abs(cyclic)), den * den))
 
     def jacobi_residual(self) -> float:
         """Max-norm of the cyclic sum [[e_i,e_j],e_k] over all triples."""

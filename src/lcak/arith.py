@@ -10,12 +10,20 @@ arrays: ``dtype=object`` filled with Fractions in exact mode, ``float64``
 otherwise, so ``@``, ``+`` and transposition work in both modes with the
 same code paths.
 
+Tensor contractions go through :meth:`Field.einsum`.  In float mode it is
+``np.einsum``.  In exact mode each operand is scaled to Python-int
+numerators over the lcm of its denominators, the integers are contracted
+(Python ints cannot overflow), and each output entry is divided once by the
+product of the denominators, so a contraction builds one Fraction per
+output entry instead of one per multiply-add.
+
 The solvers below take the field; they are written for the tiny systems
 that show up here (dimensions <= ~70 coming from spaces of 2- and 3-forms
-on algebras of dimension <= 8); nothing is optimized beyond that.
+on algebras of dimension <= 8) and eliminate over Fractions.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,6 +32,8 @@ import numpy as np
 from .errors import DegenerateMetric
 
 DEFAULT_TOL = 1e-9
+
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -53,6 +63,42 @@ class Field:
             return np.array(values, dtype=float)
         a = np.array(values, dtype=object)
         return np.array([self.scalar(v) for v in a.flat], dtype=object).reshape(a.shape)
+
+    def numerators(self, a):
+        """``(N, d)`` with ``a == N / d``.
+
+        In exact mode ``N`` is an object array of Python-int numerators over
+        ``d``, the lcm of the entries' denominators; a float entry raises
+        ``TypeError``.  In float mode this is ``(a, 1)``.
+        """
+        a = np.asarray(a)
+        if not self.exact:
+            return a, 1
+        flat = a.ravel().tolist()
+        try:
+            den = math.lcm(*{x.denominator for x in flat})
+        except AttributeError:
+            raise TypeError(f"cannot use a {a.dtype} array with inexact entries "
+                            "in exact mode") from None
+        nums = np.array([x.numerator * (den // x.denominator) for x in flat], dtype=object)
+        return nums.reshape(a.shape), den
+
+    def einsum(self, spec, *operands):
+        """``np.einsum(spec, *operands)``; in exact mode the operands'
+        integer numerators are contracted and each output entry is divided
+        once by the product of their denominators."""
+        if not self.exact:
+            return np.einsum(spec, *operands)
+        nums, den = [], 1
+        for a in operands:
+            num, d = self.numerators(a)
+            nums.append(num)
+            den *= d
+        out = np.einsum(spec, *nums)
+        if not isinstance(out, np.ndarray):
+            return _ZERO if out == 0 else Fraction(out, den)
+        return np.array([_ZERO if v == 0 else Fraction(v, den) for v in out.ravel().tolist()],
+                        dtype=object).reshape(out.shape)
 
     def zeros(self, *shape):
         return np.full(shape, Fraction(0), dtype=object) if self.exact else np.zeros(shape)

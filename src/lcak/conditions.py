@@ -228,8 +228,8 @@ def classify_metric(structure: AlmostHermitianStructure) -> ConditionReport:
 
     # orthogonality of im N to span(T, JT)
     nij = s._nijenhuis
-    orth = max(arith.max_abs(np.tensordot(s.g @ lee.T, nij, 1)),
-               arith.max_abs(np.tensordot(s.g @ lee.JT, nij, 1)))
+    orth = max(arith.max_abs(s.field.einsum('k,kij->ij', s.g @ lee.T, nij)),
+               arith.max_abs(s.field.einsum('k,kij->ij', s.g @ lee.JT, nij)))
     residuals["imN_span_T_JT"] = orth
     n_scale = max(1.0, arith.max_abs(nij) * max(1.0, arith.max_abs(lee.T)))
     flags["T_orthogonal_to_imN"] = orth <= s.field.bound(n_scale)

@@ -13,8 +13,9 @@ the star-Ricci form is  rho*(X, Y) = -1/2 tr(J o R_{X,Y})  (equivalently
 first canonical Hermitian connection is  D - 1/2 J (DJ).
 
 The Christoffel table, the stack of D_{e_i} J and the curvature endomorphisms
-are contractions of the algebra's ``structure_tensor`` with g, g^{-1} and J;
-each is computed once per structure and read everywhere after that.
+are contractions (``Field.einsum``) of the algebra's ``structure_tensor``
+with g, g^{-1} and J; each is computed once per structure and read
+everywhere after that.
 """
 from __future__ import annotations
 
@@ -30,48 +31,51 @@ from .hermitian import AlmostHermitianStructure, Tensor2
 
 @dataclass
 class ConnectionTable:
-    """Christoffel data: gamma[i] is the matrix of Y -> D_{e_i} Y."""
+    """Christoffel data: gamma[i] is the matrix of Y -> D_{e_i} Y, stacked
+    into one read-only (dim, dim, dim) array."""
     structure: AlmostHermitianStructure
-    gamma: list
+    gamma: np.ndarray
+
+    def __post_init__(self):
+        self.gamma.flags.writeable = False
 
     @cached_property
     def DJ(self):
         """Stack of the endomorphisms D_{e_i} J = [Gamma_i, J], shape (dim, dim, dim)."""
-        gamma = np.asarray(self.gamma)
-        J = self.structure.J
-        return gamma @ J - J @ gamma
+        f, J = self.structure.field, self.structure.J
+        return f.einsum('iab,bc->iac', self.gamma, J) - f.einsum('ab,ibc->iac', J, self.gamma)
 
     def metric_residual(self) -> float:
         """max |g(D_X Y, Z) + g(Y, D_X Z)| over basis triples."""
-        gamma = np.asarray(self.gamma)
         g = self.structure.g
-        return arith.max_abs(gamma.transpose(0, 2, 1) @ g + g @ gamma)
+        return arith.max_abs(self.gamma.transpose(0, 2, 1) @ g + g @ self.gamma)
 
     def torsion_residual(self) -> float:
         """max |D_X Y - D_Y X - [X, Y]| over basis pairs."""
-        gamma = np.asarray(self.gamma)  # gamma[i, :, j] = D_{e_i} e_j
+        gamma = self.gamma  # gamma[i, :, j] = D_{e_i} e_j
         return arith.max_abs(gamma.transpose(1, 0, 2) - gamma.transpose(1, 2, 0)
                              - self.structure.alg.structure_tensor)
 
     def koszul_residual(self) -> float:
         """Defect of the Koszul formula itself, all basis triples."""
         s = self.structure
-        lhs = 2 * np.einsum('imj,mk->ijk', np.asarray(self.gamma), s.g)
-        return arith.max_abs(lhs - _koszul_table(s.alg.structure_tensor, s.g))
+        lhs = 2 * s.field.einsum('imj,mk->ijk', self.gamma, s.g)
+        return arith.max_abs(lhs - _koszul_table(s))
 
 
-def _koszul_table(c, g):
+def _koszul_table(structure):
     """Koszul table w[i,j,k] = 2 g(D_{e_i} e_j, e_k)
     = g([e_i,e_j],e_k) - g([e_j,e_k],e_i) + g([e_k,e_i],e_j)."""
-    cg = np.einsum('lij,lk->ijk', c, g)  # cg[i, j, k] = g([e_i, e_j], e_k)
+    # cg[i, j, k] = g([e_i, e_j], e_k)
+    cg = structure.field.einsum('lij,lk->ijk', structure.alg.structure_tensor, structure.g)
     return cg - cg.transpose(2, 0, 1) + cg.transpose(1, 2, 0)
 
 
 def levi_civita(structure: AlmostHermitianStructure) -> ConnectionTable:
     """Connection table from the left-invariant Koszul formula."""
-    w = _koszul_table(structure.alg.structure_tensor, structure.g)
-    gamma = structure.field.scalar(1, 2) * np.einsum('mk,ijk->imj', structure.g_inv, w)
-    return ConnectionTable(structure=structure, gamma=list(gamma))
+    f = structure.field
+    gamma = f.einsum('mk,ijk->imj', f.scalar(1, 2) * structure.g_inv, _koszul_table(structure))
+    return ConnectionTable(structure=structure, gamma=gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +85,8 @@ def levi_civita(structure: AlmostHermitianStructure) -> ConnectionTable:
 def covariant_one_form(structure, theta) -> Tensor2:
     """D theta as the 2-tensor (X, Y) -> (D_X theta)(Y) = -theta(D_X Y)."""
     vec = theta.vector() if isinstance(theta, KForm) else np.asarray(theta)
-    return Tensor2(structure.alg, -(vec @ np.asarray(structure.connection.gamma)))
+    return Tensor2(structure.alg, -structure.field.einsum('m,imj->ij', vec,
+                                                         structure.connection.gamma))
 
 
 def covariant_J(structure, i):
@@ -156,9 +161,9 @@ class CurvatureTensor:
 
 def curvature_of(structure, gamma) -> CurvatureTensor:
     """Curvature of an arbitrary connection table, R_{X,Y} = D_{[X,Y]} - [D_X, D_Y]."""
-    gamma = np.asarray(gamma)
-    prod = gamma[:, None] @ gamma[None, :]  # prod[i, j] = Gamma_i Gamma_j
-    endos = (np.einsum('kij,kab->ijab', structure.alg.structure_tensor, gamma)
+    f = structure.field
+    prod = f.einsum('iab,jbc->ijac', gamma, gamma)  # prod[i, j] = Gamma_i Gamma_j
+    endos = (f.einsum('kij,kab->ijab', structure.alg.structure_tensor, gamma)
              - (prod - prod.transpose(1, 0, 2, 3)))
     return CurvatureTensor(structure=structure, endos=endos)
 
@@ -207,17 +212,16 @@ def star_ricci_frame_sum(structure, frame) -> KForm:
 
 
 def torsion_potential(structure):
-    """The endomorphisms -1/2 J (D_{e_i} J) defining the first canonical connection."""
-    half = structure.field.scalar(1, 2)
-    return [(-half) * (structure.J @ dj) for dj in structure.connection.DJ]
+    """The endomorphisms -1/2 J (D_{e_i} J) defining the first canonical
+    connection, stacked as a (dim, dim, dim) array."""
+    f = structure.field
+    return f.einsum('ab,ibc->iac', f.scalar(-1, 2) * structure.J, structure.connection.DJ)
 
 
 def first_canonical_connection(structure) -> ConnectionTable:
     """nabla^0 = D - 1/2 J (DJ)."""
-    gamma = structure.connection.gamma
-    corr = torsion_potential(structure)
     return ConnectionTable(structure=structure,
-                           gamma=[gamma[i] + corr[i] for i in range(structure.dim)])
+                           gamma=structure.connection.gamma + torsion_potential(structure))
 
 
 def phi_form(structure) -> KForm:

@@ -280,11 +280,11 @@ class AlmostHermitianStructure:
     @cached_property
     def _nijenhuis(self):
         """N[:, i, j] = N(e_i, e_j) for all i, j, from the contracted brackets."""
-        c = self.alg.structure_tensor
-        J = self.J
-        c_jx = J.T @ c  # c_jx[:, i, j] = [J e_i, e_j]
-        c_jy = c @ J    # c_jy[:, i, j] = [e_i, J e_j]
-        return self.field.scalar(1, 4) * (c_jx @ J - c - np.tensordot(J, c_jx + c_jy, 1))
+        c, J, f = self.alg.structure_tensor, self.J, self.field
+        jj = f.einsum('kab,ai,bj->kij', c, J, J)   # [J e_i, J e_j]
+        jjx = f.einsum('kl,laj,ai->kij', J, c, J)  # J [J e_i, e_j]
+        jjy = f.einsum('kl,lib,bj->kij', J, c, J)  # J [e_i, J e_j]
+        return f.scalar(1, 4) * (jj - c - jjx - jjy)
 
     def nijenhuis(self, x, y):
         """4 N(X,Y) = [JX, JY] - [X, Y] - J[JX, Y] - J[X, JY], returns N(X,Y)."""
@@ -302,8 +302,8 @@ class AlmostHermitianStructure:
 
     def nijenhuis_tensor(self, x):
         """N(X) = g(N(X, .), .) as a Tensor2."""
-        return Tensor2(self.alg, np.einsum('kij,i,lk->jl', self._nijenhuis,
-                                           np.asarray(x), self.g, optimize=True))
+        return Tensor2(self.alg, self.field.einsum('kij,i,lk->jl', self._nijenhuis,
+                                                   np.asarray(x), self.g))
 
     def nijenhuis_image(self):
         """Basis of span{N(e_i, e_j)} as a list of vectors."""
@@ -358,9 +358,9 @@ class AlmostHermitianStructure:
         dim = self.dim
         if isinstance(obj, Tensor2):
             # (D_{e_a} phi)(e_b, .) = -(Gamma_a^T phi + phi Gamma_a)[b], traced with g^{ab}
-            g3 = np.asarray(gamma)
-            out = (np.einsum('ab,akb->k', ginv, g3) @ obj.mat
-                   + np.einsum('ak,akc->c', ginv @ obj.mat, g3))
+            f = self.field
+            out = (f.einsum('ab,akb->k', ginv, gamma) @ obj.mat
+                   + f.einsum('ab,bk,akc->c', ginv, obj.mat, gamma))
             return KForm.from_vector(self.alg, out)
         if isinstance(obj, KForm):
             if obj.degree == 0:
@@ -385,7 +385,7 @@ class AlmostHermitianStructure:
     @cached_property
     def _lie_F(self):
         """L[c] = L_{e_c} F as a matrix, from cf[c, a, b] = F([e_c, e_a], e_b)."""
-        cf = np.einsum('kca,kb->cab', self.alg.structure_tensor, self.f_matrix)
+        cf = self.field.einsum('kca,kb->cab', self.alg.structure_tensor, self.f_matrix)
         return cf.transpose(0, 2, 1) - cf
 
     def lie_derivative_F(self, x):

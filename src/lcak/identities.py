@@ -82,21 +82,9 @@ def bochner_residual(structure: AlmostHermitianStructure, alpha) -> float:
     lhs = (s.codifferential(parts["j_plus"]) - s.codifferential(parts["j_minus"])).vector()
     lee = s.lee_form()
     rho = connection.star_ricci(s)
-    djs = s.connection.DJ
-    ginv = s.g_inv
-    dim = s.dim
-    sharp = s.sharp(alpha)
-    rhs = s.field.zeros(dim)
-    for x in range(dim):
-        jx = s.J @ s.basis_vector(x)
-        val = rho(sharp, jx) - (dim // 2 - 1) * (lee.JT @ da.mat @ jx)
-        for a in range(dim):
-            ja = s.J @ s.basis_vector(a)
-            for b in range(dim):
-                if ginv[a, b] == 0:
-                    continue
-                val = val - ginv[a, b] * (ja @ da.mat @ (djs[b] @ s.basis_vector(x)))
-        rhs[x] = val
+    # entry x of each term at X = e_x; the sum is g^{ab} Da(J e_a, (D_{e_b} J) e_x)
+    rhs = ((s.sharp(alpha) @ rho.matrix() - (s.n - 1) * (lee.JT @ da.mat)) @ s.J
+           - s.field.einsum('ab,aq,bqx->x', s.g_inv, s.J.T @ da.mat, s.connection.DJ))
     diff = lhs - rhs
     scale = max(1.0, arith.max_abs(lhs), arith.max_abs(rhs))
     return arith.max_abs(diff) / scale

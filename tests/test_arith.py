@@ -42,3 +42,78 @@ def test_nondegeneracy_exact_and_nonfinite():
     assert not FLOAT.is_nondegenerate(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     assert EXACT.is_nondegenerate(EXACT.array([[0, Fraction(1, 10 ** 9)], [-1, 0]]))
     assert not EXACT.is_nondegenerate(EXACT.zeros(2, 2))
+
+
+# -- Field.einsum ----------------------------------------------------------------
+
+# pairwise coprime denominators near 2**40, and numerators beyond int64
+DENOMINATORS = (2 ** 40, 3 ** 25, 5 ** 17, 7 ** 14, 11 ** 11, 1, 3)
+SPECS = [("ij,jk->ik", (3, 4), (4, 2)),
+         ("kab,ai,bj->kij", (3, 3, 3), (3, 3), (3, 3)),
+         ("mij,lmk->lijk", (3, 3, 3), (3, 3, 3)),
+         ("kik->i", (3, 4, 3)),
+         ("i,i->", (5,), (5,))]
+
+
+def _random_fractions(rng, shape):
+    def entry():
+        kind = rng.integers(4)
+        if kind == 0:
+            return Fraction(0)
+        num = int(rng.integers(-9, 10))
+        if kind == 1:
+            num += (1 if num >= 0 else -1) * (2 ** 63 + int(rng.integers(2 ** 62)))
+        return Fraction(num, DENOMINATORS[rng.integers(len(DENOMINATORS))])
+    return np.array([entry() for _ in range(int(np.prod(shape)))],
+                    dtype=object).reshape(shape)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=[s[0] for s in SPECS])
+def test_exact_einsum_equals_fraction_einsum(spec):
+    rng = np.random.default_rng(len(spec[0]))
+    for _ in range(3):
+        operands = [_random_fractions(rng, shape) for shape in spec[1:]]
+        got = EXACT.einsum(spec[0], *operands)
+        want = np.einsum(spec[0], *operands)
+        assert np.shape(got) == np.shape(want)
+        got_flat, want_flat = np.ravel(got).tolist(), np.ravel(want).tolist()
+        assert got_flat == want_flat
+        assert all(type(v) is Fraction for v in got_flat)
+        # the integers contracted are far beyond int64
+        assert max(abs(n) for a in operands for n in EXACT.numerators(a)[0].flat) > 2 ** 100
+
+
+def test_exact_einsum_takes_ints_and_keeps_fractions():
+    a = np.array([[1, 2], [0, -3]], dtype=object)
+    got = EXACT.einsum("ij,jk->ik", a, EXACT.array([[Fraction(1, 2), 0], [0, 1]]))
+    assert got.tolist() == [[Fraction(1, 2), 2], [0, -3]]
+    assert all(type(v) is Fraction for v in got.flat)
+    assert EXACT.numerators(a)[1] == 1 and EXACT.numerators(EXACT.zeros(0))[1] == 1
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=[s[0] for s in SPECS])
+def test_float_einsum_is_numpy_einsum(spec):
+    rng = np.random.default_rng(7)
+    operands = [rng.standard_normal(shape) for shape in spec[1:]]
+    got = FLOAT.einsum(spec[0], *operands)
+    want = np.einsum(spec[0], *operands)
+    assert type(got) is type(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_exact_einsum_refuses_floats():
+    a = EXACT.array([[1, 2], [3, 4]])
+    with pytest.raises(TypeError):
+        EXACT.einsum("ij,jk->ik", a, np.array([[0.5, 0.0], [0.0, 1.0]]))
+    with pytest.raises(TypeError):
+        EXACT.einsum("ij,jk->ik", a, np.array([[Fraction(1), 0.5], [0, 1]], dtype=object))
+
+
+def test_einsum_zero_size_operands():
+    for spec, shapes, out in [("ij,jk->ik", ((2, 0), (0, 3)), (2, 3)),
+                              ("ij,jk->ik", ((0, 2), (2, 3)), (0, 3))]:
+        got = EXACT.einsum(spec, *(EXACT.zeros(*s) for s in shapes))
+        assert got.shape == out and got.dtype == object
+        assert all(type(v) is Fraction and v == 0 for v in got.flat)
+        want = np.einsum(spec, *(np.zeros(s) for s in shapes))
+        assert FLOAT.einsum(spec, *(np.zeros(s) for s in shapes)).tobytes() == want.tobytes()
