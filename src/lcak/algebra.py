@@ -5,7 +5,8 @@ sparsely on pairs i < j (indices are 1-based in the public API, 0-based
 internally).  Everything downstream -- forms, connections, curvature -- is
 driven by the dense bracket tensor this class exposes: brackets, ad, the
 unimodularity traces and the Jacobi residual are contractions of
-``structure_tensor``, and each table is computed once per algebra.  The same
+``structure_tensor``, and each table (and the tensor's integer numerators,
+``structure_num``) is computed once per algebra.  The same
 contractions serve exact (object arrays of Fractions) and float arithmetic;
 the algebra's :class:`~lcak.arith.Field` says which, and structures, forms
 and tensors built on the algebra use the same field.  The Jacobi residual
@@ -121,6 +122,9 @@ class LieAlgebra:
         c.flags.writeable = False
         return c
 
+    # structure_tensor as arith.Numerators, computed once
+    structure_num = cached_property(lambda self: self.field.numerators(self.structure_tensor))
+
     def sparse_constants(self):
         """The stored (i, j, k) -> value map, 1-based, i < j."""
         return {(i + 1, j + 1, k + 1): v for (i, j, k), v in sorted(self._c.items())}
@@ -131,7 +135,7 @@ class LieAlgebra:
         y = np.asarray(y)
         if x.shape != (self.dim,) or y.shape != (self.dim,):
             raise DimensionMismatch("vector length != dim")
-        return self.field.einsum('kij,i,j->k', self.structure_tensor, x, y)
+        return self.field.einsum('kij,i,j->k', self.structure_num, x, y)
 
     def basis_bracket(self, i, j):
         """[e_i, e_j] as a (read-only) vector, 0-based indices."""
@@ -142,7 +146,7 @@ class LieAlgebra:
         x = np.asarray(x)
         if x.shape != (self.dim,):
             raise DimensionMismatch("vector length != dim")
-        return self.field.einsum('kij,i->kj', self.structure_tensor, x)
+        return self.field.einsum('kij,i->kj', self.structure_num, x)
 
     def ad_basis(self, i):
         return self.structure_tensor[:, i, :]
@@ -160,7 +164,7 @@ class LieAlgebra:
 
     @cached_property
     def _jacobi(self) -> float:
-        num, den = self.field.numerators(self.structure_tensor)
+        num, den = self.structure_num
         t = np.einsum('mij,lmk->lijk', num, num)  # t[:, i, j, k] = den^2 [[e_i, e_j], e_k]
         cyclic = t + t.transpose(0, 3, 1, 2) + t.transpose(0, 2, 3, 1)
         return float(self.field.scalar(np.max(np.abs(cyclic)), den * den))

@@ -10,12 +10,17 @@ arrays: ``dtype=object`` filled with Fractions in exact mode, ``float64``
 otherwise, so ``@``, ``+`` and transposition work in both modes with the
 same code paths.
 
-Tensor contractions go through :meth:`Field.einsum`.  In float mode it is
-``np.einsum``.  In exact mode each operand is scaled to Python-int
-numerators over the lcm of its denominators, the integers are contracted
-(Python ints cannot overflow), and each output entry is divided once by the
-product of the denominators, so a contraction builds one Fraction per
-output entry instead of one per multiply-add.
+Matrix products go through :meth:`Field.matmul` (the ``@`` chain in float
+mode) and contractions through :meth:`Field.einsum` (``np.einsum``).  In
+exact mode each operand becomes Python-int :class:`Numerators` over the lcm
+of its denominators, the integers are multiplied (they cannot overflow) and
+each output entry is divided once by the product of the denominators, as
+FLINT multiplies rational matrices (W. Hart, "Fast Library for Number
+Theory: an introduction", ICMS 2010).  ``matmul_num``/``einsum_num`` skip
+the division, so sums of products add integers before one division.
+Operands may be ``Numerators``; read-only arrays cache theirs: the algebra's
+``structure_num``, a structure's ``J_num``, ``g_num``, ``g_inv_num`` and
+``f_num``, and its connection's ``gamma_num`` and ``DJ_num``.
 
 The solvers below take the field; they are written for the tiny systems
 that show up here (dimensions <= ~70 coming from spaces of 2- and 3-forms
@@ -24,8 +29,11 @@ on algebras of dimension <= 8) and eliminate over Fractions.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +42,24 @@ from .errors import DegenerateMetric
 DEFAULT_TOL = 1e-9
 
 _ZERO = Fraction(0)
+
+
+class Numerators(NamedTuple):
+    """An array as ``num / den``: Python-int numerators over one denominator
+    in exact mode, the array itself over 1 in float mode."""
+    num: np.ndarray
+    den: int
+
+    @property
+    def T(self):
+        return Numerators(self.num.T, self.den)
+
+
+def _plain(a):
+    """A float-mode operand as an array."""
+    if isinstance(a, Numerators):
+        return a.num if a.den == 1 else a.num / a.den
+    return a
 
 
 @dataclass(frozen=True)
@@ -55,7 +81,7 @@ class Field:
             return float(x) / den
         if isinstance(x, bool) or not isinstance(x, (int, Fraction, str)):
             raise TypeError(f"cannot use {x!r} in exact mode")
-        return Fraction(x) / den
+        return Fraction(x) if den == 1 else Fraction(x) / den
 
     def array(self, values):
         """An array of this field's scalars from nested lists or an array."""
@@ -65,15 +91,17 @@ class Field:
         return np.array([self.scalar(v) for v in a.flat], dtype=object).reshape(a.shape)
 
     def numerators(self, a):
-        """``(N, d)`` with ``a == N / d``.
+        """``a`` as :class:`Numerators`, returned as is when it already is.
 
-        In exact mode ``N`` is an object array of Python-int numerators over
-        ``d``, the lcm of the entries' denominators; a float entry raises
-        ``TypeError``.  In float mode this is ``(a, 1)``.
+        In exact mode ``num`` is an object array of Python-int numerators
+        over ``den``, the lcm of the entries' denominators; a float entry
+        raises ``TypeError``.  In float mode this is ``(a, 1)``.
         """
+        if isinstance(a, Numerators):
+            return a
         a = np.asarray(a)
         if not self.exact:
-            return a, 1
+            return Numerators(a, 1)
         flat = a.ravel().tolist()
         try:
             den = math.lcm(*{x.denominator for x in flat})
@@ -81,24 +109,44 @@ class Field:
             raise TypeError(f"cannot use a {a.dtype} array with inexact entries "
                             "in exact mode") from None
         nums = np.array([x.numerator * (den // x.denominator) for x in flat], dtype=object)
-        return nums.reshape(a.shape), den
+        return Numerators(nums.reshape(a.shape), den)
+
+    def fractions(self, num, den=1):
+        """``num / den`` in this field: one Fraction per entry of an integer
+        array (or scalar) in exact mode, ``num`` (divided when ``den != 1``)
+        in float mode."""
+        if not self.exact:
+            return num if den == 1 else num / den
+        if not isinstance(num, np.ndarray):
+            return _ZERO if num == 0 else Fraction(num, den)
+        return np.array([_ZERO if v == 0 else Fraction(v, den) for v in num.ravel().tolist()],
+                        dtype=object).reshape(num.shape)
+
+    def _chain(self, combine, operands):
+        if not self.exact:
+            return Numerators(combine(*map(_plain, operands)), 1)
+        nums = [self.numerators(a) for a in operands]
+        return Numerators(combine(*(n.num for n in nums)), math.prod(n.den for n in nums))
+
+    def matmul_num(self, *ms):
+        """``ms[0] @ ms[1] @ ...`` as undivided :class:`Numerators`."""
+        return self._chain(lambda *a: reduce(operator.matmul, a), ms)
+
+    def einsum_num(self, spec, *operands):
+        """``np.einsum(spec, *operands)`` as undivided :class:`Numerators`."""
+        return self._chain(lambda *a: np.einsum(spec, *a), operands)
+
+    def matmul(self, *ms):
+        """``ms[0] @ ms[1] @ ...`` from left to right; in exact mode the
+        chain runs on the operands' integer numerators and each output entry
+        is divided once by the product of their denominators."""
+        return self.fractions(*self.matmul_num(*ms))
 
     def einsum(self, spec, *operands):
         """``np.einsum(spec, *operands)``; in exact mode the operands'
         integer numerators are contracted and each output entry is divided
         once by the product of their denominators."""
-        if not self.exact:
-            return np.einsum(spec, *operands)
-        nums, den = [], 1
-        for a in operands:
-            num, d = self.numerators(a)
-            nums.append(num)
-            den *= d
-        out = np.einsum(spec, *nums)
-        if not isinstance(out, np.ndarray):
-            return _ZERO if out == 0 else Fraction(out, den)
-        return np.array([_ZERO if v == 0 else Fraction(v, den) for v in out.ravel().tolist()],
-                        dtype=object).reshape(out.shape)
+        return self.fractions(*self.einsum_num(spec, *operands))
 
     def zeros(self, *shape):
         return np.full(shape, Fraction(0), dtype=object) if self.exact else np.zeros(shape)
@@ -346,23 +394,6 @@ def is_positive_definite(a, field: Field) -> bool:
         return True
     scale = max(1.0, float(np.max(np.abs(w))))
     return bool(np.min(w) > field.tol * scale)
-
-
-def gram_schmidt(g):
-    """A g-orthonormal frame, rows of the returned matrix (float only)."""
-    gf = np.asarray(g, dtype=float)
-    n = gf.shape[0]
-    basis = []
-    for i in range(n):
-        v = np.zeros(n)
-        v[i] = 1.0
-        for u in basis:
-            v = v - (u @ gf @ v) * u
-        nrm = float(v @ gf @ v)
-        if nrm <= 0:
-            raise DegenerateMetric("metric not positive definite")
-        basis.append(v / nrm ** 0.5)
-    return np.array(basis)
 
 
 def rationalize(x, max_denominator=64):

@@ -113,14 +113,15 @@ def check_first_kind(structure: AlmostHermitianStructure, strict: bool = True) -
     if not out["first_kind"]:
         return out
     lee = structure.lee_form()
+    f = structure.field
     theta_vec = lee.theta.vector()
-    n_mat = np.array(aut.basis).T
-    gram = n_mat.T @ structure.g @ n_mat
-    w = n_mat.T @ theta_vec
-    y = arith.solve_square(gram, w, structure.field)
+    n_mat = f.numerators(np.array(aut.basis).T)
+    gram = f.matmul(n_mat.T, structure.g_num, n_mat)
+    w = f.matmul(n_mat.T, theta_vec)
+    y = arith.solve_square(gram, w, f)
     lam = w @ y
-    coef = y * (structure.field.scalar(1) / lam)
-    t_vec = n_mat @ coef
+    coef = y * (f.scalar(1) / lam)
+    t_vec = f.matmul(n_mat, coef)
     eta = -1 * structure.F.contract(t_vec)
     recon = eta.d() - lee.theta.wedge(eta) - structure.F
     out["T_candidate"] = t_vec
@@ -153,9 +154,10 @@ def check_adapted(structure: AlmostHermitianStructure, strict: bool = True,
         s = structure.rescaled(norm_sq)
         out["scale_normalized"] = True
     lee = s.lee_form()
+    f = s.field
     res = out["residuals"]
     v_vec = lee.V
-    t_vec = s.J @ v_vec
+    t_vec = f.matmul(s.J_num, v_vec)
     theta_vec = lee.theta.vector()
     res["automorphism"] = s.lie_derivative_F(t_vec).max_abs()
     res["theta_of_T"] = abs(float(t_vec @ theta_vec - 1))
@@ -164,24 +166,16 @@ def check_adapted(structure: AlmostHermitianStructure, strict: bool = True,
     # H = ker theta  /\  ker eta
     eta_vec = eta.vector()
     h_basis = arith.nullspace(np.array([theta_vec, eta_vec]), s.field)
-    res["h_dimension_defect"] = abs(len(h_basis) - (s.dim - 2))
-    j_pres = 0.0
-    orth = 0.0
-    for h in h_basis:
-        jh = s.J @ h
-        j_pres = max(j_pres, abs(float(jh @ theta_vec)), abs(float(jh @ eta_vec)))
-        orth = max(orth, abs(float(h @ s.g @ t_vec)), abs(float(h @ s.g @ v_vec)))
-    res["j_preserves_h"] = j_pres
-    res["splitting_orthogonal"] = orth
-    res["tv_orthonormal"] = max(abs(float(t_vec @ s.g @ t_vec - 1)),
-                                abs(float(v_vec @ s.g @ v_vec - 1)),
-                                abs(float(t_vec @ s.g @ v_vec)))
-    d_eta = eta.d()
     k = len(h_basis)
-    gram = s.field.zeros(k, k)
-    for a in range(k):
-        for b in range(k):
-            gram[a, b] = d_eta(h_basis[a], s.J @ h_basis[b])
+    res["h_dimension_defect"] = abs(k - (s.dim - 2))
+    # the rows of h span H; (J h) . alpha = h J^T alpha
+    h = f.numerators(np.array(h_basis).reshape(k, s.dim))
+    res["j_preserves_h"] = arith.max_abs(f.matmul(h, s.J_num.T,
+                                                  np.array([theta_vec, eta_vec]).T))
+    tv = f.numerators(np.array([t_vec, v_vec]))
+    res["splitting_orthogonal"] = arith.max_abs(f.matmul(h, s.g_num, tv.T))
+    res["tv_orthonormal"] = arith.max_abs(f.matmul(tv, s.g_num, tv.T) - f.eye(2))
+    gram = _deta_gram(s, eta.d(), h)
     sym_defect = arith.max_abs(gram - gram.T)
     res["deta_metric_symmetric"] = sym_defect
     sym = s.field.scalar(1, 2) * (gram + gram.T)
@@ -194,6 +188,11 @@ def check_adapted(structure: AlmostHermitianStructure, strict: bool = True,
                       and all(r <= bound for key, r in res.items()
                               if key not in ("deta_metric_positive", "h_dimension_defect")))
     return out
+
+
+def _deta_gram(structure, d_eta: KForm, h):
+    """gram[a, b] = d eta(h_a, J h_b) for the rows h_a of ``h``: H M J H^T."""
+    return structure.field.matmul(h, d_eta.matrix(), structure.J_num, h.T)
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +227,8 @@ def classify_metric(structure: AlmostHermitianStructure) -> ConditionReport:
 
     # orthogonality of im N to span(T, JT)
     nij = s._nijenhuis
-    orth = max(arith.max_abs(s.field.einsum('k,kij->ij', s.g @ lee.T, nij)),
-               arith.max_abs(s.field.einsum('k,kij->ij', s.g @ lee.JT, nij)))
+    orth = max(arith.max_abs(s.field.einsum('k,kij->ij', s.field.matmul(s.g_num, lee.T), nij)),
+               arith.max_abs(s.field.einsum('k,kij->ij', s.field.matmul(s.g_num, lee.JT), nij)))
     residuals["imN_span_T_JT"] = orth
     n_scale = max(1.0, arith.max_abs(nij) * max(1.0, arith.max_abs(lee.T)))
     flags["T_orthogonal_to_imN"] = orth <= s.field.bound(n_scale)
@@ -296,10 +295,12 @@ def classify_metric(structure: AlmostHermitianStructure) -> ConditionReport:
         warn_if(True, "T orth im N", "dJtheta J-invariant", jminus)
         nt = s.nijenhuis_tensor(lee.T)
         warn_if(True, "T orth im N", "N(T) symmetric", nt.antisym().max_abs())
-        dj = s.connection.DJ
-        warn_if(True, "T orth im N", "D_T J = 0", arith.max_abs(np.tensordot(lee.T, dj, 1)))
+        dj = s.connection.DJ_num
+        dj = arith.Numerators(dj.num.reshape(s.dim, -1), dj.den)
+        warn_if(True, "T orth im N", "D_T J = 0",
+                arith.max_abs(s.field.matmul(lee.T.reshape(1, s.dim), dj)))
         warn_if(True, "T orth im N", "D_JT J = 0",
-                arith.max_abs(np.tensordot(lee.JT, dj, 1)))
+                arith.max_abs(s.field.matmul(lee.JT.reshape(1, s.dim), dj)))
     if flags["vaisman"]:
         if not (flags["pluricanonical"] and flags["anti_pluricanonical"]):
             warnings.append("vaisman flag set but pluricanonical/anti-pluricanonical "
@@ -359,7 +360,7 @@ def verify_equivalences(structure: AlmostHermitianStructure, strict: bool = True
     }
 
     bk = s.alg.bracket(lee.T, lee.JT)
-    g_bk = bk @ s.g @ lee.JT
+    g_bk = s.field.matmul(bk, s.g_num, lee.JT)
     scale_b = max(1.0, arith.max_abs(bk) * max(1.0, arith.max_abs(lee.JT)))
     rhs_b = abs(float(g_bk)) <= s.field.bound(scale_b)
     applicable_b = bool(rep.flags["is_lcs"] and rep.flags["unimodular"]
@@ -383,13 +384,14 @@ def verify_equivalences(structure: AlmostHermitianStructure, strict: bool = True
     }
 
     if pluri:
-        dth = s.Dtheta
-        djth = connection.covariant_one_form(s, lee.jtheta)
+        f = s.field
+        dth = f.numerators(s.Dtheta.mat)
+        djth = f.numerators(connection.covariant_one_form(s, lee.jtheta).mat)
         vals = {
-            "D_T_theta": arith.max_abs(lee.T @ dth.mat),
-            "D_JT_theta": arith.max_abs(lee.JT @ dth.mat),
-            "D_T_Jtheta": arith.max_abs(lee.T @ djth.mat),
-            "D_JT_Jtheta": arith.max_abs(lee.JT @ djth.mat),
+            "D_T_theta": arith.max_abs(f.matmul(lee.T, dth)),
+            "D_JT_theta": arith.max_abs(f.matmul(lee.JT, dth)),
+            "D_T_Jtheta": arith.max_abs(f.matmul(lee.T, djth)),
+            "D_JT_Jtheta": arith.max_abs(f.matmul(lee.JT, djth)),
             "bracket_T_JT": arith.max_abs(bk),
         }
         out["pluricanonical_consequences"] = {
@@ -432,18 +434,16 @@ def _feasibility_subspace(structure):
     pairs = _pair_basis(dim)
     three = list(combinations(range(dim), 3))
     tkey = {k: p for p, k in enumerate(three)}
-    nrows = len(pairs) + len(three)
-    mat = s.field.zeros(nrows, len(pairs))
+    mat = s.field.zeros(len(pairs) + len(three), len(pairs))
     one = s.field.scalar(1)
+    rows, cols = np.triu_indices(dim, 1)  # the pairs, in order
+    idx = np.arange(len(pairs))
+    e = s.field.zeros(len(pairs), dim, dim)  # e[q] is the matrix of e^{ab}, (a, b) = pairs[q]
+    e[idx, rows, cols], e[idx, cols, rows] = one, -one
+    # the J-invariance defects e - J^T e J, then the differentials
+    mat[:len(pairs)] = (e - s.field.matmul(s.J_num.T, e, s.J_num))[:, rows, cols].T
     for q, (a, b) in enumerate(pairs):
-        m = s.field.zeros(dim, dim)
-        m[a, b] = one
-        m[b, a] = -one
-        diff = m - s.J.T @ m @ s.J  # J-invariance defect of e^{ab}
-        for p, (i, j) in enumerate(pairs):
-            mat[p, q] = diff[i, j]
-        w = KForm(s.alg, 2, {(a, b): one}).d()
-        for key, val in w.coeffs.items():
+        for key, val in KForm(s.alg, 2, {(a, b): one}).d().coeffs.items():
             mat[len(pairs) + tkey[key], q] = val
     basis = arith.nullspace(mat, s.field)
     forms = []
@@ -553,7 +553,7 @@ def _normalize_witness(structure, witness, basis_forms, x):
             if pairing <= 0:
                 continue
             cand = (s.field.scalar(s.n) / pairing) * cand
-            gw = cand.matrix() @ s.J
+            gw = s.field.matmul(cand.matrix(), s.J_num)
             sym = s.field.scalar(1, 2) * (gw + gw.T)
             if arith.is_positive_definite(sym, s.field):
                 return cand
@@ -590,13 +590,13 @@ def _isotropic_certificate(structure, basis_forms, G, best_x):
                         key=lambda r: abs(np.linalg.det(kernel[list(r)]))))
         candidates += list((kernel @ np.linalg.inv(kernel[rows])).T)
     if s.exact:
-        wj = [w.matrix() @ s.J for w in basis_forms]
+        wj = [s.field.matmul_num(w.matrix(), s.J_num) for w in basis_forms]
     for cand in candidates:
         if s.exact:
             cand = cand / cand[np.argmax(np.abs(cand))]
             for max_den in (64, 4096):
                 u = np.array([arith.rationalize(c, max_den) for c in cand], dtype=object)
-                if all(u @ m @ u == 0 for m in wj):
+                if all(s.field.matmul_num(u, m, u).num == 0 for m in wj):
                     return [arith.format_scalar(c) for c in u]
         else:
             cand = cand / np.linalg.norm(cand)

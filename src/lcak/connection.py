@@ -15,11 +15,13 @@ first canonical Hermitian connection is  D - 1/2 J (DJ).
 The Christoffel table, the stack of D_{e_i} J and the curvature endomorphisms
 are contractions (``Field.einsum``) of the algebra's ``structure_tensor``
 with g, g^{-1} and J; each is computed once per structure and read
-everywhere after that.
+everywhere after that, and so are the integer numerators of the Christoffel
+table and of DJ (``gamma_num``, ``DJ_num``).  Where contractions are summed
+(Koszul, curvature) their numerators are added before one division.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -39,11 +41,16 @@ class ConnectionTable:
     def __post_init__(self):
         self.gamma.flags.writeable = False
 
+    # gamma and DJ as arith.Numerators, computed once
+    gamma_num = cached_property(lambda self: self.structure.field.numerators(self.gamma))
+    DJ_num = cached_property(lambda self: self.structure.field.numerators(self.DJ))
+
     @cached_property
     def DJ(self):
         """Stack of the endomorphisms D_{e_i} J = [Gamma_i, J], shape (dim, dim, dim)."""
-        f, J = self.structure.field, self.structure.J
-        return f.einsum('iab,bc->iac', self.gamma, J) - f.einsum('ab,ibc->iac', J, self.gamma)
+        f, J, gn = self.structure.field, self.structure.J_num, self.gamma_num
+        return f.fractions(f.einsum_num('iab,bc->iac', gn, J).num
+                           - f.einsum_num('ab,ibc->iac', J, gn).num, gn.den * J.den)
 
     def metric_residual(self) -> float:
         """max |g(D_X Y, Z) + g(Y, D_X Z)| over basis triples."""
@@ -59,23 +66,24 @@ class ConnectionTable:
     def koszul_residual(self) -> float:
         """Defect of the Koszul formula itself, all basis triples."""
         s = self.structure
-        lhs = 2 * s.field.einsum('imj,mk->ijk', self.gamma, s.g)
-        return arith.max_abs(lhs - _koszul_table(s))
+        lhs = 2 * s.field.einsum('imj,mk->ijk', self.gamma_num, s.g_num)
+        return arith.max_abs(lhs - s.field.fractions(*_koszul_table(s)))
 
 
 def _koszul_table(structure):
     """Koszul table w[i,j,k] = 2 g(D_{e_i} e_j, e_k)
-    = g([e_i,e_j],e_k) - g([e_j,e_k],e_i) + g([e_k,e_i],e_j)."""
+    = g([e_i,e_j],e_k) - g([e_j,e_k],e_i) + g([e_k,e_i],e_j), as Numerators."""
     # cg[i, j, k] = g([e_i, e_j], e_k)
-    cg = structure.field.einsum('lij,lk->ijk', structure.alg.structure_tensor, structure.g)
-    return cg - cg.transpose(2, 0, 1) + cg.transpose(1, 2, 0)
+    cg = structure.field.einsum_num('lij,lk->ijk', structure.alg.structure_num, structure.g_num)
+    return arith.Numerators(cg.num - cg.num.transpose(2, 0, 1) + cg.num.transpose(1, 2, 0),
+                            cg.den)
 
 
 def levi_civita(structure: AlmostHermitianStructure) -> ConnectionTable:
     """Connection table from the left-invariant Koszul formula."""
     f = structure.field
-    gamma = f.einsum('mk,ijk->imj', f.scalar(1, 2) * structure.g_inv, _koszul_table(structure))
-    return ConnectionTable(structure=structure, gamma=gamma)
+    gamma = f.einsum_num('mk,ijk->imj', structure.g_inv_num, _koszul_table(structure))
+    return ConnectionTable(structure=structure, gamma=f.fractions(gamma.num, 2 * gamma.den))
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +94,7 @@ def covariant_one_form(structure, theta) -> Tensor2:
     """D theta as the 2-tensor (X, Y) -> (D_X theta)(Y) = -theta(D_X Y)."""
     vec = theta.vector() if isinstance(theta, KForm) else np.asarray(theta)
     return Tensor2(structure.alg, -structure.field.einsum('m,imj->ij', vec,
-                                                         structure.connection.gamma))
+                                                         structure.connection.gamma_num))
 
 
 def covariant_J(structure, i):
@@ -96,9 +104,10 @@ def covariant_J(structure, i):
 
 def covariant_F(structure, i) -> KForm:
     """(D_{e_i} F); equals g((D_{e_i} J) ., .)."""
-    return KForm.from_matrix(structure.alg,
-                             -(structure.connection.gamma[i].T @ structure.f_matrix
-                               + structure.f_matrix @ structure.connection.gamma[i]))
+    f, fm, gn = structure.field, structure.f_num, structure.connection.gamma_num
+    gi = arith.Numerators(gn.num[i], gn.den)
+    return KForm.from_matrix(structure.alg, f.fractions(
+        -(f.matmul_num(gi.T, fm).num + f.matmul_num(fm, gi).num), gi.den * fm.den))
 
 
 # ---------------------------------------------------------------------------
@@ -110,66 +119,44 @@ class CurvatureTensor:
     """R_{e_i, e_j} endomorphisms plus the (0,4) components on demand."""
     structure: AlmostHermitianStructure
     endos: np.ndarray  # endos[i][j] = matrix of R_{e_i, e_j}
-    _components: object = field(default=None, repr=False)
 
     def endomorphism(self, i, j):
         return self.endos[i][j]
 
-    @property
+    @cached_property
     def components(self):
         """R4[i][j][k][l] = g(R_{e_i,e_j} e_k, e_l)."""
-        if self._components is None:
-            g = self.structure.g
-            dim = self.structure.dim
-            comp = [[(self.endos[i][j].T @ g) for j in range(dim)] for i in range(dim)]
-            self._components = comp
-        return self._components
+        s = self.structure
+        return s.field.matmul(self.endos.transpose(0, 1, 3, 2), s.g_num)
 
     def antisymmetry_residual(self) -> float:
         comp = self.components
-        dim = self.structure.dim
-        worst = 0.0
-        for i in range(dim):
-            for j in range(dim):
-                worst = max(worst, arith.max_abs(comp[i][j] + comp[j][i]))
-                worst = max(worst, arith.max_abs(comp[i][j] + comp[i][j].T))
-        return worst
+        return max(arith.max_abs(comp + comp.transpose(1, 0, 2, 3)),
+                   arith.max_abs(comp + comp.transpose(0, 1, 3, 2)))
 
     def pair_symmetry_residual(self) -> float:
         comp = self.components
-        dim = self.structure.dim
-        worst = 0.0
-        for i in range(dim):
-            for j in range(dim):
-                for k in range(dim):
-                    for l in range(dim):
-                        worst = max(worst, abs(float(comp[i][j][k, l] - comp[k][l][i, j])))
-        return worst
+        return arith.max_abs(comp - comp.transpose(2, 3, 0, 1))
 
     def bianchi_residual(self) -> float:
         """First Bianchi identity on basis triples."""
-        dim = self.structure.dim
-        worst = 0.0
-        for i in range(dim):
-            for j in range(dim):
-                for k in range(dim):
-                    v = (self.endos[i][j][:, k] + self.endos[j][k][:, i]
-                         + self.endos[k][i][:, j])
-                    worst = max(worst, arith.max_abs(v))
-        return worst
+        r = self.endos.transpose(0, 1, 3, 2)  # r[i, j, k] = R_{e_i, e_j} e_k
+        return arith.max_abs(r + r.transpose(2, 0, 1, 3) + r.transpose(1, 2, 0, 3))
 
 
 def curvature_of(structure, gamma) -> CurvatureTensor:
     """Curvature of an arbitrary connection table, R_{X,Y} = D_{[X,Y]} - [D_X, D_Y]."""
-    f = structure.field
-    prod = f.einsum('iab,jbc->ijac', gamma, gamma)  # prod[i, j] = Gamma_i Gamma_j
-    endos = (f.einsum('kij,kab->ijab', structure.alg.structure_tensor, gamma)
-             - (prod - prod.transpose(1, 0, 2, 3)))
-    return CurvatureTensor(structure=structure, endos=endos)
+    f, c = structure.field, structure.alg.structure_num
+    gamma = f.numerators(gamma)
+    prod = f.einsum_num('iab,jbc->ijac', gamma, gamma)  # prod[i, j] = Gamma_i Gamma_j
+    bracket = f.einsum_num('kij,kab->ijab', c, gamma)   # D_{[e_i, e_j]}
+    # both over den(c) den(gamma)^2: one division for the sum
+    endos = (bracket.num * gamma.den - (prod.num - prod.num.transpose(1, 0, 2, 3)) * c.den)
+    return CurvatureTensor(structure=structure, endos=f.fractions(endos, bracket.den * gamma.den))
 
 
 def curvature(structure) -> CurvatureTensor:
-    return curvature_of(structure, structure.connection.gamma)
+    return curvature_of(structure, structure.connection.gamma_num)
 
 
 def star_ricci(structure, curv: CurvatureTensor = None) -> KForm:
@@ -180,42 +167,17 @@ def star_ricci(structure, curv: CurvatureTensor = None) -> KForm:
     is its Hermitian-Ricci form 1/2 sum_i g(R^nabla_{X,Y} e_i, J e_i).
     """
     curv = curv or structure.curvature
-    dim = structure.dim
-    half = structure.field.scalar(1, 2)
-    coeffs = {}
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            val = -half * np.trace(structure.J @ curv.endos[i][j])
-            if val != 0:
-                coeffs[(i, j)] = val
-    return KForm(structure.alg, 2, coeffs)
-
-
-def star_ricci_frame_sum(structure, frame) -> KForm:
-    """rho* computed as 1/2 sum_i g(R_{X,Y} f_i, J f_i) over the given frame.
-
-    Cross-check for the trace formula; ``frame`` rows must be g-orthonormal.
-    """
-    curv = structure.curvature
-    g = structure.g
-    J = structure.J
-    dim = structure.dim
-    coeffs = {}
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            val = 0
-            for f in frame:
-                val = val + 0.5 * (curv.endos[i][j] @ f) @ g @ (J @ f)
-            if val != 0:
-                coeffs[(i, j)] = val
-    return KForm(structure.alg, 2, coeffs)
+    f = structure.field
+    prod = f.matmul_num(structure.J_num, curv.endos)  # prod[i, j] = J R_{e_i, e_j}
+    rho = f.fractions(-np.trace(prod.num, axis1=2, axis2=3), 2 * prod.den)
+    return KForm.from_matrix(structure.alg, rho)
 
 
 def torsion_potential(structure):
     """The endomorphisms -1/2 J (D_{e_i} J) defining the first canonical
     connection, stacked as a (dim, dim, dim) array."""
     f = structure.field
-    return f.einsum('ab,ibc->iac', f.scalar(-1, 2) * structure.J, structure.connection.DJ)
+    return f.einsum('ab,ibc->iac', f.scalar(-1, 2) * structure.J, structure.connection.DJ_num)
 
 
 def first_canonical_connection(structure) -> ConnectionTable:
@@ -225,17 +187,11 @@ def first_canonical_connection(structure) -> ConnectionTable:
 
 
 def phi_form(structure) -> KForm:
-    """Phi(X, Y) = 1/4 <J (D_X J), D_Y J>_g."""
-    dim = structure.dim
-    quarter = structure.field.scalar(1, 4)
-    djs = structure.connection.DJ
-    coeffs = {}
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            val = quarter * structure.endo_inner(structure.J @ djs[i], djs[j])
-            if val != 0:
-                coeffs[(i, j)] = val
-    return KForm(structure.alg, 2, coeffs)
+    """Phi(X, Y) = 1/4 <J (D_X J), D_Y J>_g = 1/4 tr(g^-1 (J D_X J)^T g D_Y J)."""
+    s, f, dj = structure, structure.field, structure.connection.DJ_num
+    jdj = f.matmul(s.J_num, dj).transpose(0, 2, 1)[:, None]  # (J D_{e_i} J)^T at [i, 0]
+    prod = f.matmul_num(s.g_inv_num, jdj, s.g_num, dj)  # [i, j]: the product traced
+    return KForm.from_matrix(s.alg, f.fractions(np.trace(prod.num, axis1=2, axis2=3), 4 * prod.den))
 
 
 @dataclass

@@ -58,7 +58,7 @@ class Tensor2:
         self.mat = mat
 
     def __call__(self, x, y):
-        return np.asarray(x) @ self.mat @ np.asarray(y)
+        return self.alg.field.matmul(x, self.mat, y)
 
     def __add__(self, other):
         return Tensor2(self.alg, self.mat + other.mat)
@@ -137,18 +137,22 @@ def validate_structure(J, g, alg=None, tol=DEFAULT_TOL) -> StructureValidationRe
         raise DimensionMismatch("J and g must be square of equal size")
     if alg is not None and J.shape[0] != alg.dim:
         raise DimensionMismatch("matrix size != algebra dimension")
-    dim = J.shape[0]
     exact = arith.all_exact(J.ravel().tolist()) and arith.all_exact(g.ravel().tolist())
     field = arith.Field(exact, tol)
-    Jm, gm = field.array(J), field.array(g)
-    g_sym = field.is_zero(gm - gm.T)
-    compat = arith.max_abs(Jm.T @ gm @ Jm - gm)
+    J, g = field.array(J), field.array(g)
+    return _validation(field, g, field.numerators(J), field.numerators(g))
+
+
+def _validation(field, g, jn, gn):
+    """The checks of ``validate_structure`` on g and the numerators of J and g."""
+    g_sym = field.is_zero(g - g.T)
+    compat = arith.max_abs(field.matmul(jn.T, gn, jn) - g)
     return StructureValidationReport(
-        j_squared_ok=field.is_zero(Jm @ Jm + field.eye(dim)),
+        j_squared_ok=field.is_zero(field.matmul(jn, jn) + field.eye(len(g))),
         g_symmetric=g_sym,
-        g_positive_definite=g_sym and arith.is_positive_definite(gm, field),
-        g_j_invariant=field.is_zero(compat, arith.max_abs(gm)),
-        f_nondegenerate=field.is_nondegenerate(Jm.T @ gm),
+        g_positive_definite=g_sym and arith.is_positive_definite(g, field),
+        g_j_invariant=field.is_zero(compat, arith.max_abs(g)),
+        f_nondegenerate=field.is_nondegenerate(field.matmul(jn.T, gn)),
         compatibility_residual=float(compat),
     )
 
@@ -176,7 +180,9 @@ class AlmostHermitianStructure:
         self.J = self.field.array(J)
         self.g = self.field.array(g)
         self.name = name
-        self.validation = validate_structure(self.J, self.g, self.alg, self.tol)
+        if self.J.shape != self.g.shape or self.J.shape != (alg.dim, alg.dim):
+            raise DimensionMismatch("J and g must be square of the algebra's dimension")
+        self.validation = _validation(self.field, self.g, self.J_num, self.g_num)
         if validate and not self.validation.ok:
             code = "J_NOT_ACS" if not self.validation.j_squared_ok else (
                 "G_NOT_SYMMETRIC" if not self.validation.g_symmetric else (
@@ -211,7 +217,13 @@ class AlmostHermitianStructure:
 
     @cached_property
     def f_matrix(self):
-        return self.J.T @ self.g
+        return self.field.matmul(self.J_num.T, self.g_num)
+
+    # the read-only arrays as arith.Numerators, computed once
+    J_num = cached_property(lambda self: self.field.numerators(self.J))
+    g_num = cached_property(lambda self: self.field.numerators(self.g))
+    g_inv_num = cached_property(lambda self: self.field.numerators(self.g_inv))
+    f_num = cached_property(lambda self: self.field.numerators(self.f_matrix))
 
     @cached_property
     def F(self) -> KForm:
@@ -232,22 +244,22 @@ class AlmostHermitianStructure:
     def j_one_form(self, a):
         """(J alpha)(X) = -alpha(JX)."""
         if isinstance(a, KForm):
-            return KForm.from_vector(self.alg, -(self.J.T @ a.vector()))
-        return -(self.J.T @ np.asarray(a))
+            return KForm.from_vector(self.alg, -self.field.matmul(self.J_num.T, a.vector()))
+        return -self.field.matmul(self.J_num.T, a)
 
     # -- tensor splittings -------------------------------------------------------
 
     def split_tensor(self, phi):
         """J-(anti)invariant and (anti)symmetric parts; parts sum back exactly."""
-        m = phi.mat if isinstance(phi, Tensor2) else np.asarray(phi)
-        half = self.field.scalar(1, 2)
-        pulled = self.J.T @ m @ self.J
-        return {
-            "j_plus": Tensor2(self.alg, half * (m + pulled)),
-            "j_minus": Tensor2(self.alg, half * (m - pulled)),
-            "sym": Tensor2(self.alg, half * (m + m.T)),
-            "antisym": Tensor2(self.alg, half * (m - m.T)),
-        }
+        f = self.field
+        m = f.numerators(phi.mat if isinstance(phi, Tensor2) else phi)
+        pulled = f.matmul_num(self.J_num.T, m, self.J_num)
+        scaled = m.num * (pulled.den // m.den)  # m over the denominator of pulled
+        return {key: Tensor2(self.alg, f.fractions(num, 2 * den)) for key, num, den in (
+            ("j_plus", scaled + pulled.num, pulled.den),
+            ("j_minus", scaled - pulled.num, pulled.den),
+            ("sym", m.num + m.num.T, m.den),
+            ("antisym", m.num - m.num.T, m.den))}
 
     # -- norms and inner products -------------------------------------------------
 
@@ -259,55 +271,56 @@ class AlmostHermitianStructure:
 
     def tensor_norm_sq(self, phi):
         """Frobenius norm squared w.r.t. g: sum g^ik g^jl phi_ij phi_kl."""
-        m = phi.mat if isinstance(phi, Tensor2) else np.asarray(phi)
-        return np.trace(self.g_inv @ m @ self.g_inv @ m.T)
+        m = self.field.numerators(phi.mat if isinstance(phi, Tensor2) else phi)
+        return self._trace(self.g_inv_num, m, self.g_inv_num, m.T)
 
     def endo_inner(self, a, b):
         """<A, B>_g = tr(g^-1 A^T g B) for endomorphisms."""
-        return np.trace(self.g_inv @ np.asarray(a).T @ self.g @ np.asarray(b))
+        return self._trace(self.g_inv_num, np.asarray(a).T, self.g_num, b)
+
+    def _trace(self, *ms):
+        """tr(ms[0] @ ms[1] @ ...), traced on the integer numerators."""
+        prod = self.field.matmul_num(*ms)
+        return self.field.fractions(np.trace(prod.num), prod.den)
 
     def sharp(self, a):
         """Vector dual of a 1-form."""
-        v = a.vector() if isinstance(a, KForm) else np.asarray(a)
-        return self.g_inv @ v
+        return self.field.matmul(self.g_inv_num, a.vector() if isinstance(a, KForm) else a)
 
     def flat(self, x):
         """1-form dual of a vector."""
-        return KForm.from_vector(self.alg, self.g @ np.asarray(x))
+        return KForm.from_vector(self.alg, self.field.matmul(self.g_num, x))
 
     # -- Nijenhuis tensor ----------------------------------------------------------
 
     @cached_property
     def _nijenhuis(self):
         """N[:, i, j] = N(e_i, e_j) for all i, j, from the contracted brackets."""
-        c, J, f = self.alg.structure_tensor, self.J, self.field
-        jj = f.einsum('kab,ai,bj->kij', c, J, J)   # [J e_i, J e_j]
-        jjx = f.einsum('kl,laj,ai->kij', J, c, J)  # J [J e_i, e_j]
-        jjy = f.einsum('kl,lib,bj->kij', J, c, J)  # J [e_i, J e_j]
-        return f.scalar(1, 4) * (jj - c - jjx - jjy)
+        c, J, f = self.alg.structure_num, self.J_num, self.field
+        jj = f.einsum_num('kab,ai,bj->kij', c, J, J)   # [J e_i, J e_j]
+        jjx = f.einsum_num('kl,laj,ai->kij', J, c, J)  # J [J e_i, e_j]
+        jjy = f.einsum_num('kl,lib,bj->kij', J, c, J)  # J [e_i, J e_j]
+        # all three over den(c) den(J)^2: one division for the sum
+        return f.fractions(jj.num - c.num * J.den ** 2 - jjx.num - jjy.num, 4 * jj.den)
 
     def nijenhuis(self, x, y):
         """4 N(X,Y) = [JX, JY] - [X, Y] - J[JX, Y] - J[X, JY], returns N(X,Y)."""
         return (self._nijenhuis @ np.asarray(y)) @ np.asarray(x)
 
-    @cached_property
-    def _nijenhuis_table(self):
-        return {(i, j): self._nijenhuis[:, i, j]
-                for i, j in combinations(range(self.dim), 2)}
-
     def nijenhuis_form(self, x):
         """N_X = g(N(., .), X) as a 2-form."""
-        return KForm.from_matrix(self.alg, np.tensordot(self.g @ np.asarray(x),
-                                                        self._nijenhuis, 1))
+        gx = self.field.matmul(self.g_num, x).reshape(1, self.dim)
+        return KForm.from_matrix(self.alg, self._contract_first(gx, self._nijenhuis))
 
     def nijenhuis_tensor(self, x):
         """N(X) = g(N(X, .), .) as a Tensor2."""
         return Tensor2(self.alg, self.field.einsum('kij,i,lk->jl', self._nijenhuis,
-                                                   np.asarray(x), self.g))
+                                                   np.asarray(x), self.g_num))
 
     def nijenhuis_image(self):
         """Basis of span{N(e_i, e_j)} as a list of vectors."""
-        cols = [vec for vec in self._nijenhuis_table.values() if not self.field.is_zero(vec)]
+        cols = [self._nijenhuis[:, i, j] for i, j in combinations(range(self.dim), 2)
+                if not self.field.is_zero(self._nijenhuis[:, i, j])]
         return arith.row_space(np.array(cols), self.field)
 
     # -- Lee form ----------------------------------------------------------------
@@ -326,8 +339,8 @@ class AlmostHermitianStructure:
         dF = self.F.d()
         solve_residual = (dF - theta.wedge(self.F)).max_abs() / max(1.0, dF.max_abs())
         theta_vec = theta.vector()
-        T = self.g_inv @ theta_vec
-        JT = self.J @ T
+        T = self.field.matmul(self.g_inv_num, theta_vec)
+        JT = self.field.matmul(self.J_num, T)
         # i_V F = theta  <=>  JV = T
         return LeeData(theta=theta, T=T, jtheta=self.j_one_form(theta), JT=JT,
                        eta=-1 * self.F.contract(T), V=-JT, norm_sq=theta_vec @ T,
@@ -359,8 +372,9 @@ class AlmostHermitianStructure:
         if isinstance(obj, Tensor2):
             # (D_{e_a} phi)(e_b, .) = -(Gamma_a^T phi + phi Gamma_a)[b], traced with g^{ab}
             f = self.field
-            out = (f.einsum('ab,akb->k', ginv, gamma) @ obj.mat
-                   + f.einsum('ab,bk,akc->c', ginv, obj.mat, gamma))
+            gn = self.connection.gamma_num
+            out = (f.matmul(f.einsum('ab,akb->k', self.g_inv_num, gn), obj.mat)
+                   + f.einsum('ab,bk,akc->c', self.g_inv_num, obj.mat, gn))
             return KForm.from_vector(self.alg, out)
         if isinstance(obj, KForm):
             if obj.degree == 0:
@@ -379,18 +393,24 @@ class AlmostHermitianStructure:
 
     def lie_derivative_J(self, x):
         """(L_X J)(Y) = [X, JY] - J[X, Y] as an endomorphism matrix."""
-        ad = self.alg.ad(np.asarray(x))
-        return ad @ self.J - self.J @ ad
+        f, J = self.field, self.J_num
+        ad = f.numerators(self.alg.ad(np.asarray(x)))
+        return f.fractions(f.matmul_num(ad, J).num - f.matmul_num(J, ad).num, ad.den * J.den)
 
     @cached_property
     def _lie_F(self):
         """L[c] = L_{e_c} F as a matrix, from cf[c, a, b] = F([e_c, e_a], e_b)."""
-        cf = self.field.einsum('kca,kb->cab', self.alg.structure_tensor, self.f_matrix)
+        cf = self.field.einsum('kca,kb->cab', self.alg.structure_num, self.f_num)
         return cf.transpose(0, 2, 1) - cf
 
     def lie_derivative_F(self, x):
         """(L_X F)(Y, Z) = -F([X,Y], Z) - F(Y, [X,Z]) as a 2-form."""
-        return KForm.from_matrix(self.alg, np.tensordot(np.asarray(x), self._lie_F, 1))
+        x = np.asarray(x).reshape(1, self.dim)
+        return KForm.from_matrix(self.alg, self._contract_first(x, self._lie_F))
+
+    def _contract_first(self, x, table):
+        """sum_c x[0, c] table[c] (``np.tensordot(x, table, 1)``) as one product."""
+        return self.field.matmul(x, table.reshape(self.dim, -1)).reshape(self.dim, self.dim)
 
     @cached_property
     def automorphisms(self):
@@ -399,8 +419,10 @@ class AlmostHermitianStructure:
         return arith.nullspace(self._lie_F[:, rows, cols].T, self.field)
 
     def lie_derivative_g(self, x):
-        ad = self.alg.ad(np.asarray(x))
-        return Tensor2(self.alg, -(ad.T @ self.g + self.g @ ad))
+        f, g = self.field, self.g_num
+        ad = f.numerators(self.alg.ad(np.asarray(x)))
+        return Tensor2(self.alg, f.fractions(-(f.matmul_num(ad.T, g).num
+                                               + f.matmul_num(g, ad).num), ad.den * g.den))
 
     # -- transforms ------------------------------------------------------------------
 
@@ -413,10 +435,11 @@ class AlmostHermitianStructure:
     def change_basis(self, p):
         """Transport the whole structure to the basis with columns of P."""
         alg2 = self.alg.change_basis(p)
-        pm = alg2.field.array(p)
-        pinv = arith.invert(pm, alg2.field)
-        j2 = pinv @ self.J @ pm
-        g2 = pm.T @ self.g @ pm
+        f = alg2.field
+        pm = f.array(p)
+        pinv, pm = arith.invert(pm, f), f.numerators(pm)
+        j2 = f.matmul(pinv, self.J, pm)
+        g2 = f.matmul(pm.T, self.g, pm)
         return AlmostHermitianStructure(alg2, j2, g2, tol=self.tol, validate=False,
                                         name=self.name)
 

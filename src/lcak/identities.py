@@ -17,17 +17,20 @@ from .hermitian import AlmostHermitianStructure, Tensor2
 
 def dtheta_anti_invariant_twist(structure, dtheta: KForm) -> KForm:
     """J (d theta)^{J,-} with (J phi)(X, Y) = -phi(JX, Y)."""
-    m = dtheta.matrix()
-    pulled = structure.J.T @ m @ structure.J
-    minus = structure.field.scalar(1, 2) * (m - pulled)
-    return KForm.from_matrix(structure.alg, -(structure.J.T @ minus))
+    f, J = structure.field, structure.J_num
+    m = f.numerators(dtheta.matrix())
+    pulled = f.matmul_num(J.T, m, J)
+    # 2 (d theta)^{J,-} over the denominator of pulled, then -J^T times it
+    twice_minus = m.num * (pulled.den // m.den) - pulled.num
+    out = f.matmul_num(J.T, arith.Numerators(twice_minus, pulled.den))
+    return KForm.from_matrix(structure.alg, f.fractions(-out.num, 2 * out.den))
 
 
 def sym_j_plus_twisted(structure, dtheta_tensor: Tensor2) -> KForm:
     """(D theta)^{sym, J, +}_{J., .} as a 2-form."""
     sym = dtheta_tensor.sym()
     jplus = structure.split_tensor(sym)["j_plus"].mat
-    return KForm.from_matrix(structure.alg, structure.J.T @ jplus)
+    return KForm.from_matrix(structure.alg, structure.field.matmul(structure.J_num.T, jplus))
 
 
 def dj_theta_expansion_residual(structure: AlmostHermitianStructure) -> float:
@@ -112,27 +115,10 @@ def j_invariant_wedge_residual(structure, phi: KForm, psi: KForm) -> float:
 
 def nijenhuis_cyclic_residual(structure) -> float:
     """g(N(X,Y),Z) + g(N(Y,Z),X) + g(N(Z,X),Y) over basis triples."""
-    s = structure
-    dim = s.dim
-    g = s.g
-    worst = 0.0
-    table = {}
-    for i in range(dim):
-        for j in range(dim):
-            if i < j:
-                table[(i, j)] = s._nijenhuis_table[(i, j)]
-            elif i > j:
-                table[(i, j)] = -1 * s._nijenhuis_table[(j, i)]
-            else:
-                table[(i, j)] = s.field.zeros(dim)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            for k in range(j + 1, dim):
-                val = (table[(i, j)] @ g @ s.basis_vector(k)
-                       + table[(j, k)] @ g @ s.basis_vector(i)
-                       + table[(k, i)] @ g @ s.basis_vector(j))
-                worst = max(worst, abs(float(val)))
-    return worst
+    # ng[i, j, k] = g(N(e_i, e_j), e_k), summed cyclically on the numerators
+    ng = structure.field.einsum_num('mij,mk->ijk', structure._nijenhuis, structure.g_num)
+    cyclic = ng.num + ng.num.transpose(2, 0, 1) + ng.num.transpose(1, 2, 0)
+    return float(structure.field.scalar(np.max(np.abs(cyclic)), ng.den))
 
 
 def lee_codifferential_residual(structure) -> float:

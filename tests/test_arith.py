@@ -117,3 +117,77 @@ def test_einsum_zero_size_operands():
         assert all(type(v) is Fraction and v == 0 for v in got.flat)
         want = np.einsum(spec, *(np.zeros(s) for s in shapes))
         assert FLOAT.einsum(spec, *(np.zeros(s) for s in shapes)).tobytes() == want.tobytes()
+
+
+# -- Field.matmul ------------------------------------------------------------------
+
+CHAINS = [((3, 4), (4, 2)),
+          ((3, 3), (3, 3), (3, 3)),
+          ((2, 4), (4, 4), (4, 3)),
+          ((4,), (4, 3)),
+          ((3, 4), (4,)),
+          ((4,), (4, 4), (4,)),
+          ((3, 3), (2, 3, 3))]
+
+
+def _chain(operands):
+    out = operands[0]
+    for m in operands[1:]:
+        out = out @ m
+    return out
+
+
+@pytest.mark.parametrize("shapes", CHAINS, ids=[str(s) for s in CHAINS])
+def test_exact_matmul_equals_fraction_chain(shapes):
+    rng = np.random.default_rng(len(shapes) + sum(map(len, shapes)))
+    for _ in range(3):
+        operands = [_random_fractions(rng, shape) for shape in shapes]
+        got, want = EXACT.matmul(*operands), _chain(operands)
+        assert np.shape(got) == np.shape(want)
+        got_flat, want_flat = np.ravel(got).tolist(), np.ravel(want).tolist()
+        assert got_flat == want_flat
+        assert all(type(v) is Fraction for v in got_flat)
+        # the integers multiplied are far beyond int64
+        assert max(abs(n) for a in operands for n in EXACT.numerators(a).num.flat) > 2 ** 100
+        # cached numerators are taken as they are
+        nums = [EXACT.numerators(a) for a in operands]
+        assert np.ravel(EXACT.matmul(*nums)).tolist() == want_flat
+        prod = EXACT.matmul_num(*nums)
+        assert prod.den == np.prod([n.den for n in nums], dtype=object)
+        assert np.ravel(EXACT.fractions(*prod)).tolist() == want_flat
+
+
+@pytest.mark.parametrize("shapes", CHAINS, ids=[str(s) for s in CHAINS])
+def test_float_matmul_is_the_chain(shapes):
+    rng = np.random.default_rng(3)
+    operands = [rng.standard_normal(shape) for shape in shapes]
+    got, want = FLOAT.matmul(*operands), _chain(operands)
+    assert type(got) is type(want) and np.asarray(got).dtype == np.asarray(want).dtype
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    nums = [FLOAT.numerators(a) for a in operands]
+    assert np.asarray(FLOAT.matmul(*nums)).tobytes() == np.asarray(want).tobytes()
+
+
+def test_exact_matmul_refuses_floats():
+    a = EXACT.array([[1, 2], [3, 4]])
+    with pytest.raises(TypeError):
+        EXACT.matmul(a, np.array([[0.5, 0.0], [0.0, 1.0]]))
+    with pytest.raises(TypeError):
+        EXACT.matmul(np.array([Fraction(1), 0.5], dtype=object), a)
+
+
+def test_matmul_zero_size_operands():
+    for shapes, out in [(((2, 0), (0, 3)), (2, 3)), (((0, 2), (2, 3)), (0, 3)),
+                        (((0, 4), (4, 4), (4, 0)), (0, 0))]:
+        got = EXACT.matmul(*(EXACT.zeros(*s) for s in shapes))
+        assert got.shape == out and got.dtype == object
+        assert all(type(v) is Fraction and v == 0 for v in got.flat)
+        floats = [np.zeros(s) for s in shapes]
+        assert FLOAT.matmul(*floats).tobytes() == _chain(floats).tobytes()
+    assert EXACT.matmul(EXACT.zeros(0), EXACT.zeros(0)) == 0
+
+
+def test_exact_numerators_in_a_float_field_are_divided():
+    a = EXACT.array([[Fraction(1, 3), 2], [0, Fraction(-1, 2)]])
+    got = FLOAT.matmul(EXACT.numerators(a), np.eye(2))
+    assert np.allclose(np.asarray(got, dtype=float), np.asarray(a, dtype=float), rtol=1e-15)

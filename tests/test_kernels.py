@@ -185,7 +185,7 @@ def test_nijenhuis_table_matches_loops(structure):
     e = [unit(dim, i, s.exact) for i in range(dim)]
     for i, j in combinations(range(dim), 2):
         want = ref_nijenhuis(s, e[i], e[j])
-        assert_same(s._nijenhuis_table[(i, j)], want, s.exact)
+        assert_same(s._nijenhuis[:, i, j], want, s.exact)
         assert_same(s.nijenhuis(np.array(e[i]), np.array(e[j])), want, s.exact)
     x = s.lee_form().T
     cols = [ref_nijenhuis(s, list(x), e[j]) for j in range(dim)]
@@ -422,3 +422,223 @@ def test_float_lee_data_matches_two_stage_solve():
             1.0, arith.max_abs(theta_vec))
         assert arith.max_abs(lee.V - V) <= FLOAT_RTOL * max(1.0, arith.max_abs(V))
         assert abs(lee.solve_residual - solve_residual) <= FLOAT_RTOL
+
+
+# -- products against plain @ chains ---------------------------------------------
+
+def _vec(s, rng):
+    return s.field.array([_rational(rng) if s.exact else float(_rational(rng))
+                          for _ in range(s.dim)])
+
+
+def _mat(s, rng):
+    return np.array([_vec(s, rng) for _ in range(s.dim)])
+
+
+def _form2(s, m):
+    """The 2-form a library call builds from the matrix m."""
+    return KForm.from_matrix(s.alg, m).matrix()
+
+
+def test_hermitian_products_match_plain_chains(structure):
+    s = structure
+    J, g, ginv, exact = s.J, s.g, s.g_inv, s.exact
+    half = Fraction(1, 2) if exact else 0.5
+    rng = np.random.default_rng(s.dim + 1)
+    x, m, b = _vec(s, rng), _mat(s, rng), _mat(s, rng)
+    assert s.validation.compatibility_residual == float(arith.max_abs(J.T @ g @ J - g))
+    assert_same(s.f_matrix, J.T @ g, exact)
+    assert_same(s.j_one_form(x), -(J.T @ x), exact)
+    assert_same(s.j_one_form(KForm.from_vector(s.alg, x)).vector(), -(J.T @ x), exact)
+    pulled = J.T @ m @ J
+    parts = s.split_tensor(Tensor2(s.alg, m))
+    for key, want in (("j_plus", half * (m + pulled)), ("j_minus", half * (m - pulled)),
+                      ("sym", half * (m + m.T)), ("antisym", half * (m - m.T))):
+        assert_same(parts[key].mat, want, exact)
+    assert_same(s.tensor_norm_sq(m), np.trace(ginv @ m @ ginv @ m.T), exact)
+    assert_same(s.endo_inner(m, b), np.trace(ginv @ m.T @ g @ b), exact)
+    assert_same(s.sharp(x), ginv @ x, exact)
+    assert_same(s.flat(x).vector(), g @ x, exact)
+    assert_same(Tensor2(s.alg, m)(x, b[0]), x @ m @ b[0], exact)
+    ad = s.alg.ad(x)
+    assert_same(s.lie_derivative_J(x), ad @ J - J @ ad, exact)
+    assert_same(s.lie_derivative_g(x).mat, -(ad.T @ g + g @ ad), exact)
+    assert_same(s.nijenhuis_form(x).matrix(),
+                _form2(s, np.tensordot(g @ x, s._nijenhuis, 1)), exact)
+    assert_same(s.lie_derivative_F(x).matrix(), _form2(s, np.tensordot(x, s._lie_F, 1)), exact)
+    lee = s.lee_form()
+    assert_same(lee.T, ginv @ lee.theta.vector(), exact)
+    assert_same(lee.JT, J @ lee.T, exact)
+    p = s.field.eye(s.dim) + np.diag([half] * (s.dim - 1), 1)
+    moved = s.change_basis(p)
+    assert_same(moved.J, arith.invert(p, s.field) @ J @ p, exact)
+    assert_same(moved.g, p.T @ g @ p, exact)
+
+
+def test_connection_and_identity_products_match_plain_chains(structure):
+    s = structure
+    dim, J, g, exact = s.dim, s.J, s.g, s.exact
+    half = Fraction(1, 2) if exact else 0.5
+    gamma, f, endos = s.connection.gamma, s.f_matrix, s.curvature.endos
+    rho = connection.star_ricci(s).matrix()
+    for i in range(dim):
+        assert_same(connection.covariant_F(s, i).matrix(),
+                    _form2(s, -(gamma[i].T @ f + f @ gamma[i])), exact)
+        for j in range(dim):
+            assert_same(s.curvature.components[i][j], endos[i][j].T @ g, exact)
+    assert_same(rho, _form2(s, np.array([[-half * np.trace(J @ endos[i][j]) for j in range(dim)]
+                                         for i in range(dim)])), exact)
+    dtheta = s.lee_form().theta.d()
+    m = dtheta.matrix()
+    minus = half * (m - J.T @ m @ J)
+    assert_same(identities.dtheta_anti_invariant_twist(s, dtheta).matrix(),
+                _form2(s, -(J.T @ minus)), exact)
+    sym = s.Dtheta.sym().mat
+    assert_same(identities.sym_j_plus_twisted(s, s.Dtheta).matrix(),
+                _form2(s, J.T @ (half * (sym + J.T @ sym @ J))), exact)
+
+
+def test_condition_products_match_plain_chains(structure):
+    s = structure
+    g, exact = s.g, s.exact
+    lee = s.lee_form()
+    rep = conditions.classify_metric(s)
+    want = max(arith.max_abs(np.einsum('k,kij->ij', g @ lee.T, s._nijenhuis)),
+               arith.max_abs(np.einsum('k,kij->ij', g @ lee.JT, s._nijenhuis)))
+    assert_same(rep.residuals["imN_span_T_JT"], want, exact)
+    fk = conditions.check_first_kind(s, strict=False)
+    if fk["first_kind"]:
+        n_mat = np.array(conditions.automorphism_algebra(s).basis).T
+        theta = lee.theta.vector()
+        w = n_mat.T @ theta
+        y = arith.solve_square(n_mat.T @ g @ n_mat, w, s.field)
+        assert_same(fk["T_candidate"], n_mat @ (y * (s.field.scalar(1) / (w @ y))), exact)
+    eq = conditions.verify_equivalences(s, strict=False, report=rep)
+    bk = s.alg.bracket(lee.T, lee.JT)
+    assert_same(eq["unimodular_bracket"]["g_T_JT_JT"], float(bk @ g @ lee.JT), exact)
+    if eq["pluricanonical_consequences"]["applicable"]:
+        dth = s.Dtheta.mat
+        djth = connection.covariant_one_form(s, lee.jtheta).mat
+        want = {"D_T_theta": lee.T @ dth, "D_JT_theta": lee.JT @ dth,
+                "D_T_Jtheta": lee.T @ djth, "D_JT_Jtheta": lee.JT @ djth, "bracket_T_JT": bk}
+        got = eq["pluricanonical_consequences"]["residuals"]
+        assert got == {k: float(arith.max_abs(v)) for k, v in want.items()}
+
+
+def ref_feasibility_subspace(s):
+    """The constraint subspace with each J-invariance defect m - J^T m J
+    written entry by entry."""
+    dim = s.dim
+    pairs = list(combinations(range(dim), 2))
+    three = list(combinations(range(dim), 3))
+    mat = s.field.zeros(len(pairs) + len(three), len(pairs))
+    one = s.field.scalar(1)
+    for q, (a, b) in enumerate(pairs):
+        m = s.field.zeros(dim, dim)
+        m[a, b], m[b, a] = one, -one
+        diff = m - s.J.T @ m @ s.J
+        for p, (i, j) in enumerate(pairs):
+            mat[p, q] = diff[i, j]
+        for key, val in KForm(s.alg, 2, {(a, b): one}).d().coeffs.items():
+            mat[len(pairs) + three.index(key), q] = val
+    return [{pairs[q]: x[q] for q in range(len(pairs)) if x[q] != 0}
+            for x in arith.nullspace(mat, s.field)]
+
+
+def test_feasibility_subspace_and_certificate_products(structure):
+    s = structure
+    forms = conditions._feasibility_subspace(s)
+    assert [w.coeffs for w in forms] == ref_feasibility_subspace(s)
+    if s.exact:
+        rng = np.random.default_rng(s.dim)
+        for w in forms[:4]:
+            u = _vec(s, rng)
+            assert s.field.matmul(w.matrix(), s.J_num).tolist() == (w.matrix() @ s.J).tolist()
+            got = s.field.matmul_num(u, s.field.matmul_num(w.matrix(), s.J_num), u)
+            assert (got.num == 0) == (u @ (w.matrix() @ s.J) @ u == 0)
+
+
+# -- the loops replaced by products, kept as references ---------------------------
+
+def ref_deta_gram(s, d_eta, h_basis):
+    k = len(h_basis)
+    gram = s.field.zeros(k, k)
+    for a in range(k):
+        for b in range(k):
+            gram[a, b] = d_eta(h_basis[a], s.J @ h_basis[b])
+    return gram
+
+
+def ref_nijenhuis_cyclic_residual(s):
+    """The cyclic sum triple by triple, from N(e_i, e_j) with i < j."""
+    dim, g = s.dim, s.g
+    table = {}
+    for i in range(dim):
+        for j in range(dim):
+            if i < j:
+                table[(i, j)] = s._nijenhuis[:, i, j]
+            elif i > j:
+                table[(i, j)] = -1 * s._nijenhuis[:, j, i]
+            else:
+                table[(i, j)] = s.field.zeros(dim)
+    worst = 0.0
+    for i, j, k in combinations(range(dim), 3):
+        val = (table[(i, j)] @ g @ s.basis_vector(k) + table[(j, k)] @ g @ s.basis_vector(i)
+               + table[(k, i)] @ g @ s.basis_vector(j))
+        worst = max(worst, abs(float(val)))
+    return worst
+
+
+def _loop_reference_cases():
+    rng = np.random.default_rng(23)
+    return ([make() for make in CASES.values()]
+            + [random_hermitian_structure(rng, dim=d) for d in (4, 4, 6)]
+            + [random_hermitian_structure(rng, dim=4, lcs_only=True)])
+
+
+def test_deta_gram_and_nijenhuis_cyclic_match_loops():
+    for s in _loop_reference_cases():
+        rng = np.random.default_rng(s.dim)
+        h = np.array([_vec(s, rng) for _ in range(s.dim - 2)])
+        for d_eta in (s.F, s.lee_form().jtheta.d()):
+            got, want = conditions._deta_gram(s, d_eta, h), ref_deta_gram(s, d_eta, list(h))
+            if s.exact:
+                assert got.tolist() == want.tolist()
+            else:
+                assert arith.max_abs(got - want) <= FLOAT_RTOL * max(1.0, arith.max_abs(want))
+        got, want = identities.nijenhuis_cyclic_residual(s), ref_nijenhuis_cyclic_residual(s)
+        if s.exact:
+            assert got == want
+        else:
+            scale = max(1.0, arith.max_abs(s._nijenhuis) * arith.max_abs(s.g))
+            assert abs(got - want) <= FLOAT_RTOL * scale
+
+
+def test_float_contractions_keep_the_tensordot_bytes():
+    rng = np.random.default_rng(29)
+    for s in [random_hermitian_structure(rng, dim=d) for d in (4, 4, 6)]:
+        x = rng.standard_normal(s.dim)
+        want = KForm.from_matrix(s.alg, np.tensordot(s.g @ x, s._nijenhuis, 1))
+        assert s.nijenhuis_form(x).coeffs == want.coeffs
+        want = KForm.from_matrix(s.alg, np.tensordot(x, s._lie_F, 1))
+        assert s.lie_derivative_F(x).coeffs == want.coeffs
+
+
+# -- numerators of the read-only arrays, once per report --------------------------
+
+@pytest.mark.parametrize("make", [lambda: catalog_entry("A4_1"), lambda: _aa_member(5, 4),
+                                  lambda: catalog_entry("A4_8")], ids=["A4_1", "aa8", "A4_8"])
+def test_exact_report_computes_numerators_once(monkeypatch, make):
+    seen = []
+    numerators = arith.Field.numerators
+
+    def recording_numerators(self, a):
+        seen.append(a)
+        return numerators(self, a)
+
+    monkeypatch.setattr(arith.Field, "numerators", recording_numerators)
+    s = make()
+    run_report(s, feasibility=True)
+    counts = {name: sum(a is arr for a in seen) for name, arr in
+              (("structure_tensor", s.alg.structure_tensor), ("J", s.J), ("g", s.g))}
+    assert counts == {"structure_tensor": 1, "J": 1, "g": 1}
