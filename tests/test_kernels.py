@@ -496,6 +496,10 @@ def test_connection_and_identity_products_match_plain_chains(structure):
     sym = s.Dtheta.sym().mat
     assert_same(identities.sym_j_plus_twisted(s, s.Dtheta).matrix(),
                 _form2(s, J.T @ (half * (sym + J.T @ sym @ J))), exact)
+    dj, ginv = s.connection.DJ, s.g_inv
+    phi = [[half * half * np.trace(ginv @ (J @ dj[i]).T @ g @ dj[j]) for j in range(dim)]
+           for i in range(dim)]
+    assert_same(connection.phi_form(s).matrix(), _form2(s, np.array(phi)), exact)
 
 
 def test_condition_products_match_plain_chains(structure):
@@ -543,6 +547,41 @@ def ref_feasibility_subspace(s):
             mat[len(pairs) + three.index(key), q] = val
     return [{pairs[q]: x[q] for q in range(len(pairs)) if x[q] != 0}
             for x in arith.nullspace(mat, s.field)]
+
+
+def ref_adapted_residuals(s):
+    """The H residuals of check_adapted, one basis vector of H at a time."""
+    if s.lee_form().norm_sq != 1:
+        s = s.rescaled(s.lee_form().norm_sq)
+    lee = s.lee_form()
+    theta_vec, v_vec = lee.theta.vector(), lee.V
+    t_vec = s.J @ v_vec
+    eta = -1 * s.F.contract(t_vec)
+    eta_vec = eta.vector()
+    h_basis = arith.nullspace(np.array([theta_vec, eta_vec]), s.field)
+    j_pres, orth = 0.0, 0.0
+    for h in h_basis:
+        jh = s.J @ h
+        j_pres = max(j_pres, abs(float(jh @ theta_vec)), abs(float(jh @ eta_vec)))
+        orth = max(orth, abs(float(h @ s.g @ t_vec)), abs(float(h @ s.g @ v_vec)))
+    gram = ref_deta_gram(s, eta.d(), h_basis)
+    return {"j_preserves_h": j_pres, "splitting_orthogonal": orth,
+            "tv_orthonormal": max(abs(float(t_vec @ s.g @ t_vec - 1)),
+                                  abs(float(v_vec @ s.g @ v_vec - 1)),
+                                  abs(float(t_vec @ s.g @ v_vec))),
+            "deta_metric_symmetric": arith.max_abs(gram - gram.T)}
+
+
+def test_adapted_residuals_match_loops(structure):
+    s = structure
+    ad = conditions.check_adapted(s, strict=False)
+    if not ad["residuals"]:
+        return
+    for key, want in ref_adapted_residuals(s).items():
+        if s.exact:
+            assert ad["residuals"][key] == want
+        else:
+            assert abs(ad["residuals"][key] - want) <= FLOAT_RTOL
 
 
 def test_feasibility_subspace_and_certificate_products(structure):
