@@ -5,7 +5,8 @@ sparsely on pairs i < j (indices are 1-based in the public API, 0-based
 internally).  Everything downstream -- forms, connections, curvature -- is
 driven by the dense bracket tensor this class exposes: brackets, ad, the
 unimodularity traces and the Jacobi residual are contractions of
-``structure_tensor``, and each table (and the tensor's integer numerators,
+``structure_tensor``, the matrices of d on forms (``d_matrix``) are scattered
+from it, and each table (and the tensor's integer numerators,
 ``structure_num``) is computed once per algebra.  The same
 contractions serve exact (object arrays of Fractions) and float arithmetic;
 the algebra's :class:`~lcak.arith.Field` says which, and structures, forms
@@ -17,11 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from math import comb
 
 import numpy as np
 
-from . import arith
+from . import arith, forms
 from .arith import DEFAULT_TOL
 from .errors import DimensionMismatch, IndexOutOfRange
 
@@ -74,6 +75,7 @@ class LieAlgebra:
         if len(self.labels) != dim:
             raise DimensionMismatch("labels length != dim")
 
+        self._d = {}  # degree -> d_matrix
         # sparse storage: {(i, j, k) 0-based, i < j: scalar}
         self._c = {}
         for (i, j), comps in brackets.items():
@@ -151,14 +153,17 @@ class LieAlgebra:
     def ad_basis(self, i):
         return self.structure_tensor[:, i, :]
 
-    @cached_property
-    def d_one_forms(self):
-        """d e^k = -sum_{i<j} c^k_ij e^ij for every k, as 2-forms."""
-        from .forms import KForm
-        c = self.structure_tensor
-        return [KForm(self, 2, {(i, j): -c[k, i, j]
-                                for i, j in combinations(range(self.dim), 2)})
-                for k in range(self.dim)]
+    def d_matrix(self, k):
+        """d: Lambda^k -> Lambda^(k+1) on ``forms.KForm`` coefficient vectors, as
+        Numerators: one scatter of ``structure_num`` over ``forms.d_table``,
+        computed once per degree."""
+        if k not in self._d:
+            num, den = self.structure_num
+            m, i, j, out, inp, sign = forms.d_table(self.dim, k)
+            d = np.zeros((comb(self.dim, k + 1), comb(self.dim, k)), dtype=num.dtype)
+            np.add.at(d, (out, inp), -sign * num[m, i, j])
+            self._d[k] = arith.Numerators(d, den)
+        return self._d[k]
 
     # -- axioms -------------------------------------------------------------
 

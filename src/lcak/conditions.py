@@ -15,7 +15,7 @@ import numpy as np
 from . import arith, connection, identities
 from .conventions import CONVENTIONS
 from .errors import NotFirstKind, NotLCS
-from .forms import KForm
+from .forms import KForm, compound
 from .hermitian import AlmostHermitianStructure, Tensor2
 
 
@@ -49,10 +49,6 @@ class ConditionReport:
         }
 
 
-def _pair_basis(dim):
-    return list(combinations(range(dim), 2))
-
-
 # ---------------------------------------------------------------------------
 # LCS / first kind / adapted
 # ---------------------------------------------------------------------------
@@ -61,17 +57,17 @@ def check_lcs(structure: AlmostHermitianStructure) -> dict:
     """dF = theta ^ F with d theta = 0, on a valid almost Hermitian pair."""
     val = structure.validation
     lee = structure.lee_form()
-    scale = max(1.0, lee.theta.max_abs())
+    scale, dtheta_residual = max(1.0, lee.theta.max_abs()), lee.dtheta.max_abs()
     is_lcs = (val.ok
               and lee.solve_residual <= structure.field.bound()
-              and lee.dtheta_residual <= structure.field.bound(scale))
+              and dtheta_residual <= structure.field.bound(scale))
     return {
         "is_lcs": bool(is_lcs),
         "theta": lee.theta,
         "structure_ok": val.ok,
         "compatibility_residual": val.compatibility_residual,
         "lee_residual": lee.solve_residual,
-        "dtheta_residual": lee.dtheta_residual,
+        "dtheta_residual": dtheta_residual,
     }
 
 
@@ -221,8 +217,7 @@ def classify_metric(structure: AlmostHermitianStructure) -> ConditionReport:
     residuals["theta_norm"] = float(theta.max_abs())
     flags["is_gcs"] = residuals["theta_norm"] <= s.field.bound()
 
-    delta_theta = s.codifferential(theta).coeffs.get((), 0)
-    residuals["delta_theta"] = abs(float(delta_theta))
+    residuals["delta_theta"] = abs(float(s.delta_theta))
     flags["is_gauduchon"] = residuals["delta_theta"] <= s.field.bound(theta.max_abs())
 
     # orthogonality of im N to span(T, JT)
@@ -284,14 +279,12 @@ def classify_metric(structure: AlmostHermitianStructure) -> ConditionReport:
         warn_if(True, "pluricanonical", "Gauduchon", residuals["delta_theta"])
         ltf = s.lie_derivative_F(lee.T).max_abs()
         warn_if(True, "pluricanonical", "L_T F = 0", ltf)
-        djt = lee.jtheta.d()
         target = -1 * lee.norm_sq * s.F + theta.wedge(lee.jtheta)
         warn_if(True, "pluricanonical", "dJtheta = -|theta|^2 F + theta^Jtheta",
-                (djt - target).max_abs())
+                (lee.djtheta - target).max_abs())
     if flags["is_lcs"] and flags["T_orthogonal_to_imN"]:
         # proved for LCS metrics only (dF = theta ^ F, d theta = 0)
-        djt = lee.jtheta.d()
-        jminus = s.split_tensor(Tensor2(s.alg, djt.matrix()))["j_minus"].max_abs()
+        jminus = s.split_tensor(Tensor2(s.alg, lee.djtheta.matrix()))["j_minus"].max_abs()
         warn_if(True, "T orth im N", "dJtheta J-invariant", jminus)
         nt = s.nijenhuis_tensor(lee.T)
         warn_if(True, "T orth im N", "N(T) symmetric", nt.antisym().max_abs())
@@ -430,27 +423,12 @@ def _feasibility_subspace(structure):
     the report records which space was used.
     """
     s = structure
-    dim = s.dim
-    pairs = _pair_basis(dim)
-    three = list(combinations(range(dim), 3))
-    tkey = {k: p for p, k in enumerate(three)}
-    mat = s.field.zeros(len(pairs) + len(three), len(pairs))
-    one = s.field.scalar(1)
-    rows, cols = np.triu_indices(dim, 1)  # the pairs, in order
-    idx = np.arange(len(pairs))
-    e = s.field.zeros(len(pairs), dim, dim)  # e[q] is the matrix of e^{ab}, (a, b) = pairs[q]
-    e[idx, rows, cols], e[idx, cols, rows] = one, -one
-    # the J-invariance defects e - J^T e J, then the differentials
-    mat[:len(pairs)] = (e - s.field.matmul(s.J_num.T, e, s.J_num))[:, rows, cols].T
-    for q, (a, b) in enumerate(pairs):
-        for key, val in KForm(s.alg, 2, {(a, b): one}).d().coeffs.items():
-            mat[len(pairs) + tkey[key], q] = val
-    basis = arith.nullspace(mat, s.field)
-    forms = []
-    for x in basis:
-        forms.append(KForm(s.alg, 2, {pairs[q]: x[q] for q in range(len(pairs))
-                                      if x[q] != 0}))
-    return forms
+    pairs = list(combinations(range(s.dim), 2))
+    # the J-invariance defect omega - J^T omega J is 1 - C_2(J)^T on the pair
+    # basis, C_2 the second compound; then the matrix of d on 2-forms
+    defect = s.field.eye(len(pairs)) - s.field.fractions(*compound(s.J_num, 2)).T
+    mat = np.concatenate([defect, s.field.fractions(*s.alg.d_matrix(2))])
+    return [KForm(s.alg, 2, dict(zip(pairs, x))) for x in arith.nullspace(mat, s.field)]
 
 
 def symplectic_feasibility(structure: AlmostHermitianStructure, seed: int = 0,
@@ -481,17 +459,14 @@ def symplectic_feasibility(structure: AlmostHermitianStructure, seed: int = 0,
         out["status"] = "infeasible"
         out["certificate"] = "empty_subspace"
         return out
-    G = np.stack([np.asarray(w.matrix(), dtype=float) @ np.asarray(s.J, dtype=float)
-                  for w in basis_forms])
+    W = np.stack([np.asarray(w.matrix(), dtype=float) for w in basis_forms])
+    G = np.stack([w @ np.asarray(s.J, dtype=float) for w in W])
     G = 0.5 * (G + G.transpose(0, 2, 1))
     best_val, best_x = _ascent(G, seed, restarts, iterations)
     out["optimum"] = best_val
     if best_val > s.tol:
         out["status"] = "feasible"
-        witness = KForm(s.alg, 2)
-        for a, w in enumerate(basis_forms):
-            witness = witness + float(best_x[a]) * _float_form(w, s)
-        out["witness"] = _normalize_witness(s, witness, basis_forms, best_x)
+        out["witness"] = _normalize_witness(s, W, basis_forms, best_x)
         return out
     if best_val <= -s.tol:
         out["status"] = "infeasible"
@@ -528,17 +503,14 @@ def _ascent(G, seed, restarts, iterations):
     return float(vals[best]), X[best]
 
 
-def _float_form(form, structure):
-    return KForm(structure.alg, form.degree,
-                 {k: float(v) for k, v in form.coeffs.items()})
+def _normalize_witness(structure, W, basis_forms, x):
+    """The witness sum_a x_a omega_a scaled so <omega, F> = n; rationalized
+    in exact mode.
 
-
-def _normalize_witness(structure, witness, basis_forms, x):
-    """Scale the witness so <omega, F> = n; rationalize it in exact mode.
-
-    The exact path rounds the optimizer's coefficients to rationals and
-    re-verifies positive definiteness exactly; on failure the float witness
-    is returned as is.
+    ``W`` stacks the float matrices of the basis forms.  The exact path
+    rounds the optimizer's coefficients to rationals and re-verifies
+    positive definiteness exactly; on failure the float witness is returned,
+    on the float copy of the structure.
     """
     s = structure
     if s.exact:
@@ -557,14 +529,12 @@ def _normalize_witness(structure, witness, basis_forms, x):
             sym = s.field.scalar(1, 2) * (gw + gw.T)
             if arith.is_positive_definite(sym, s.field):
                 return cand
-    from .forms import form_inner_product
-    ginv = np.asarray(s.g_inv, dtype=float)
-    wfloat = KForm(s.alg, 2, {k: float(v) for k, v in witness.coeffs.items()})
-    ffloat = KForm(s.alg, 2, {k: float(v) for k, v in s.F.coeffs.items()})
-    pairing = form_inner_product(wfloat, ffloat, ginv)
+    s = s.as_float()
+    witness = KForm.from_matrix(s.alg, np.tensordot(x, W, 1))
+    pairing = s.form_inner(witness, s.F)
     if abs(pairing) > 1e-12:
-        wfloat = (s.n / pairing) * wfloat
-    return wfloat
+        witness = (s.n / pairing) * witness
+    return witness
 
 
 def _isotropic_certificate(structure, basis_forms, G, best_x):

@@ -207,9 +207,7 @@ class RicciForms:
     def gamma(self, t):
         """gamma^t = gamma^0 - (t (n-1)/2) d J theta  (t = 1 Chern, -1 Bismut)."""
         s = self.structure
-        lee = s.lee_form()
-        djt = lee.jtheta.d()
-        return self.gamma0 + (-t * s.field.scalar(s.n - 1, 2)) * djt
+        return self.gamma0 + (-t * s.field.scalar(s.n - 1, 2)) * s.lee_form().djtheta
 
     @property
     def chern(self):

@@ -29,8 +29,8 @@ from . import arith
 from .algebra import LieAlgebra
 from .arith import DEFAULT_TOL
 from .errors import (DegenerateMetric, DimensionMismatch, NondegeneracyFailure,
-                     ValidationError)
-from .forms import KForm, derive_along, form_inner_product
+                     UnsupportedDimension, ValidationError)
+from .forms import KForm, form_inner_product
 
 
 def preset_j(name, dim):
@@ -116,8 +116,8 @@ class LeeData:
     ``theta = J delta^g F / (n - 1)``, with ``solve_residual`` the relative
     max-norm of dF - theta ^ F; ``T`` is its metric dual, ``V = -JT`` the
     characteristic field (i_V F = theta), ``eta = -i_T F`` (identically
-    -J theta for T = theta sharp), ``norm_sq = theta(T)``.
-    """
+    -J theta for T = theta sharp), ``norm_sq = theta(T)``, ``dtheta`` and
+    ``djtheta`` are d theta and d(J theta)."""
     theta: KForm
     T: np.ndarray
     jtheta: KForm
@@ -126,7 +126,8 @@ class LeeData:
     V: np.ndarray
     norm_sq: object
     solve_residual: float
-    dtheta_residual: float
+    dtheta: KForm
+    djtheta: KForm
 
 
 def validate_structure(J, g, alg=None, tol=DEFAULT_TOL) -> StructureValidationReport:
@@ -264,10 +265,7 @@ class AlmostHermitianStructure:
     # -- norms and inner products -------------------------------------------------
 
     def form_inner(self, a, b):
-        return form_inner_product(a, b, self.g_inv)
-
-    def form_norm_sq(self, a):
-        return form_inner_product(a, a, self.g_inv)
+        return form_inner_product(a, b, self.g_inv_num)
 
     def tensor_norm_sq(self, phi):
         """Frobenius norm squared w.r.t. g: sum g^ik g^jl phi_ij phi_kl."""
@@ -341,10 +339,11 @@ class AlmostHermitianStructure:
         theta_vec = theta.vector()
         T = self.field.matmul(self.g_inv_num, theta_vec)
         JT = self.field.matmul(self.J_num, T)
+        jtheta = self.j_one_form(theta)
         # i_V F = theta  <=>  JV = T
-        return LeeData(theta=theta, T=T, jtheta=self.j_one_form(theta), JT=JT,
+        return LeeData(theta=theta, T=T, jtheta=jtheta, JT=JT,
                        eta=-1 * self.F.contract(T), V=-JT, norm_sq=theta_vec @ T,
-                       solve_residual=solve_residual, dtheta_residual=theta.d().max_abs())
+                       solve_residual=solve_residual, dtheta=theta.d(), djtheta=jtheta.d())
 
     # -- connection-dependent operations (tables built in connection.py) -------
 
@@ -364,11 +363,24 @@ class AlmostHermitianStructure:
         from . import connection
         return connection.covariant_one_form(self, self._lee.theta)
 
+    @cached_property
+    def delta_theta(self):
+        """delta theta = -sum_ab g^{ab} (D theta)_{ab}, read off the cached D theta."""
+        return -self._trace(self.g_inv_num, self.Dtheta.mat)
+
     def codifferential(self, obj):
-        """delta^g on forms and 2-tensors via the covariant-derivative trace."""
-        gamma = self.connection.gamma
-        ginv = self.g_inv
-        dim = self.dim
+        """delta^g on 2-tensors and on forms of degree <= 2, via the
+        covariant-derivative trace (a 2-form goes through its matrix)."""
+        if isinstance(obj, KForm):
+            if obj.degree == 0:
+                return KForm(self.alg, 0)
+            if obj.degree == 1:  # -sum_ab g^{ab} (D alpha)_{ab}
+                from . import connection
+                d_alpha = connection.covariant_one_form(self, obj)
+                return KForm(self.alg, 0, {(): -self._trace(self.g_inv_num, d_alpha.mat)})
+            if obj.degree != 2:
+                raise UnsupportedDimension("codifferential of forms of degree > 2")
+            obj = Tensor2(self.alg, obj.matrix())
         if isinstance(obj, Tensor2):
             # (D_{e_a} phi)(e_b, .) = -(Gamma_a^T phi + phi Gamma_a)[b], traced with g^{ab}
             f = self.field
@@ -376,17 +388,6 @@ class AlmostHermitianStructure:
             out = (f.matmul(f.einsum('ab,akb->k', self.g_inv_num, gn), obj.mat)
                    + f.einsum('ab,bk,akc->c', self.g_inv_num, obj.mat, gn))
             return KForm.from_vector(self.alg, out)
-        if isinstance(obj, KForm):
-            if obj.degree == 0:
-                return KForm(self.alg, 0)
-            result = KForm(self.alg, obj.degree - 1)
-            basis = self.field.eye(dim)
-            for a in range(dim):
-                da = derive_along(obj, gamma[a])
-                for b in range(dim):
-                    if ginv[a, b] != 0:
-                        result = result + (-ginv[a, b]) * da.contract(basis[b])
-            return result
         raise DimensionMismatch("codifferential expects a KForm or Tensor2")
 
     # -- Lie derivatives -----------------------------------------------------------

@@ -37,11 +37,10 @@ def dj_theta_expansion_residual(structure: AlmostHermitianStructure) -> float:
     """d(J theta) = 2 (D theta)^{sym,J,+}_{J.,.} + J (d theta)^{J,-}
     + 2 N_{JT} + theta ^ J theta - |theta|^2 F."""
     lee = structure.lee_form()
-    dtheta = lee.theta.d()
     dth = structure.Dtheta
-    lhs = lee.jtheta.d()
+    lhs = lee.djtheta
     rhs = (2 * sym_j_plus_twisted(structure, dth)
-           + dtheta_anti_invariant_twist(structure, dtheta)
+           + dtheta_anti_invariant_twist(structure, lee.dtheta)
            + 2 * structure.nijenhuis_form(lee.JT)
            + lee.theta.wedge(lee.jtheta)
            - lee.norm_sq * structure.F)
@@ -155,15 +154,12 @@ def self_dual_split_residual(structure) -> float:
     if s.dim != 4:
         raise UnsupportedDimension("self-dual split needs dim 4")
     lee = s.lee_form()
-    theta = lee.theta
-    dtheta = theta.d()
-    djt = lee.jtheta.d()
-    delta_theta = s.codifferential(theta).coeffs.get((), 0)
+    theta, djt, delta_theta = lee.theta, lee.djtheta, s.delta_theta
     dth = s.Dtheta
     half = s.field.scalar(1, 2)
     sd_claim = ((-(delta_theta + lee.norm_sq)) * half * s.F
                 + 2 * s.nijenhuis_form(lee.JT)
-                + dtheta_anti_invariant_twist(s, dtheta))
+                + dtheta_anti_invariant_twist(s, lee.dtheta))
     asd_claim = (2 * sym_j_plus_twisted(s, dth)
                  + theta.wedge(lee.jtheta)
                  + (delta_theta - lee.norm_sq) * half * s.F)
@@ -184,17 +180,15 @@ def dim4_integrand_value(structure) -> float:
     if s.dim != 4:
         raise UnsupportedDimension("integrand needs dim 4")
     lee = s.lee_form()
-    theta = lee.theta
-    dtheta = theta.d()
-    delta_theta = s.codifferential(theta).coeffs.get((), 0)
+    delta_theta = s.delta_theta
     dth = s.Dtheta
-    sd_part = 2 * s.nijenhuis_form(lee.JT) + dtheta_anti_invariant_twist(s, dtheta)
+    sd_part = 2 * s.nijenhuis_form(lee.JT) + dtheta_anti_invariant_twist(s, lee.dtheta)
     asd_part = sym_j_plus_twisted(s, dth)
     bracket_t_jt = s.alg.bracket(lee.T, lee.JT)
     val = (delta_theta * delta_theta
            - 2 * lee.norm_sq * delta_theta
-           + form_norm_sq(sd_part, s.g_inv)
-           - 4 * form_norm_sq(asd_part, s.g_inv)
+           + form_norm_sq(sd_part, s.g_inv_num)
+           - 4 * form_norm_sq(asd_part, s.g_inv_num)
            + 2 * (bracket_t_jt @ s.g @ lee.JT))
     return float(val)
 

@@ -5,7 +5,7 @@ import pytest
 
 from lcak import arith, connection, identities
 from lcak.algebra import LieAlgebra, abelian_algebra
-from lcak.errors import ValidationError
+from lcak.errors import UnsupportedDimension, ValidationError
 from lcak.forms import KForm
 from lcak.fuzzing import random_hermitian_structure
 from lcak.hermitian import AlmostHermitianStructure, Tensor2, validate_structure
@@ -180,6 +180,11 @@ def test_codifferential_f_proportional_to_theta(a41, a48):
     for s in (a41, a48):
         assert s.j_one_form(s.codifferential(s.F)) == s.lee_form().theta
     assert identities.lee_codifferential_residual(a41) == 0
+
+
+def test_codifferential_of_a_three_form_is_unsupported(a41):
+    with pytest.raises(UnsupportedDimension):
+        a41.codifferential(a41.F.wedge(a41.lee_form().theta))
 
 
 def test_codifferential_adjoint_on_unimodular(rng):

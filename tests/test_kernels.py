@@ -12,11 +12,12 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import dict_forms
 from lcak import arith, conditions, connection, identities
 from lcak.algebra import LieAlgebra
 from lcak.almostabelian import AlmostAbelianParams, build_almost_abelian
 from lcak.catalogs import CATALOG_NAMES, catalog_entry
-from lcak.forms import KForm, form_inner_product
+from lcak.forms import KForm
 from lcak.fuzzing import random_hermitian_structure
 from lcak.hermitian import Tensor2
 from lcak.specfile import run_report
@@ -229,6 +230,31 @@ def test_connection_kernels_match_matrix_loops(structure):
         assert_same(s.codifferential(Tensor2(s.alg, m)).vector(), want, s.exact)
 
 
+def ref_codifferential(s, coeffs, degree):
+    """-sum_ab g^{ab} i_{e_b} D_{e_a} phi, with D_{e_a} the derivation along
+    the Christoffel matrix Gamma_a: the reference loop for forms."""
+    out = {}
+    for a in range(s.dim):
+        da = dict_forms.derive_along(coeffs, degree, s.dim, s.connection.gamma[a])
+        for b in range(s.dim):
+            if s.g_inv[a, b] != 0:
+                for key, val in dict_forms.contract(da, unit(s.dim, b, s.exact)).items():
+                    dict_forms.add_term(out, key, -s.g_inv[a, b] * val)
+    return out
+
+
+def test_codifferential_and_delta_theta_match_derivation_loop(structure):
+    s = structure
+    rng = np.random.default_rng(s.dim + 2)
+    theta = s.lee_form().theta
+    for form in (theta, KForm.from_vector(s.alg, _vec(s, rng)), s.F,
+                 KForm.from_matrix(s.alg, _mat(s, rng))):
+        got, want = s.codifferential(form).coeffs, ref_codifferential(s, form.coeffs, form.degree)
+        keys = sorted(set(got) | set(want))
+        assert_same([got.get(k, 0) for k in keys], [want.get(k, 0) for k in keys], s.exact)
+    assert_same(s.delta_theta, ref_codifferential(s, theta.coeffs, 1).get((), 0), s.exact)
+
+
 def ref_bochner_residual(structure, alpha):
     """The Bochner residual with its right-hand side summed basis vector by
     basis vector."""
@@ -328,19 +354,19 @@ def ref_lee(s):
     if nkeys:
         a = field.zeros(nkeys, dim)
         for i in range(dim):
-            for key, val in KForm.basis_one_form(alg, i).wedge(s.F).coeffs.items():
+            for key, val in dict_forms.wedge({(i,): field.scalar(1)}, s.F.coeffs).items():
                 a[key_pos[key], i] = val
         b = field.zeros(nkeys)
-        for key, val in s.F.d().coeffs.items():
+        for key, val in dict_forms.d(alg, s.F.coeffs).items():
             b[key_pos[key]] = val
         theta_vec, res = arith.solve_least_squares(a, b, field)
         if arith.max_abs(res) > field.bound(arith.max_abs(b)):
-            basis3 = [KForm(alg, 3, {k: field.scalar(1)}) for k in three_keys]
             gram = field.zeros(nkeys, nkeys)
             for p in range(nkeys):
                 for q in range(p, nkeys):
-                    gram[p, q] = gram[q, p] = form_inner_product(basis3[p], basis3[q],
-                                                                 s.g_inv)
+                    gram[p, q] = gram[q, p] = dict_forms.inner_product(
+                        {three_keys[p]: field.scalar(1)}, {three_keys[q]: field.scalar(1)},
+                        s.g_inv)
             theta_vec = arith.solve_square(a.T @ gram @ a, a.T @ gram @ b, field)
             res = b - a @ theta_vec
         solve_residual = arith.max_abs(res) / max(1.0, arith.max_abs(b))
@@ -543,7 +569,7 @@ def ref_feasibility_subspace(s):
         diff = m - s.J.T @ m @ s.J
         for p, (i, j) in enumerate(pairs):
             mat[p, q] = diff[i, j]
-        for key, val in KForm(s.alg, 2, {(a, b): one}).d().coeffs.items():
+        for key, val in dict_forms.d(s.alg, {(a, b): one}).items():
             mat[len(pairs) + three.index(key), q] = val
     return [{pairs[q]: x[q] for q in range(len(pairs)) if x[q] != 0}
             for x in arith.nullspace(mat, s.field)]
