@@ -6,17 +6,15 @@ internally).  Everything downstream -- forms, connections, curvature -- is
 driven by the dense bracket tensor this class exposes: brackets, ad, the
 unimodularity traces and the Jacobi residual are contractions of
 ``structure_tensor``, the matrices of d on forms (``d_matrix``) are scattered
-from it, and each table (and the tensor's integer numerators,
-``structure_num``) is computed once per algebra.  The same
-contractions serve exact (object arrays of Fractions) and float arithmetic;
-the algebra's :class:`~lcak.arith.Field` says which, and structures, forms
-and tensors built on the algebra use the same field.  The Jacobi residual
-is contracted on the integer numerators of the structure tensor and divided
-by the square of its denominator once, after the maximum is taken.
+from it, and each table is computed once per algebra.  The same
+contractions serve exact arithmetic (the tensor is an
+:class:`~lcak.arith.QArray`, integers over one denominator) and float
+arithmetic; the algebra's :class:`~lcak.arith.Field` says which, and
+structures, forms and tensors built on the algebra use the same field.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from math import comb
 
@@ -34,11 +32,7 @@ class AlgebraValidationReport:
     ok: bool
 
     def as_dict(self):
-        return {
-            "antisymmetry_ok": self.antisymmetry_ok,
-            "jacobi_residual": self.jacobi_residual,
-            "ok": self.ok,
-        }
+        return asdict(self)
 
 
 class LieAlgebra:
@@ -117,15 +111,13 @@ class LieAlgebra:
     @cached_property
     def structure_tensor(self):
         """Dense C with C[k][i][j] = c^k_{ij} (0-based); read-only."""
-        c = self.field.zeros(self.dim, self.dim, self.dim)
+        c = np.zeros((self.dim,) * 3, dtype=object)
         for (i, j, k), v in self._c.items():
-            c[k][i][j] = v
-            c[k][j][i] = -v
+            c[k, i, j] = v
+            c[k, j, i] = -v
+        c = self.field.array(c)
         c.flags.writeable = False
         return c
-
-    # structure_tensor as arith.Numerators, computed once
-    structure_num = cached_property(lambda self: self.field.numerators(self.structure_tensor))
 
     def sparse_constants(self):
         """The stored (i, j, k) -> value map, 1-based, i < j."""
@@ -133,11 +125,9 @@ class LieAlgebra:
 
     def bracket(self, x, y):
         """[x, y] for coefficient vectors x, y."""
-        x = np.asarray(x)
-        y = np.asarray(y)
-        if x.shape != (self.dim,) or y.shape != (self.dim,):
+        if np.shape(x) != (self.dim,) or np.shape(y) != (self.dim,):
             raise DimensionMismatch("vector length != dim")
-        return self.field.einsum('kij,i,j->k', self.structure_num, x, y)
+        return self.field.einsum('kij,i,j->k', self.structure_tensor, x, y)
 
     def basis_bracket(self, i, j):
         """[e_i, e_j] as a (read-only) vector, 0-based indices."""
@@ -145,34 +135,30 @@ class LieAlgebra:
 
     def ad(self, x):
         """Matrix of ad(x): y -> [x, y]."""
-        x = np.asarray(x)
-        if x.shape != (self.dim,):
+        if np.shape(x) != (self.dim,):
             raise DimensionMismatch("vector length != dim")
-        return self.field.einsum('kij,i->kj', self.structure_num, x)
+        return self.field.einsum('kij,i->kj', self.structure_tensor, x)
 
     def ad_basis(self, i):
         return self.structure_tensor[:, i, :]
 
     def d_matrix(self, k):
-        """d: Lambda^k -> Lambda^(k+1) on ``forms.KForm`` coefficient vectors, as
-        Numerators: one scatter of ``structure_num`` over ``forms.d_table``,
-        computed once per degree."""
+        """d: Lambda^k -> Lambda^(k+1) on ``forms.KForm`` coefficient vectors:
+        one scatter of ``structure_tensor`` over ``forms.d_table``, computed
+        once per degree."""
         if k not in self._d:
-            num, den = self.structure_num
             m, i, j, out, inp, sign = forms.d_table(self.dim, k)
-            d = np.zeros((comb(self.dim, k + 1), comb(self.dim, k)), dtype=num.dtype)
-            np.add.at(d, (out, inp), -sign * num[m, i, j])
-            self._d[k] = arith.Numerators(d, den)
+            self._d[k] = self.field.scatter((comb(self.dim, k + 1), comb(self.dim, k)),
+                                            (out, inp), -sign * self.structure_tensor[m, i, j])
         return self._d[k]
 
     # -- axioms -------------------------------------------------------------
 
     @cached_property
     def _jacobi(self) -> float:
-        num, den = self.structure_num
-        t = np.einsum('mij,lmk->lijk', num, num)  # t[:, i, j, k] = den^2 [[e_i, e_j], e_k]
-        cyclic = t + t.transpose(0, 3, 1, 2) + t.transpose(0, 2, 3, 1)
-        return float(self.field.scalar(np.max(np.abs(cyclic)), den * den))
+        c = self.structure_tensor
+        t = self.field.einsum('mij,lmk->lijk', c, c)  # t[:, i, j, k] = [[e_i, e_j], e_k]
+        return arith.max_abs(t + t.transpose(0, 3, 1, 2) + t.transpose(0, 2, 3, 1))
 
     def jacobi_residual(self) -> float:
         """Max-norm of the cyclic sum [[e_i,e_j],e_k] over all triples."""
@@ -185,7 +171,7 @@ class LieAlgebra:
 
     def is_unimodular(self):
         """(flag, traces): trace of ad(e_i) for every basis vector."""
-        traces = list(np.einsum('kik->i', self.structure_tensor))
+        traces = list(self.field.einsum('kik->i', self.structure_tensor))
         return self.field.is_zero(traces), traces
 
     # -- transforms ---------------------------------------------------------
@@ -229,53 +215,31 @@ def validate_lie_algebra(constants, dim, exact=None, tol=DEFAULT_TOL) -> Algebra
     the constants as given: if both (i, j) and (j, i) appear their values must
     be exact negatives.
     """
-    values = [v for comps in constants.values() for v in comps.values()]
-    if exact is None:
-        exact = arith.all_exact([arith.parse_scalar(v) if isinstance(v, str) else v
-                                 for v in values])
-    field = arith.Field(bool(exact), tol)
-    anti_ok = True
-    seen = {}
+    seen = {}  # (i, j, k) -> value, as given
     for (i, j), comps in constants.items():
         if not (1 <= i <= dim and 1 <= j <= dim):
             raise IndexOutOfRange(f"bracket pair ({i},{j}) outside 1..{dim}")
         for k, v in comps.items():
             if not 1 <= k <= dim:
                 raise IndexOutOfRange(f"target index {k} outside 1..{dim}")
-            v = arith.parse_scalar(v) if isinstance(v, str) else v
-            if i == j and not field.is_zero(v):
-                anti_ok = False
-            seen[(i, j, k)] = v
-    for (i, j, k), v in seen.items():
-        w = seen.get((j, i, k))
-        if w is not None and not field.is_zero(v + w):
-            anti_ok = False
-    # Jacobi on the antisymmetrized algebra
-    normalized = {}
-    for (i, j), comps in constants.items():
-        if i == j:
-            continue
-        for k, v in comps.items():
-            normalized.setdefault((i, j), {})
-            normalized[(i, j)][k] = normalized[(i, j)].get(k, 0) + (
-                arith.parse_scalar(v) if isinstance(v, str) else v)
-    # collapse double-listed pairs (i,j)/(j,i) to a single i<j entry
-    collapsed = {}
-    for (i, j), comps in normalized.items():
-        sign = 1 if i < j else -1
-        a, b = min(i, j), max(i, j)
-        tgt = collapsed.setdefault((a, b), {})
-        for k, v in comps.items():
-            tgt[k] = tgt.get(k, 0) + sign * v
-    both = {p for p in normalized if (p[1], p[0]) in normalized}
+            seen[(i, j, k)] = arith.parse_scalar(v) if isinstance(v, str) else v
+    if exact is None:
+        exact = arith.all_exact(list(seen.values()))
+    field = arith.Field(bool(exact), tol)
+    anti_ok = all((i != j or field.is_zero(v))
+                  and ((j, i, k) not in seen or field.is_zero(v + seen[(j, i, k)]))
+                  for (i, j, k), v in seen.items())
+    # Jacobi on the antisymmetrized algebra: the constructor adds the two
+    # orders of a pair with opposite signs, so a pair listed twice counts half
+    listed = {(i, j) for i, j, _ in seen}
     half = field.scalar(1, 2)
-    for (a, b) in list(collapsed):
-        if (a, b) in both and (b, a) in both:
-            collapsed[(a, b)] = {k: half * v for k, v in collapsed[(a, b)].items()}
-    alg = LieAlgebra(dim, collapsed, exact=exact, tol=tol)
-    res = alg.jacobi_residual()
-    ok = anti_ok and field.is_zero(res)
-    return AlgebraValidationReport(antisymmetry_ok=anti_ok, jacobi_residual=res, ok=ok)
+    brackets = {}
+    for (i, j, k), v in seen.items():
+        if i != j:
+            brackets.setdefault((i, j), {})[k] = half * v if (j, i) in listed else v
+    res = LieAlgebra(dim, brackets, exact=exact, tol=tol).jacobi_residual()
+    return AlgebraValidationReport(antisymmetry_ok=anti_ok, jacobi_residual=res,
+                                   ok=anti_ok and field.is_zero(res))
 
 
 def abelian_algebra(dim, exact=True, tol=DEFAULT_TOL) -> LieAlgebra:

@@ -46,10 +46,7 @@ class AlmostAbelianParams:
 
     @property
     def exact(self):
-        vals = [self.a, *self.b, *self.v]
-        for row in self.A:
-            vals.extend(row)
-        return arith.all_exact(vals)
+        return arith.all_exact([self.a, *self.b, *self.v, *(x for row in self.A for x in row)])
 
     @property
     def dim(self):

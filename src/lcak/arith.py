@@ -1,30 +1,30 @@
-"""One arithmetic field for the package, and small dense linear algebra.
+"""One arithmetic field for the package, one exact array type, and small
+dense linear algebra.
 
-Every quantity in the package is either *exact* (``fractions.Fraction``,
-closed under +,-,*,/) or *float* (binary64, compared against a tolerance).
-A frozen :class:`Field` carries that choice with its tolerance: it builds
-scalars and arrays of the right kind and holds the one tolerance rule.  A
-``LieAlgebra`` holds its field and passes it on to structures, forms and
-tensors, so no other module branches on the mode.  Matrices are numpy
-arrays: ``dtype=object`` filled with Fractions in exact mode, ``float64``
-otherwise, so ``@``, ``+`` and transposition work in both modes with the
-same code paths.
+Every quantity in the package is either *exact* (rational, closed under
++, -, *, /) or *float* (binary64, compared against a tolerance).  A frozen
+:class:`Field` carries that choice with its tolerance: it builds scalars and
+arrays of the right kind and holds the one tolerance rule.  A ``LieAlgebra``
+holds its field and passes it on to structures, forms and tensors, so no
+other module branches on the mode.
 
-Matrix products go through :meth:`Field.matmul` (the ``@`` chain in float
-mode) and contractions through :meth:`Field.einsum` (``np.einsum``).  In
-exact mode each operand becomes Python-int :class:`Numerators` over the lcm
-of its denominators, the integers are multiplied (they cannot overflow) and
-each output entry is divided once by the product of the denominators, as
-FLINT multiplies rational matrices (W. Hart, "Fast Library for Number
-Theory: an introduction", ICMS 2010).  ``matmul_num``/``einsum_num`` skip
-the division, so sums of products add integers before one division.
-Operands may be ``Numerators``; read-only arrays cache theirs: the algebra's
-``structure_num``, a structure's ``J_num``, ``g_num``, ``g_inv_num`` and
-``f_num``, and its connection's ``gamma_num`` and ``DJ_num``.
+Float arrays are plain ``float64`` numpy arrays.  An exact array is a
+:class:`QArray`: an object array ``num`` of Python ints over one positive int
+``den``, in lowest terms, which is how FLINT stores rational matrices (W.
+Hart, "Fast Library for Number Theory: an introduction", ICMS 2010).  It
+supports the operators the package uses on float arrays (``@``, ``+``, ``-``,
+``*``, ``.T``, indexing), so one expression serves both modes: a product
+multiplies the integer numerators and the denominators once, a sum brings
+both operands to the lcm of their denominators.  :meth:`Field.einsum` is
+``np.einsum`` on the numerators.  Python ints cannot overflow, and there is
+no int64 path.  Exact scalars are ``Fraction``s: one entry read out of a
+``QArray``, ``Field.scalar`` and the rows of the eliminations below;
+``np.asarray`` of a ``QArray`` is its Fraction array, so ``repr``, ``str`` and
+``tolist`` are those of the Fraction array.
 
-The solvers below take the field; they are written for the tiny systems
-that show up here (dimensions <= ~70 coming from spaces of 2- and 3-forms
-on algebras of dimension <= 8) and eliminate over Fractions.
+The solvers take the field; they are written for the tiny systems that show
+up here (dimensions <= ~70 coming from spaces of 2- and 3-forms on algebras of
+dimension <= 8) and eliminate over Fraction rows.
 """
 from __future__ import annotations
 
@@ -32,8 +32,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from typing import NamedTuple
 
 import numpy as np
 
@@ -44,27 +42,169 @@ DEFAULT_TOL = 1e-9
 _ZERO = Fraction(0)
 
 
-class Numerators(NamedTuple):
-    """An array as ``num / den``: Python-int numerators over one denominator
-    in exact mode, the array itself over 1 in float mode."""
-    num: np.ndarray
-    den: int
-
-    @property
-    def T(self):
-        return Numerators(self.num.T, self.den)
+def _lowest(num, den):
+    """``num / den`` with the common factor of the entries and ``den`` divided out."""
+    if den != 1:
+        g = math.gcd(den, *num.ravel().tolist())
+        if g != 1:
+            return num // g, den // g
+    return num, den
 
 
-def _plain(a):
-    """A float-mode operand as an array."""
-    if isinstance(a, Numerators):
-        return a.num if a.den == 1 else a.num / a.den
-    return a
+def _scaled(num, k):
+    return num if k == 1 else num * k
+
+
+def _wrap(num, den):
+    """An array result as a QArray, a scalar one as a Fraction."""
+    return QArray(num, den) if isinstance(num, np.ndarray) else Fraction(num, den)
+
+
+def as_qarray(x):
+    """``x`` as a :class:`QArray`, returned as is when it is one.
+
+    Ints, Fractions and arrays of them are cleared to Python-int numerators
+    over the lcm of their denominators; a float raises ``TypeError``.
+    """
+    if isinstance(x, QArray):
+        return x
+    a = np.asarray(x)
+    if a.dtype.kind not in "iuO":
+        raise TypeError(f"cannot use a {a.dtype} array in exact mode")
+    flat = a.ravel().tolist()
+    try:
+        den = math.lcm(*{v.denominator for v in flat})
+    except AttributeError:
+        raise TypeError("cannot use an array with inexact entries in exact mode") from None
+    nums = [v.numerator * (den // v.denominator) for v in flat]
+    return QArray._raw(np.array(nums, dtype=object).reshape(a.shape), den)
+
+
+def _combine(op):
+    """``self op other`` for + and -, over the lcm of the denominators."""
+    def combine(self, other):
+        o = as_qarray(other)
+        den = math.lcm(self.den, o.den)
+        return _wrap(op(_scaled(self.num, den // self.den), _scaled(o.num, den // o.den)), den)
+    return combine
+
+
+def _rearranged(name):
+    return lambda self, *args: QArray._raw(getattr(self.num, name)(*args), self.den)
+
+
+def _product(op):
+    """``self op other`` for * and @, over the product of the denominators."""
+    def product(self, other):
+        o = as_qarray(other)
+        return _wrap(op(self.num, o.num), self.den * o.den)
+    return product
+
+
+def _compare(op):
+    def compare(self, other):
+        o = as_qarray(other)
+        return op(self.num * o.den, o.num * self.den)
+    return compare
+
+
+class QArray:
+    """An exact array: Python-int numerators ``num`` (an object array) over
+    one positive int ``den``, kept in lowest terms.
+
+    Operands of the arithmetic operators may be QArrays, ints, Fractions or
+    arrays of them; a float operand raises ``TypeError``.  ``__array_ufunc__ =
+    None`` makes numpy hand ``ndarray op QArray`` to the reflected method.
+    Reading one entry gives a Fraction; ``np.asarray`` gives the Fraction
+    array (``dtype=float`` gives each ``num / den`` correctly rounded).
+    Assignment brings the array to the lcm of both denominators.
+    """
+    __slots__ = ("num", "den")
+    __array_ufunc__ = None
+
+    def __init__(self, num, den=1):
+        num = np.asarray(num, dtype=object)
+        if den < 0:
+            num, den = -num, -den
+        self.num, self.den = _lowest(num, den)
+
+    @classmethod
+    def _raw(cls, num, den):  # num / den already in lowest terms
+        out = object.__new__(cls)
+        out.num, out.den = num, den
+        return out
+
+    # -- shape -------------------------------------------------------------------
+
+    shape = property(lambda self: self.num.shape)
+    flags = property(lambda self: self.num.flags)
+    T = property(lambda self: QArray._raw(self.num.T, self.den))
+    # the same entries rearranged, as numpy does it
+    transpose, reshape, ravel, copy = (_rearranged(name) for name in
+                                       ("transpose", "reshape", "ravel", "copy"))
+
+    def __len__(self):
+        return len(self.num)
+
+    def trace(self, offset=0, axis1=0, axis2=1):
+        return _wrap(self.num.trace(offset, axis1, axis2), self.den)
+
+    # -- entries -----------------------------------------------------------------
+
+    def __getitem__(self, key):
+        return _wrap(self.num[key], self.den)
+
+    def __setitem__(self, key, value):
+        if not self.num.flags.writeable:
+            raise ValueError("assignment destination is read-only")
+        v = as_qarray(value)
+        den = math.lcm(self.den, v.den)
+        num = _scaled(self.num, den // self.den)
+        num[key] = _scaled(v.num[()], den // v.den)  # [()]: a scalar's int, not a 0-d array
+        self.num, self.den = _lowest(num, den)
+
+    def __array__(self, dtype=None, copy=None):
+        flat, den = self.num.ravel().tolist(), self.den
+        if dtype is not None and np.dtype(dtype).kind == "f":
+            return np.array([n / den for n in flat], dtype=dtype).reshape(self.shape)
+        return np.array([_ZERO if n == 0 else Fraction(n, den) for n in flat],
+                        dtype=object).reshape(self.shape)
+
+    def tolist(self):
+        return np.asarray(self).tolist()
+
+    def __repr__(self):
+        return repr(np.asarray(self))
+
+    def __str__(self):
+        return str(np.asarray(self))
+
+    def __bool__(self):
+        return bool(self.num)
+
+    # -- arithmetic --------------------------------------------------------------
+
+    __add__ = __radd__ = _combine(operator.add)
+    __sub__ = _combine(operator.sub)
+    __rsub__ = _combine(lambda a, b: b - a)
+    __mul__ = __rmul__ = _product(operator.mul)
+    __matmul__ = _product(operator.matmul)
+    __rmatmul__ = _product(lambda a, b: b @ a)
+
+    def __neg__(self):
+        return QArray._raw(np.asarray(-self.num, dtype=object), self.den)
+
+    def __abs__(self):
+        return QArray._raw(np.asarray(abs(self.num), dtype=object), self.den)
+
+    __eq__ = _compare(operator.eq)
+    __ne__ = _compare(operator.ne)
+    __le__ = _compare(operator.le)
 
 
 @dataclass(frozen=True)
 class Field:
-    """Exact (Fraction) or float arithmetic, with the float tolerance ``tol``.
+    """Exact (QArray) or float arithmetic, with the float tolerance ``tol``.
 
     ``bound(scale)`` is the tolerance rule: 0 in exact mode and
     ``tol * max(1, scale)`` in float mode.  Nondegeneracy is decided by
@@ -84,75 +224,36 @@ class Field:
         return Fraction(x) if den == 1 else Fraction(x) / den
 
     def array(self, values):
-        """An array of this field's scalars from nested lists or an array."""
+        """A new array of this field's scalars from nested lists or an array."""
         if not self.exact:
             return np.array(values, dtype=float)
+        if isinstance(values, QArray):
+            return values.copy()
         a = np.array(values, dtype=object)
-        return np.array([self.scalar(v) for v in a.flat], dtype=object).reshape(a.shape)
-
-    def numerators(self, a):
-        """``a`` as :class:`Numerators`, returned as is when it already is.
-
-        In exact mode ``num`` is an object array of Python-int numerators
-        over ``den``, the lcm of the entries' denominators; a float entry
-        raises ``TypeError``.  In float mode this is ``(a, 1)``.
-        """
-        if isinstance(a, Numerators):
-            return a
-        a = np.asarray(a)
-        if not self.exact:
-            return Numerators(a, 1)
-        flat = a.ravel().tolist()
-        try:
-            den = math.lcm(*{x.denominator for x in flat})
-        except AttributeError:
-            raise TypeError(f"cannot use a {a.dtype} array with inexact entries "
-                            "in exact mode") from None
-        nums = np.array([x.numerator * (den // x.denominator) for x in flat], dtype=object)
-        return Numerators(nums.reshape(a.shape), den)
-
-    def fractions(self, num, den=1):
-        """``num / den`` in this field: one Fraction per entry of an integer
-        array (or scalar) in exact mode, ``num`` (divided when ``den != 1``)
-        in float mode."""
-        if not self.exact:
-            return num if den == 1 else num / den
-        if not isinstance(num, np.ndarray):
-            return _ZERO if num == 0 else Fraction(num, den)
-        return np.array([_ZERO if v == 0 else Fraction(v, den) for v in num.ravel().tolist()],
-                        dtype=object).reshape(num.shape)
-
-    def _chain(self, combine, operands):
-        if not self.exact:
-            return Numerators(combine(*map(_plain, operands)), 1)
-        nums = [self.numerators(a) for a in operands]
-        return Numerators(combine(*(n.num for n in nums)), math.prod(n.den for n in nums))
-
-    def matmul_num(self, *ms):
-        """``ms[0] @ ms[1] @ ...`` as undivided :class:`Numerators`."""
-        return self._chain(lambda *a: reduce(operator.matmul, a), ms)
-
-    def einsum_num(self, spec, *operands):
-        """``np.einsum(spec, *operands)`` as undivided :class:`Numerators`."""
-        return self._chain(lambda *a: np.einsum(spec, *a), operands)
-
-    def matmul(self, *ms):
-        """``ms[0] @ ms[1] @ ...`` from left to right; in exact mode the
-        chain runs on the operands' integer numerators and each output entry
-        is divided once by the product of their denominators."""
-        return self.fractions(*self.matmul_num(*ms))
+        return as_qarray(np.array([v if type(v) in (int, Fraction) else self.scalar(v)
+                                   for v in a.flat], dtype=object).reshape(a.shape))
 
     def einsum(self, spec, *operands):
-        """``np.einsum(spec, *operands)``; in exact mode the operands'
-        integer numerators are contracted and each output entry is divided
-        once by the product of their denominators."""
-        return self.fractions(*self.einsum_num(spec, *operands))
+        """``np.einsum(spec, *operands)``; in exact mode the operands' integer
+        numerators are contracted over the product of their denominators."""
+        if not self.exact:
+            return np.einsum(spec, *operands)
+        qs = [as_qarray(a) for a in operands]
+        return _wrap(np.einsum(spec, *(q.num for q in qs)), math.prod(q.den for q in qs))
+
+    def scatter(self, shape, index, values):
+        """Zeros of ``shape`` with ``values`` summed into the entries ``index``
+        (``np.add.at``)."""
+        values = as_qarray(values) if self.exact else values
+        out = np.zeros(shape, dtype=object if self.exact else float)
+        np.add.at(out, index, values.num if self.exact else values)
+        return QArray(out, values.den) if self.exact else out
 
     def zeros(self, *shape):
-        return np.full(shape, Fraction(0), dtype=object) if self.exact else np.zeros(shape)
+        return QArray._raw(np.zeros(shape, dtype=object), 1) if self.exact else np.zeros(shape)
 
     def eye(self, n):
-        return self.array(np.eye(n, dtype=int))
+        return QArray._raw(np.eye(n, dtype=int).astype(object), 1) if self.exact else np.eye(n)
 
     def bound(self, scale=1.0):
         return 0 if self.exact else self.tol * max(1.0, float(scale))
@@ -160,7 +261,7 @@ class Field:
     def is_zero(self, x, scale=1.0):
         """Whether every entry of ``x`` vanishes, within ``bound(scale)``."""
         if self.exact:
-            return bool(np.all(np.asarray(x) == 0))
+            return bool(np.all((x if isinstance(x, QArray) else np.asarray(x)) == 0))
         return max_abs(x) <= self.bound(scale)
 
     def is_nondegenerate(self, m):
@@ -173,12 +274,12 @@ class Field:
         return bool(s[-1] > self.tol * s[0])
 
 
-def is_exact_scalar(x) -> bool:
-    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
-
-
 def all_exact(values) -> bool:
-    return all(is_exact_scalar(v) for v in values)
+    """Whether every entry of ``values`` (a QArray, an array or nested lists) is
+    an int or a Fraction."""
+    return isinstance(values, QArray) or all(
+        isinstance(v, (int, Fraction)) and not isinstance(v, bool)
+        for v in np.asarray(values, dtype=object).ravel().tolist())
 
 
 def parse_scalar(text):
@@ -195,23 +296,18 @@ def parse_scalar(text):
 
 def format_scalar(x) -> str:
     """Serialize a scalar deterministically ("1/4" for exact, repr for float)."""
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, int):
-        return str(x)
-    return repr(float(x))
+    return str(x) if isinstance(x, (int, Fraction)) else repr(float(x))
 
 
 def max_abs(a) -> float:
-    """Largest absolute entry, as a float (exact values embed faithfully)."""
+    """Largest absolute entry, as a float (exact values embed faithfully: a
+    QArray gives ``max |num| / den`` in int true division, correctly rounded)."""
+    if isinstance(a, QArray):
+        return max(map(abs, a.num.ravel().tolist()), default=0) / a.den
     flat = np.asarray(a).ravel()
     if flat.size == 0:
         return 0.0
     return max(abs(float(v)) for v in flat)
-
-
-def matrices_equal(a, b, tol=0.0) -> bool:
-    return max_abs(np.asarray(a) - np.asarray(b)) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -219,10 +315,13 @@ def matrices_equal(a, b, tol=0.0) -> bool:
 # ---------------------------------------------------------------------------
 
 def _rref(rows):
-    """Row-reduce a list of Fraction rows in place; return pivot columns."""
+    """Row-reduce a list of Fraction rows in place; return the pivot columns
+    and the product of the pivots, negated once per row swap (the
+    determinant of a square matrix of full rank)."""
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     pivots = []
+    det = Fraction(1)
     r = 0
     for c in range(ncols):
         pivot = None
@@ -232,22 +331,25 @@ def _rref(rows):
                 break
         if pivot is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            det = -det
         pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
+        det *= pv
+        rows[r] = [x / pv if x else x for x in rows[r]]
         for rr in range(nrows):
             if rr != r and rows[rr][c] != 0:
                 f = rows[rr][c]
-                rows[rr] = [x - f * y for x, y in zip(rows[rr], rows[r])]
+                rows[rr] = [x - f * y if y else x for x, y in zip(rows[rr], rows[r])]
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return pivots
+    return pivots, det
 
 
 def _as_fraction_rows(a):
-    return [[Fraction(x) for x in row] for row in np.asarray(a)]
+    return [[Fraction(x) for x in row] for row in np.asarray(a).tolist()]
 
 
 def _svd_rank(s, tol):
@@ -262,15 +364,14 @@ def nullspace(a, field: Field):
         return list(field.eye(m))
     if field.exact:
         rows = _as_fraction_rows(a)
-        pivots = _rref(rows)
-        free = [c for c in range(m) if c not in pivots]
+        pivots = _rref(rows)[0]
         basis = []
-        for fc in free:
-            v = field.zeros(m)
-            v[fc] = Fraction(1)
+        for fc in (c for c in range(m) if c not in pivots):
+            v = [0] * m
+            v[fc] = 1
             for r, pc in enumerate(pivots):
                 v[pc] = -rows[r][fc]
-            basis.append(v)
+            basis.append(field.array(v))
         return basis
     u, s, vt = np.linalg.svd(a.astype(float))
     return list(vt[_svd_rank(s, field.tol):])
@@ -284,7 +385,7 @@ def row_space(a, field: Field):
         return []
     if field.exact:
         rows = _as_fraction_rows(a)
-        return [np.array(rows[r], dtype=object) for r in range(len(_rref(rows)))]
+        return [field.array(rows[r]) for r in range(len(_rref(rows)[0]))]
     u, s, vt = np.linalg.svd(a.astype(float))
     return list(vt[:_svd_rank(s, field.tol)])
 
@@ -305,22 +406,16 @@ def solve_least_squares(a, b, field: Field):
     b = np.asarray(b)
     n, m = a.shape
     if field.exact:
-        aug = [[Fraction(a[i, j]) for j in range(m)] + [Fraction(b[i])] for i in range(n)]
-        pivots = _rref(aug)
-        if m not in pivots:  # consistent system
-            x = field.zeros(m)
-            for r, pc in enumerate(pivots):
-                x[pc] = aug[r][m]
-            return x, b - a @ x
-        at = a.T
-        gram = at @ a
-        rhs = at @ b
-        aug2 = [[Fraction(gram[i, j]) for j in range(m)] + [Fraction(rhs[i])] for i in range(m)]
-        piv2 = _rref(aug2)
-        x = field.zeros(m)
-        for r, pc in enumerate(piv2):
+        aug = _as_fraction_rows(np.column_stack([a, b]))
+        pivots = _rref(aug)[0]
+        if m in pivots:  # inconsistent: solve the normal equations
+            aug = _as_fraction_rows(np.column_stack([a.T @ a, a.T @ b]))
+            pivots = _rref(aug)[0]
+        x = [0] * m
+        for r, pc in enumerate(pivots):
             if pc < m:
-                x[pc] = aug2[r][m]
+                x[pc] = aug[r][m]
+        x = field.array(x)
         return x, b - a @ x
     af = a.astype(float)
     bf = b.astype(float)
@@ -340,13 +435,10 @@ def invert(a, field: Field):
     a = np.asarray(a)
     n = a.shape[0]
     if field.exact:
-        aug = [[Fraction(a[i, j]) for j in range(n)]
-               + [Fraction(1) if j == i else Fraction(0) for j in range(n)]
-               for i in range(n)]
-        pivots = _rref(aug)
-        if pivots != list(range(n)):
+        aug = _as_fraction_rows(np.hstack([a, np.eye(n, dtype=int)]))
+        if _rref(aug)[0] != list(range(n)):
             raise DegenerateMetric("matrix not invertible")
-        return np.array([row[n:] for row in aug], dtype=object)
+        return field.array([row[n:] for row in aug])
     return np.linalg.inv(a.astype(float))
 
 
@@ -355,26 +447,8 @@ def determinant(a, field: Field):
     n = a.shape[0]
     if not field.exact:
         return float(np.linalg.det(a.astype(float)))
-    rows = _as_fraction_rows(a)
-    det = Fraction(1)
-    for c in range(n):
-        pivot = None
-        for r in range(c, n):
-            if rows[r][c] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            det = -det
-        det *= rows[c][c]
-        pv = rows[c][c]
-        for r in range(c + 1, n):
-            if rows[r][c] != 0:
-                f = rows[r][c] / pv
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
-    return det
+    pivots, det = _rref(_as_fraction_rows(a))
+    return det if len(pivots) == n else Fraction(0)
 
 
 def is_positive_definite(a, field: Field) -> bool:

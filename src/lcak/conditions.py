@@ -111,13 +111,13 @@ def check_first_kind(structure: AlmostHermitianStructure, strict: bool = True) -
     lee = structure.lee_form()
     f = structure.field
     theta_vec = lee.theta.vector()
-    n_mat = f.numerators(np.array(aut.basis).T)
-    gram = f.matmul(n_mat.T, structure.g_num, n_mat)
-    w = f.matmul(n_mat.T, theta_vec)
+    n_mat = f.array(aut.basis).T
+    gram = n_mat.T @ structure.g @ n_mat
+    w = n_mat.T @ theta_vec
     y = arith.solve_square(gram, w, f)
     lam = w @ y
     coef = y * (f.scalar(1) / lam)
-    t_vec = f.matmul(n_mat, coef)
+    t_vec = n_mat @ coef
     eta = -1 * structure.F.contract(t_vec)
     recon = eta.d() - lee.theta.wedge(eta) - structure.F
     out["T_candidate"] = t_vec
@@ -153,7 +153,7 @@ def check_adapted(structure: AlmostHermitianStructure, strict: bool = True,
     f = s.field
     res = out["residuals"]
     v_vec = lee.V
-    t_vec = f.matmul(s.J_num, v_vec)
+    t_vec = s.J @ v_vec
     theta_vec = lee.theta.vector()
     res["automorphism"] = s.lie_derivative_F(t_vec).max_abs()
     res["theta_of_T"] = abs(float(t_vec @ theta_vec - 1))
@@ -161,16 +161,16 @@ def check_adapted(structure: AlmostHermitianStructure, strict: bool = True,
     res["jtheta_plus_eta"] = (s.j_one_form(lee.theta) + eta).max_abs()
     # H = ker theta  /\  ker eta
     eta_vec = eta.vector()
-    h_basis = arith.nullspace(np.array([theta_vec, eta_vec]), s.field)
+    theta_eta = f.array([theta_vec, eta_vec])
+    h_basis = arith.nullspace(theta_eta, s.field)
     k = len(h_basis)
     res["h_dimension_defect"] = abs(k - (s.dim - 2))
     # the rows of h span H; (J h) . alpha = h J^T alpha
-    h = f.numerators(np.array(h_basis).reshape(k, s.dim))
-    res["j_preserves_h"] = arith.max_abs(f.matmul(h, s.J_num.T,
-                                                  np.array([theta_vec, eta_vec]).T))
-    tv = f.numerators(np.array([t_vec, v_vec]))
-    res["splitting_orthogonal"] = arith.max_abs(f.matmul(h, s.g_num, tv.T))
-    res["tv_orthonormal"] = arith.max_abs(f.matmul(tv, s.g_num, tv.T) - f.eye(2))
+    h = f.array(h_basis).reshape(k, s.dim)
+    res["j_preserves_h"] = arith.max_abs(h @ s.J.T @ theta_eta.T)
+    tv = f.array([t_vec, v_vec])
+    res["splitting_orthogonal"] = arith.max_abs(h @ s.g @ tv.T)
+    res["tv_orthonormal"] = arith.max_abs(tv @ s.g @ tv.T - f.eye(2))
     gram = _deta_gram(s, eta.d(), h)
     sym_defect = arith.max_abs(gram - gram.T)
     res["deta_metric_symmetric"] = sym_defect
@@ -188,7 +188,7 @@ def check_adapted(structure: AlmostHermitianStructure, strict: bool = True,
 
 def _deta_gram(structure, d_eta: KForm, h):
     """gram[a, b] = d eta(h_a, J h_b) for the rows h_a of ``h``: H M J H^T."""
-    return structure.field.matmul(h, d_eta.matrix(), structure.J_num, h.T)
+    return h @ d_eta.matrix() @ structure.J @ h.T
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +222,8 @@ def classify_metric(structure: AlmostHermitianStructure) -> ConditionReport:
 
     # orthogonality of im N to span(T, JT)
     nij = s._nijenhuis
-    orth = max(arith.max_abs(s.field.einsum('k,kij->ij', s.field.matmul(s.g_num, lee.T), nij)),
-               arith.max_abs(s.field.einsum('k,kij->ij', s.field.matmul(s.g_num, lee.JT), nij)))
+    orth = max(arith.max_abs(s.field.einsum('k,kij->ij', s.g @ lee.T, nij)),
+               arith.max_abs(s.field.einsum('k,kij->ij', s.g @ lee.JT, nij)))
     residuals["imN_span_T_JT"] = orth
     n_scale = max(1.0, arith.max_abs(nij) * max(1.0, arith.max_abs(lee.T)))
     flags["T_orthogonal_to_imN"] = orth <= s.field.bound(n_scale)
@@ -288,12 +288,11 @@ def classify_metric(structure: AlmostHermitianStructure) -> ConditionReport:
         warn_if(True, "T orth im N", "dJtheta J-invariant", jminus)
         nt = s.nijenhuis_tensor(lee.T)
         warn_if(True, "T orth im N", "N(T) symmetric", nt.antisym().max_abs())
-        dj = s.connection.DJ_num
-        dj = arith.Numerators(dj.num.reshape(s.dim, -1), dj.den)
+        dj = s.connection.DJ.reshape(s.dim, -1)
         warn_if(True, "T orth im N", "D_T J = 0",
-                arith.max_abs(s.field.matmul(lee.T.reshape(1, s.dim), dj)))
+                arith.max_abs(lee.T.reshape(1, s.dim) @ dj))
         warn_if(True, "T orth im N", "D_JT J = 0",
-                arith.max_abs(s.field.matmul(lee.JT.reshape(1, s.dim), dj)))
+                arith.max_abs(lee.JT.reshape(1, s.dim) @ dj))
     if flags["vaisman"]:
         if not (flags["pluricanonical"] and flags["anti_pluricanonical"]):
             warnings.append("vaisman flag set but pluricanonical/anti-pluricanonical "
@@ -353,7 +352,7 @@ def verify_equivalences(structure: AlmostHermitianStructure, strict: bool = True
     }
 
     bk = s.alg.bracket(lee.T, lee.JT)
-    g_bk = s.field.matmul(bk, s.g_num, lee.JT)
+    g_bk = bk @ s.g @ lee.JT
     scale_b = max(1.0, arith.max_abs(bk) * max(1.0, arith.max_abs(lee.JT)))
     rhs_b = abs(float(g_bk)) <= s.field.bound(scale_b)
     applicable_b = bool(rep.flags["is_lcs"] and rep.flags["unimodular"]
@@ -377,14 +376,13 @@ def verify_equivalences(structure: AlmostHermitianStructure, strict: bool = True
     }
 
     if pluri:
-        f = s.field
-        dth = f.numerators(s.Dtheta.mat)
-        djth = f.numerators(connection.covariant_one_form(s, lee.jtheta).mat)
+        dth = s.Dtheta.mat
+        djth = connection.covariant_one_form(s, lee.jtheta).mat
         vals = {
-            "D_T_theta": arith.max_abs(f.matmul(lee.T, dth)),
-            "D_JT_theta": arith.max_abs(f.matmul(lee.JT, dth)),
-            "D_T_Jtheta": arith.max_abs(f.matmul(lee.T, djth)),
-            "D_JT_Jtheta": arith.max_abs(f.matmul(lee.JT, djth)),
+            "D_T_theta": arith.max_abs(lee.T @ dth),
+            "D_JT_theta": arith.max_abs(lee.JT @ dth),
+            "D_T_Jtheta": arith.max_abs(lee.T @ djth),
+            "D_JT_Jtheta": arith.max_abs(lee.JT @ djth),
             "bracket_T_JT": arith.max_abs(bk),
         }
         out["pluricanonical_consequences"] = {
@@ -426,8 +424,8 @@ def _feasibility_subspace(structure):
     pairs = list(combinations(range(s.dim), 2))
     # the J-invariance defect omega - J^T omega J is 1 - C_2(J)^T on the pair
     # basis, C_2 the second compound; then the matrix of d on 2-forms
-    defect = s.field.eye(len(pairs)) - s.field.fractions(*compound(s.J_num, 2)).T
-    mat = np.concatenate([defect, s.field.fractions(*s.alg.d_matrix(2))])
+    defect = s.field.eye(len(pairs)) - compound(s.field, s.J, 2).T
+    mat = np.concatenate([defect, s.alg.d_matrix(2)])
     return [KForm(s.alg, 2, dict(zip(pairs, x))) for x in arith.nullspace(mat, s.field)]
 
 
@@ -525,7 +523,7 @@ def _normalize_witness(structure, W, basis_forms, x):
             if pairing <= 0:
                 continue
             cand = (s.field.scalar(s.n) / pairing) * cand
-            gw = s.field.matmul(cand.matrix(), s.J_num)
+            gw = cand.matrix() @ s.J
             sym = s.field.scalar(1, 2) * (gw + gw.T)
             if arith.is_positive_definite(sym, s.field):
                 return cand
@@ -560,13 +558,13 @@ def _isotropic_certificate(structure, basis_forms, G, best_x):
                         key=lambda r: abs(np.linalg.det(kernel[list(r)]))))
         candidates += list((kernel @ np.linalg.inv(kernel[rows])).T)
     if s.exact:
-        wj = [s.field.matmul_num(w.matrix(), s.J_num) for w in basis_forms]
+        wj = [w.matrix() @ s.J for w in basis_forms]
     for cand in candidates:
         if s.exact:
             cand = cand / cand[np.argmax(np.abs(cand))]
             for max_den in (64, 4096):
-                u = np.array([arith.rationalize(c, max_den) for c in cand], dtype=object)
-                if all(s.field.matmul_num(u, m, u).num == 0 for m in wj):
+                u = s.field.array([arith.rationalize(c, max_den) for c in cand])
+                if all(u @ m @ u == 0 for m in wj):
                     return [arith.format_scalar(c) for c in u]
         else:
             cand = cand / np.linalg.norm(cand)

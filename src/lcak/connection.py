@@ -15,9 +15,9 @@ first canonical Hermitian connection is  D - 1/2 J (DJ).
 The Christoffel table, the stack of D_{e_i} J and the curvature endomorphisms
 are contractions (``Field.einsum``) of the algebra's ``structure_tensor``
 with g, g^{-1} and J; each is computed once per structure and read
-everywhere after that, and so are the integer numerators of the Christoffel
-table and of DJ (``gamma_num``, ``DJ_num``).  Where contractions are summed
-(Koszul, curvature) their numerators are added before one division.
+everywhere after that.  In exact mode every table is a
+:class:`~lcak.arith.QArray`, so contractions and their sums run on integer
+numerators; float mode runs the same expressions on float arrays.
 """
 from __future__ import annotations
 
@@ -41,16 +41,11 @@ class ConnectionTable:
     def __post_init__(self):
         self.gamma.flags.writeable = False
 
-    # gamma and DJ as arith.Numerators, computed once
-    gamma_num = cached_property(lambda self: self.structure.field.numerators(self.gamma))
-    DJ_num = cached_property(lambda self: self.structure.field.numerators(self.DJ))
-
     @cached_property
     def DJ(self):
         """Stack of the endomorphisms D_{e_i} J = [Gamma_i, J], shape (dim, dim, dim)."""
-        f, J, gn = self.structure.field, self.structure.J_num, self.gamma_num
-        return f.fractions(f.einsum_num('iab,bc->iac', gn, J).num
-                           - f.einsum_num('ab,ibc->iac', J, gn).num, gn.den * J.den)
+        f, J, gamma = self.structure.field, self.structure.J, self.gamma
+        return f.einsum('iab,bc->iac', gamma, J) - f.einsum('ab,ibc->iac', J, gamma)
 
     def metric_residual(self) -> float:
         """max |g(D_X Y, Z) + g(Y, D_X Z)| over basis triples."""
@@ -66,24 +61,23 @@ class ConnectionTable:
     def koszul_residual(self) -> float:
         """Defect of the Koszul formula itself, all basis triples."""
         s = self.structure
-        lhs = 2 * s.field.einsum('imj,mk->ijk', self.gamma_num, s.g_num)
-        return arith.max_abs(lhs - s.field.fractions(*_koszul_table(s)))
+        lhs = 2 * s.field.einsum('imj,mk->ijk', self.gamma, s.g)
+        return arith.max_abs(lhs - _koszul_table(s))
 
 
 def _koszul_table(structure):
     """Koszul table w[i,j,k] = 2 g(D_{e_i} e_j, e_k)
-    = g([e_i,e_j],e_k) - g([e_j,e_k],e_i) + g([e_k,e_i],e_j), as Numerators."""
+    = g([e_i,e_j],e_k) - g([e_j,e_k],e_i) + g([e_k,e_i],e_j)."""
     # cg[i, j, k] = g([e_i, e_j], e_k)
-    cg = structure.field.einsum_num('lij,lk->ijk', structure.alg.structure_num, structure.g_num)
-    return arith.Numerators(cg.num - cg.num.transpose(2, 0, 1) + cg.num.transpose(1, 2, 0),
-                            cg.den)
+    cg = structure.field.einsum('lij,lk->ijk', structure.alg.structure_tensor, structure.g)
+    return cg - cg.transpose(2, 0, 1) + cg.transpose(1, 2, 0)
 
 
 def levi_civita(structure: AlmostHermitianStructure) -> ConnectionTable:
     """Connection table from the left-invariant Koszul formula."""
     f = structure.field
-    gamma = f.einsum_num('mk,ijk->imj', structure.g_inv_num, _koszul_table(structure))
-    return ConnectionTable(structure=structure, gamma=f.fractions(gamma.num, 2 * gamma.den))
+    gamma = f.einsum('mk,ijk->imj', structure.g_inv, _koszul_table(structure))
+    return ConnectionTable(structure=structure, gamma=f.scalar(1, 2) * gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -92,9 +86,9 @@ def levi_civita(structure: AlmostHermitianStructure) -> ConnectionTable:
 
 def covariant_one_form(structure, theta) -> Tensor2:
     """D theta as the 2-tensor (X, Y) -> (D_X theta)(Y) = -theta(D_X Y)."""
-    vec = theta.vector() if isinstance(theta, KForm) else np.asarray(theta)
+    vec = theta.vector() if isinstance(theta, KForm) else theta
     return Tensor2(structure.alg, -structure.field.einsum('m,imj->ij', vec,
-                                                         structure.connection.gamma_num))
+                                                         structure.connection.gamma))
 
 
 def covariant_J(structure, i):
@@ -104,10 +98,8 @@ def covariant_J(structure, i):
 
 def covariant_F(structure, i) -> KForm:
     """(D_{e_i} F); equals g((D_{e_i} J) ., .)."""
-    f, fm, gn = structure.field, structure.f_num, structure.connection.gamma_num
-    gi = arith.Numerators(gn.num[i], gn.den)
-    return KForm.from_matrix(structure.alg, f.fractions(
-        -(f.matmul_num(gi.T, fm).num + f.matmul_num(fm, gi).num), gi.den * fm.den))
+    fm, gi = structure.f_matrix, structure.connection.gamma[i]
+    return KForm.from_matrix(structure.alg, -(gi.T @ fm + fm @ gi))
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +119,7 @@ class CurvatureTensor:
     def components(self):
         """R4[i][j][k][l] = g(R_{e_i,e_j} e_k, e_l)."""
         s = self.structure
-        return s.field.matmul(self.endos.transpose(0, 1, 3, 2), s.g_num)
+        return self.endos.transpose(0, 1, 3, 2) @ s.g
 
     def antisymmetry_residual(self) -> float:
         comp = self.components
@@ -146,17 +138,15 @@ class CurvatureTensor:
 
 def curvature_of(structure, gamma) -> CurvatureTensor:
     """Curvature of an arbitrary connection table, R_{X,Y} = D_{[X,Y]} - [D_X, D_Y]."""
-    f, c = structure.field, structure.alg.structure_num
-    gamma = f.numerators(gamma)
-    prod = f.einsum_num('iab,jbc->ijac', gamma, gamma)  # prod[i, j] = Gamma_i Gamma_j
-    bracket = f.einsum_num('kij,kab->ijab', c, gamma)   # D_{[e_i, e_j]}
-    # both over den(c) den(gamma)^2: one division for the sum
-    endos = (bracket.num * gamma.den - (prod.num - prod.num.transpose(1, 0, 2, 3)) * c.den)
-    return CurvatureTensor(structure=structure, endos=f.fractions(endos, bracket.den * gamma.den))
+    f, c = structure.field, structure.alg.structure_tensor
+    prod = f.einsum('iab,jbc->ijac', gamma, gamma)  # prod[i, j] = Gamma_i Gamma_j
+    bracket = f.einsum('kij,kab->ijab', c, gamma)   # D_{[e_i, e_j]}
+    return CurvatureTensor(structure=structure,
+                           endos=bracket - (prod - prod.transpose(1, 0, 2, 3)))
 
 
 def curvature(structure) -> CurvatureTensor:
-    return curvature_of(structure, structure.connection.gamma_num)
+    return curvature_of(structure, structure.connection.gamma)
 
 
 def star_ricci(structure, curv: CurvatureTensor = None) -> KForm:
@@ -167,17 +157,16 @@ def star_ricci(structure, curv: CurvatureTensor = None) -> KForm:
     is its Hermitian-Ricci form 1/2 sum_i g(R^nabla_{X,Y} e_i, J e_i).
     """
     curv = curv or structure.curvature
-    f = structure.field
-    prod = f.matmul_num(structure.J_num, curv.endos)  # prod[i, j] = J R_{e_i, e_j}
-    rho = f.fractions(-np.trace(prod.num, axis1=2, axis2=3), 2 * prod.den)
-    return KForm.from_matrix(structure.alg, rho)
+    prod = structure.J @ curv.endos  # prod[i, j] = J R_{e_i, e_j}
+    return KForm.from_matrix(structure.alg, structure.field.scalar(-1, 2)
+                             * prod.trace(axis1=2, axis2=3))
 
 
 def torsion_potential(structure):
     """The endomorphisms -1/2 J (D_{e_i} J) defining the first canonical
     connection, stacked as a (dim, dim, dim) array."""
     f = structure.field
-    return f.einsum('ab,ibc->iac', f.scalar(-1, 2) * structure.J, structure.connection.DJ_num)
+    return f.einsum('ab,ibc->iac', f.scalar(-1, 2) * structure.J, structure.connection.DJ)
 
 
 def first_canonical_connection(structure) -> ConnectionTable:
@@ -188,10 +177,10 @@ def first_canonical_connection(structure) -> ConnectionTable:
 
 def phi_form(structure) -> KForm:
     """Phi(X, Y) = 1/4 <J (D_X J), D_Y J>_g = 1/4 tr(g^-1 (J D_X J)^T g D_Y J)."""
-    s, f, dj = structure, structure.field, structure.connection.DJ_num
-    jdj = f.matmul(s.J_num, dj).transpose(0, 2, 1)[:, None]  # (J D_{e_i} J)^T at [i, 0]
-    prod = f.matmul_num(s.g_inv_num, jdj, s.g_num, dj)  # [i, j]: the product traced
-    return KForm.from_matrix(s.alg, f.fractions(np.trace(prod.num, axis1=2, axis2=3), 4 * prod.den))
+    s, dj = structure, structure.connection.DJ
+    jdj = (s.J @ dj).transpose(0, 2, 1)[:, None]  # (J D_{e_i} J)^T at [i, 0]
+    prod = s.g_inv @ jdj @ s.g @ dj  # [i, j]: the product traced
+    return KForm.from_matrix(s.alg, s.field.scalar(1, 4) * prod.trace(axis1=2, axis2=3))
 
 
 @dataclass

@@ -1,11 +1,12 @@
 """Exterior algebra of left-invariant forms on a Lie algebra.
 
-A k-form is one vector over the algebra's field (``alg.field``): entry p is
-the coefficient on e^I for the p-th index tuple I of
-``combinations(range(dim), k)``.  Each operation is one gather-multiply-
-scatter over the wedge table of (dim, k, l), cached at module level: rows
-(left, right, out, sign) with e^left ^ e^right = sign e^out.  Read with
-k = 1 it is the contraction table, i_{e_i} e^out = sign e^right.  Gathers
+A k-form is one vector over the algebra's field (``alg.field``), a
+:class:`~lcak.arith.QArray` in exact mode and a float array otherwise: entry p
+is the coefficient on e^I for the p-th index tuple I of
+``combinations(range(dim), k)``.  Each operation is one gather-multiply-scatter
+(``Field.scatter``) over the wedge table of (dim, k, l), cached at module
+level: rows (left, right, out, sign) with e^left ^ e^right = sign e^out.  Read
+with k = 1 it is the contraction table, i_{e_i} e^out = sign e^right.  Gathers
 skip the rows where either operand is zero.  Conventions used throughout:
 
 * d is the Chevalley-Eilenberg differential, ``d alpha (X, Y) = -alpha([X, Y])``
@@ -15,7 +16,8 @@ skip the rows where either operand is zero.  Conventions used throughout:
 * ``contract(X, alpha) = alpha(X, . , ..., .)``.
 * ``<e^I, e^J> = det(g^{-1}[I, J])``: the k-th compound matrix of g^{-1}
   (Horn and Johnson, *Matrix Analysis*, 2nd ed., section 0.8.1), built by
-  Laplace expansion over the contraction table.
+  Laplace expansion over the contraction table; a structure keeps one per
+  degree (``AlmostHermitianStructure.form_inner``).
 * ``hodge_star`` uses the volume form ``F^n / n!`` of the ambient
   almost-Hermitian structure, i.e. the orientation making it positive.
 """
@@ -27,7 +29,7 @@ from math import comb
 
 import numpy as np
 
-from .arith import Numerators, max_abs
+from .arith import max_abs
 from .errors import DegenerateMetric, DimensionMismatch, IndexOutOfRange, LcakError
 
 
@@ -68,9 +70,8 @@ def _product(alg, degree, out, sign, x, y):
     """The ``degree``-form with ``sign * x * y`` summed into the entries
     ``out``, over the rows where neither x nor y is zero."""
     keep = (x != 0) & (y != 0)
-    vec = alg.field.zeros(comb(alg.dim, degree))
-    np.add.at(vec, out[keep], sign[keep] * x[keep] * y[keep])
-    return KForm._of(alg, degree, vec)
+    return KForm._of(alg, degree, alg.field.scatter(comb(alg.dim, degree), out[keep],
+                                                    sign[keep] * x[keep] * y[keep]))
 
 
 class KForm:
@@ -84,7 +85,7 @@ class KForm:
         if degree < 0:
             raise LcakError("negative form degree")
         self.alg, self.degree = alg, int(degree)
-        self.vec = alg.field.zeros(comb(alg.dim, self.degree))
+        vals = [0] * comb(alg.dim, self.degree)
         pos = _keys(alg.dim, self.degree)[1]
         for key, val in (coeffs or {}).items():
             key = tuple(key)
@@ -94,7 +95,8 @@ class KForm:
                 raise IndexOutOfRange(f"form index outside 0..{alg.dim - 1} in {key}")
             if len(set(key)) == degree:
                 sign = (-1) ** sum(x > y for x, y in combinations(key, 2))
-                self.vec[pos[tuple(sorted(key))]] += sign * val
+                vals[pos[tuple(sorted(key))]] += sign * val
+        self.vec = alg.field.array(vals)
 
     @classmethod
     def _of(cls, alg, degree, vec):
@@ -119,15 +121,14 @@ class KForm:
     @classmethod
     def from_vector(cls, alg, v):
         """Degree-1 form with components v (covector coefficients)."""
-        v = np.array(v)
-        if v.shape != (alg.dim,):
+        if np.shape(v) != (alg.dim,):
             raise DimensionMismatch("vector length != dim")
-        return cls._of(alg, 1, v)
+        return cls._of(alg, 1, alg.field.array(v))
 
     @classmethod
     def from_matrix(cls, alg, m):
         """Degree-2 form from an antisymmetric component matrix."""
-        return cls._of(alg, 2, np.asarray(m)[_pairs(alg.dim)])
+        return cls._of(alg, 2, alg.field.array(m)[_pairs(alg.dim)])
 
     # -- structural helpers ---------------------------------------------------
 
@@ -147,8 +148,8 @@ class KForm:
             raise DimensionMismatch("cannot add forms of different degree")
         return self.degree
 
-    def is_zero(self, tol=0.0):
-        return bool(np.all(np.abs(self.vec) <= tol))
+    def is_zero(self, tol=0):
+        return bool(np.all(abs(self.vec) <= tol))
 
     def max_abs(self) -> float:
         return max_abs(self.vec)
@@ -214,16 +215,16 @@ class KForm:
         if self.degree < 1:
             raise LcakError("cannot contract a 0-form")
         i, rest, full, sign = _wedge_table(self.alg.dim, 1, self.degree - 1)
-        return _product(self.alg, self.degree - 1, rest, sign, np.asarray(x)[i], self.vec[full])
+        return _product(self.alg, self.degree - 1, rest, sign, self.alg.field.array(x)[i],
+                        self.vec[full])
 
     def d(self):
         """Chevalley-Eilenberg differential: the product with the algebra's D_k."""
-        return KForm._of(self.alg, self.degree + 1, self.alg.field.matmul(
-            self.alg.d_matrix(self.degree), self.vec))
+        return KForm._of(self.alg, self.degree + 1, self.alg.d_matrix(self.degree) @ self.vec)
 
     def lie_derivative(self, x):
         """L_X alpha for left-invariant alpha: -sum_p alpha(..., [X, e_j], ...)."""
-        return derive_along(self, self.alg.ad(np.asarray(x)))
+        return derive_along(self, self.alg.ad(x))
 
     def __repr__(self):
         terms = [f"{val}*{'e^' + ''.join(str(i + 1) for i in key) if key else '1'}"
@@ -242,39 +243,41 @@ def derive_along(a: KForm, m) -> KForm:
     i, rest, full, sign = _wedge_table(alg.dim, 1, k - 1)
     inner = alg.field.zeros(alg.dim, len(_keys(alg.dim, k - 1)[0]))  # inner[i] = i_{e_i} alpha
     inner[i, rest] = sign * a.vec[full]
-    p = alg.field.matmul(np.asarray(m).T, inner)  # p[j] = sum_i M[i, j] i_{e_i} alpha
-    out = alg.field.zeros(comb(alg.dim, k))
-    np.add.at(out, full, -sign * p[i, rest])  # out = -sum_j e^j ^ p[j]
-    return KForm._of(alg, k, out)
+    p = alg.field.array(m).T @ inner  # p[j] = sum_i M[i, j] i_{e_i} alpha
+    # out = -sum_j e^j ^ p[j]
+    return KForm._of(alg, k, alg.field.scatter(comb(alg.dim, k), full, -sign * p[i, rest]))
 
 
 # ---------------------------------------------------------------------------
 # metric operations
 # ---------------------------------------------------------------------------
 
-def compound(m: Numerators, k):
-    """The k-th compound C[I, J] = det m[I, J] over Lambda^k, as Numerators:
-    each minor is expanded along its first row over the contraction table."""
-    num, den = m
-    dim = len(num)
-    c = np.ones((1, 1), dtype=num.dtype)
+def compound(field, m, k):
+    """The k-th compound C[I, J] = det m[I, J] over Lambda^k: each minor is
+    expanded along its first row over the contraction table."""
+    m = field.array(m)
+    dim = len(m)
+    c = field.eye(1)
     for r in range(1, k + 1):
         keys, prev = _keys(dim, r)[0], _keys(dim, r - 1)[1]
         first = [key[0] for key in keys]
         tail = [prev[key[1:]] for key in keys]
         j, rest, full, sign = _wedge_table(dim, 1, r - 1)  # i_{e_j} e^full = sign e^rest
-        terms = sign * num[first][:, j] * c[tail][:, rest]
-        c = np.zeros((len(keys), len(keys)), dtype=num.dtype)
-        np.add.at(c, (slice(None), full), terms)
-    return Numerators(c, den ** k)
+        c = field.scatter((len(keys), len(keys)), (slice(None), full),
+                          sign * m[first][:, j] * c[tail][:, rest])
+    return c
+
+
+def pairing(a: KForm, b: KForm, c):
+    """<alpha, beta> = alpha C beta with C the compound of g^-1 in their degree."""
+    if a.degree != b.degree:
+        raise DimensionMismatch("inner product needs equal degrees")
+    return a.vec @ c @ b.vec
 
 
 def form_inner_product(a: KForm, b: KForm, g_inv):
     """<alpha, beta> extending g to k-forms; requires equal degrees."""
-    if a.degree != b.degree:
-        raise DimensionMismatch("inner product needs equal degrees")
-    field = a.alg.field
-    return field.matmul(a.vec, compound(field.numerators(g_inv), a.degree), b.vec)
+    return pairing(a, b, compound(a.alg.field, g_inv, a.degree))
 
 
 def form_norm_sq(a: KForm, g_inv):
@@ -293,7 +296,7 @@ def hodge_star(a: KForm, g_inv, volume: KForm):
     vol = volume.vec[0]
     if vol == 0:
         raise DegenerateMetric("volume form vanishes")
-    inner = field.matmul(compound(field.numerators(g_inv), a.degree), a.vec)  # <e^key, a>
+    inner = compound(field, g_inv, a.degree) @ a.vec  # <e^key, a>
     key, comp, _, sign = _wedge_table(dim, a.degree, dim - a.degree)
     # e^key ^ (star a) = <e^key, a> vol forces the e^comp coefficient
     out = field.zeros(len(comp))

@@ -12,14 +12,17 @@ Conventions (fixed once, used everywhere):
 * characteristic field V solves ``i_V F = theta``, so ``V = -JT``.
 
 The structure holds the algebra's arithmetic field (``field``), with its own
-tolerance when one is given.  The Nijenhuis table and the Lie-derivative
-table of F are contractions of the algebra's ``structure_tensor`` with J and
-F, computed once per structure; N(X, Y), the forms N_X, the tensors N(X) and
-the image of N read from the table.
+tolerance when one is given; J, g and every derived array are
+:class:`~lcak.arith.QArray`s in exact mode and float arrays otherwise, and
+one expression (``J.T @ g @ J``) serves both.  The Nijenhuis table and the
+Lie-derivative table of F are contractions of the algebra's
+``structure_tensor`` with J and F, computed once per structure; N(X, Y), the
+forms N_X, the tensors N(X) and the image of N read from the table.  The
+compound matrices of g^-1 that pair k-forms are built once per degree.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import combinations
 
@@ -30,7 +33,7 @@ from .algebra import LieAlgebra
 from .arith import DEFAULT_TOL
 from .errors import (DegenerateMetric, DimensionMismatch, NondegeneracyFailure,
                      UnsupportedDimension, ValidationError)
-from .forms import KForm, form_inner_product
+from .forms import KForm, compound, pairing
 
 
 def preset_j(name, dim):
@@ -51,14 +54,13 @@ class Tensor2:
     __slots__ = ("alg", "mat")
 
     def __init__(self, alg, mat):
-        mat = np.asarray(mat)
-        if mat.shape != (alg.dim, alg.dim):
+        if np.shape(mat) != (alg.dim, alg.dim):
             raise DimensionMismatch("Tensor2 matrix has wrong shape")
         self.alg = alg
-        self.mat = mat
+        self.mat = alg.field.array(mat)
 
     def __call__(self, x, y):
-        return self.alg.field.matmul(x, self.mat, y)
+        return x @ self.mat @ y
 
     def __add__(self, other):
         return Tensor2(self.alg, self.mat + other.mat)
@@ -98,15 +100,7 @@ class StructureValidationReport:
                 self.f_nondegenerate)
 
     def as_dict(self):
-        return {
-            "j_squared_ok": self.j_squared_ok,
-            "g_symmetric": self.g_symmetric,
-            "g_positive_definite": self.g_positive_definite,
-            "g_j_invariant": self.g_j_invariant,
-            "f_nondegenerate": self.f_nondegenerate,
-            "compatibility_residual": self.compatibility_residual,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 @dataclass
@@ -138,22 +132,20 @@ def validate_structure(J, g, alg=None, tol=DEFAULT_TOL) -> StructureValidationRe
         raise DimensionMismatch("J and g must be square of equal size")
     if alg is not None and J.shape[0] != alg.dim:
         raise DimensionMismatch("matrix size != algebra dimension")
-    exact = arith.all_exact(J.ravel().tolist()) and arith.all_exact(g.ravel().tolist())
-    field = arith.Field(exact, tol)
-    J, g = field.array(J), field.array(g)
-    return _validation(field, g, field.numerators(J), field.numerators(g))
+    field = arith.Field(arith.all_exact(J) and arith.all_exact(g), tol)
+    return _validation(field, field.array(J), field.array(g))
 
 
-def _validation(field, g, jn, gn):
-    """The checks of ``validate_structure`` on g and the numerators of J and g."""
+def _validation(field, J, g):
+    """The checks of ``validate_structure`` on J and g."""
     g_sym = field.is_zero(g - g.T)
-    compat = arith.max_abs(field.matmul(jn.T, gn, jn) - g)
+    compat = arith.max_abs(J.T @ g @ J - g)
     return StructureValidationReport(
-        j_squared_ok=field.is_zero(field.matmul(jn, jn) + field.eye(len(g))),
+        j_squared_ok=field.is_zero(J @ J + field.eye(len(g))),
         g_symmetric=g_sym,
         g_positive_definite=g_sym and arith.is_positive_definite(g, field),
         g_j_invariant=field.is_zero(compat, arith.max_abs(g)),
-        f_nondegenerate=field.is_nondegenerate(field.matmul(jn.T, gn)),
+        f_nondegenerate=field.is_nondegenerate(J.T @ g),
         compatibility_residual=float(compat),
     )
 
@@ -172,18 +164,17 @@ class AlmostHermitianStructure:
     """
 
     def __init__(self, alg: LieAlgebra, J, g=None, tol=None, validate=True, name=None):
-        J = np.asarray(J)
-        g = alg.field.eye(alg.dim) if g is None else np.asarray(g)
-        exact = (alg.exact and arith.all_exact(J.ravel().tolist())
-                 and arith.all_exact(g.ravel().tolist()))
+        g = alg.field.eye(alg.dim) if g is None else g
+        exact = alg.exact and arith.all_exact(J) and arith.all_exact(g)
         self.alg = alg if exact == alg.exact else alg.as_float()
         self.field = arith.Field(exact, self.alg.tol if tol is None else float(tol))
         self.J = self.field.array(J)
         self.g = self.field.array(g)
         self.name = name
+        self._compounds = {}  # degree -> compound of g^-1
         if self.J.shape != self.g.shape or self.J.shape != (alg.dim, alg.dim):
             raise DimensionMismatch("J and g must be square of the algebra's dimension")
-        self.validation = _validation(self.field, self.g, self.J_num, self.g_num)
+        self.validation = _validation(self.field, self.J, self.g)
         if validate and not self.validation.ok:
             code = "J_NOT_ACS" if not self.validation.j_squared_ok else (
                 "G_NOT_SYMMETRIC" if not self.validation.g_symmetric else (
@@ -218,13 +209,13 @@ class AlmostHermitianStructure:
 
     @cached_property
     def f_matrix(self):
-        return self.field.matmul(self.J_num.T, self.g_num)
+        return self.J.T @ self.g
 
-    # the read-only arrays as arith.Numerators, computed once
-    J_num = cached_property(lambda self: self.field.numerators(self.J))
-    g_num = cached_property(lambda self: self.field.numerators(self.g))
-    g_inv_num = cached_property(lambda self: self.field.numerators(self.g_inv))
-    f_num = cached_property(lambda self: self.field.numerators(self.f_matrix))
+    def g_inv_compound(self, k):
+        """The k-th compound of g^-1, the Gram matrix of k-forms; built once per degree."""
+        if k not in self._compounds:
+            self._compounds[k] = compound(self.field, self.g_inv, k)
+        return self._compounds[k]
 
     @cached_property
     def F(self) -> KForm:
@@ -245,75 +236,65 @@ class AlmostHermitianStructure:
     def j_one_form(self, a):
         """(J alpha)(X) = -alpha(JX)."""
         if isinstance(a, KForm):
-            return KForm.from_vector(self.alg, -self.field.matmul(self.J_num.T, a.vector()))
-        return -self.field.matmul(self.J_num.T, a)
+            return KForm.from_vector(self.alg, -(self.J.T @ a.vector()))
+        return -(self.J.T @ a)
 
     # -- tensor splittings -------------------------------------------------------
 
     def split_tensor(self, phi):
         """J-(anti)invariant and (anti)symmetric parts; parts sum back exactly."""
-        f = self.field
-        m = f.numerators(phi.mat if isinstance(phi, Tensor2) else phi)
-        pulled = f.matmul_num(self.J_num.T, m, self.J_num)
-        scaled = m.num * (pulled.den // m.den)  # m over the denominator of pulled
-        return {key: Tensor2(self.alg, f.fractions(num, 2 * den)) for key, num, den in (
-            ("j_plus", scaled + pulled.num, pulled.den),
-            ("j_minus", scaled - pulled.num, pulled.den),
-            ("sym", m.num + m.num.T, m.den),
-            ("antisym", m.num - m.num.T, m.den))}
+        phi = phi if isinstance(phi, Tensor2) else Tensor2(self.alg, phi)
+        pulled = Tensor2(self.alg, self.J.T @ phi.mat @ self.J)
+        half = self.field.scalar(1, 2)
+        return {"j_plus": half * (phi + pulled), "j_minus": half * (phi - pulled),
+                "sym": phi.sym(), "antisym": phi.antisym()}
 
     # -- norms and inner products -------------------------------------------------
 
     def form_inner(self, a, b):
-        return form_inner_product(a, b, self.g_inv_num)
+        """<alpha, beta> on k-forms, from the cached compound of g^-1."""
+        return pairing(a, b, self.g_inv_compound(a.degree))
 
     def tensor_norm_sq(self, phi):
         """Frobenius norm squared w.r.t. g: sum g^ik g^jl phi_ij phi_kl."""
-        m = self.field.numerators(phi.mat if isinstance(phi, Tensor2) else phi)
-        return self._trace(self.g_inv_num, m, self.g_inv_num, m.T)
+        m = phi.mat if isinstance(phi, Tensor2) else self.field.array(phi)
+        return (self.g_inv @ m @ self.g_inv @ m.T).trace()
 
     def endo_inner(self, a, b):
         """<A, B>_g = tr(g^-1 A^T g B) for endomorphisms."""
-        return self._trace(self.g_inv_num, np.asarray(a).T, self.g_num, b)
-
-    def _trace(self, *ms):
-        """tr(ms[0] @ ms[1] @ ...), traced on the integer numerators."""
-        prod = self.field.matmul_num(*ms)
-        return self.field.fractions(np.trace(prod.num), prod.den)
+        return (self.g_inv @ self.field.array(a).T @ self.g @ b).trace()
 
     def sharp(self, a):
         """Vector dual of a 1-form."""
-        return self.field.matmul(self.g_inv_num, a.vector() if isinstance(a, KForm) else a)
+        return self.g_inv @ (a.vector() if isinstance(a, KForm) else a)
 
     def flat(self, x):
         """1-form dual of a vector."""
-        return KForm.from_vector(self.alg, self.field.matmul(self.g_num, x))
+        return KForm.from_vector(self.alg, self.g @ x)
 
     # -- Nijenhuis tensor ----------------------------------------------------------
 
     @cached_property
     def _nijenhuis(self):
         """N[:, i, j] = N(e_i, e_j) for all i, j, from the contracted brackets."""
-        c, J, f = self.alg.structure_num, self.J_num, self.field
-        jj = f.einsum_num('kab,ai,bj->kij', c, J, J)   # [J e_i, J e_j]
-        jjx = f.einsum_num('kl,laj,ai->kij', J, c, J)  # J [J e_i, e_j]
-        jjy = f.einsum_num('kl,lib,bj->kij', J, c, J)  # J [e_i, J e_j]
-        # all three over den(c) den(J)^2: one division for the sum
-        return f.fractions(jj.num - c.num * J.den ** 2 - jjx.num - jjy.num, 4 * jj.den)
+        c, J, f = self.alg.structure_tensor, self.J, self.field
+        jj = f.einsum('kab,ai,bj->kij', c, J, J)   # [J e_i, J e_j]
+        jjx = f.einsum('kl,laj,ai->kij', J, c, J)  # J [J e_i, e_j]
+        jjy = f.einsum('kl,lib,bj->kij', J, c, J)  # J [e_i, J e_j]
+        return f.scalar(1, 4) * (jj - c - jjx - jjy)
 
     def nijenhuis(self, x, y):
         """4 N(X,Y) = [JX, JY] - [X, Y] - J[JX, Y] - J[X, JY], returns N(X,Y)."""
-        return (self._nijenhuis @ np.asarray(y)) @ np.asarray(x)
+        return (self._nijenhuis @ y) @ x
 
     def nijenhuis_form(self, x):
         """N_X = g(N(., .), X) as a 2-form."""
-        gx = self.field.matmul(self.g_num, x).reshape(1, self.dim)
+        gx = (self.g @ x).reshape(1, self.dim)
         return KForm.from_matrix(self.alg, self._contract_first(gx, self._nijenhuis))
 
     def nijenhuis_tensor(self, x):
         """N(X) = g(N(X, .), .) as a Tensor2."""
-        return Tensor2(self.alg, self.field.einsum('kij,i,lk->jl', self._nijenhuis,
-                                                   np.asarray(x), self.g_num))
+        return Tensor2(self.alg, self.field.einsum('kij,i,lk->jl', self._nijenhuis, x, self.g))
 
     def nijenhuis_image(self):
         """Basis of span{N(e_i, e_j)} as a list of vectors."""
@@ -337,8 +318,8 @@ class AlmostHermitianStructure:
         dF = self.F.d()
         solve_residual = (dF - theta.wedge(self.F)).max_abs() / max(1.0, dF.max_abs())
         theta_vec = theta.vector()
-        T = self.field.matmul(self.g_inv_num, theta_vec)
-        JT = self.field.matmul(self.J_num, T)
+        T = self.g_inv @ theta_vec
+        JT = self.J @ T
         jtheta = self.j_one_form(theta)
         # i_V F = theta  <=>  JV = T
         return LeeData(theta=theta, T=T, jtheta=jtheta, JT=JT,
@@ -366,7 +347,7 @@ class AlmostHermitianStructure:
     @cached_property
     def delta_theta(self):
         """delta theta = -sum_ab g^{ab} (D theta)_{ab}, read off the cached D theta."""
-        return -self._trace(self.g_inv_num, self.Dtheta.mat)
+        return -(self.g_inv @ self.Dtheta.mat).trace()
 
     def codifferential(self, obj):
         """delta^g on 2-tensors and on forms of degree <= 2, via the
@@ -377,16 +358,15 @@ class AlmostHermitianStructure:
             if obj.degree == 1:  # -sum_ab g^{ab} (D alpha)_{ab}
                 from . import connection
                 d_alpha = connection.covariant_one_form(self, obj)
-                return KForm(self.alg, 0, {(): -self._trace(self.g_inv_num, d_alpha.mat)})
+                return KForm(self.alg, 0, {(): -(self.g_inv @ d_alpha.mat).trace()})
             if obj.degree != 2:
                 raise UnsupportedDimension("codifferential of forms of degree > 2")
             obj = Tensor2(self.alg, obj.matrix())
         if isinstance(obj, Tensor2):
             # (D_{e_a} phi)(e_b, .) = -(Gamma_a^T phi + phi Gamma_a)[b], traced with g^{ab}
-            f = self.field
-            gn = self.connection.gamma_num
-            out = (f.matmul(f.einsum('ab,akb->k', self.g_inv_num, gn), obj.mat)
-                   + f.einsum('ab,bk,akc->c', self.g_inv_num, obj.mat, gn))
+            f, gamma = self.field, self.connection.gamma
+            out = (f.einsum('ab,akb->k', self.g_inv, gamma) @ obj.mat
+                   + f.einsum('ab,bk,akc->c', self.g_inv, obj.mat, gamma))
             return KForm.from_vector(self.alg, out)
         raise DimensionMismatch("codifferential expects a KForm or Tensor2")
 
@@ -394,24 +374,23 @@ class AlmostHermitianStructure:
 
     def lie_derivative_J(self, x):
         """(L_X J)(Y) = [X, JY] - J[X, Y] as an endomorphism matrix."""
-        f, J = self.field, self.J_num
-        ad = f.numerators(self.alg.ad(np.asarray(x)))
-        return f.fractions(f.matmul_num(ad, J).num - f.matmul_num(J, ad).num, ad.den * J.den)
+        ad = self.alg.ad(x)
+        return ad @ self.J - self.J @ ad
 
     @cached_property
     def _lie_F(self):
         """L[c] = L_{e_c} F as a matrix, from cf[c, a, b] = F([e_c, e_a], e_b)."""
-        cf = self.field.einsum('kca,kb->cab', self.alg.structure_num, self.f_num)
+        cf = self.field.einsum('kca,kb->cab', self.alg.structure_tensor, self.f_matrix)
         return cf.transpose(0, 2, 1) - cf
 
     def lie_derivative_F(self, x):
         """(L_X F)(Y, Z) = -F([X,Y], Z) - F(Y, [X,Z]) as a 2-form."""
-        x = np.asarray(x).reshape(1, self.dim)
+        x = self.field.array(x).reshape(1, self.dim)
         return KForm.from_matrix(self.alg, self._contract_first(x, self._lie_F))
 
     def _contract_first(self, x, table):
         """sum_c x[0, c] table[c] (``np.tensordot(x, table, 1)``) as one product."""
-        return self.field.matmul(x, table.reshape(self.dim, -1)).reshape(self.dim, self.dim)
+        return (x @ table.reshape(self.dim, -1)).reshape(self.dim, self.dim)
 
     @cached_property
     def automorphisms(self):
@@ -420,10 +399,8 @@ class AlmostHermitianStructure:
         return arith.nullspace(self._lie_F[:, rows, cols].T, self.field)
 
     def lie_derivative_g(self, x):
-        f, g = self.field, self.g_num
-        ad = f.numerators(self.alg.ad(np.asarray(x)))
-        return Tensor2(self.alg, f.fractions(-(f.matmul_num(ad.T, g).num
-                                               + f.matmul_num(g, ad).num), ad.den * g.den))
+        ad = self.alg.ad(x)
+        return Tensor2(self.alg, -(ad.T @ self.g + self.g @ ad))
 
     # -- transforms ------------------------------------------------------------------
 
@@ -438,9 +415,9 @@ class AlmostHermitianStructure:
         alg2 = self.alg.change_basis(p)
         f = alg2.field
         pm = f.array(p)
-        pinv, pm = arith.invert(pm, f), f.numerators(pm)
-        j2 = f.matmul(pinv, self.J, pm)
-        g2 = f.matmul(pm.T, self.g, pm)
+        pinv = arith.invert(pm, f)
+        j2 = pinv @ f.array(self.J) @ pm
+        g2 = pm.T @ f.array(self.g) @ pm
         return AlmostHermitianStructure(alg2, j2, g2, tol=self.tol, validate=False,
                                         name=self.name)
 
@@ -449,7 +426,7 @@ class AlmostHermitianStructure:
             return self
         return AlmostHermitianStructure(
             self.alg.as_float(),
-            self.J.astype(float), self.g.astype(float),
+            np.asarray(self.J, dtype=float), np.asarray(self.g, dtype=float),
             tol=self.tol, validate=False, name=self.name)
 
     def basis_vector(self, i):

@@ -7,30 +7,25 @@ these; a correct implementation keeps all of them at zero.
 """
 from __future__ import annotations
 
-import numpy as np
-
 from . import arith, connection
 from .errors import UnsupportedDimension
-from .forms import KForm, form_norm_sq, hodge_star
+from .forms import KForm, hodge_star
 from .hermitian import AlmostHermitianStructure, Tensor2
 
 
 def dtheta_anti_invariant_twist(structure, dtheta: KForm) -> KForm:
     """J (d theta)^{J,-} with (J phi)(X, Y) = -phi(JX, Y)."""
-    f, J = structure.field, structure.J_num
-    m = f.numerators(dtheta.matrix())
-    pulled = f.matmul_num(J.T, m, J)
-    # 2 (d theta)^{J,-} over the denominator of pulled, then -J^T times it
-    twice_minus = m.num * (pulled.den // m.den) - pulled.num
-    out = f.matmul_num(J.T, arith.Numerators(twice_minus, pulled.den))
-    return KForm.from_matrix(structure.alg, f.fractions(-out.num, 2 * out.den))
+    J, m = structure.J, dtheta.matrix()
+    twice_minus = m - J.T @ m @ J  # 2 (d theta)^{J,-}
+    return KForm.from_matrix(structure.alg,
+                             structure.field.scalar(-1, 2) * (J.T @ twice_minus))
 
 
 def sym_j_plus_twisted(structure, dtheta_tensor: Tensor2) -> KForm:
     """(D theta)^{sym, J, +}_{J., .} as a 2-form."""
     sym = dtheta_tensor.sym()
     jplus = structure.split_tensor(sym)["j_plus"].mat
-    return KForm.from_matrix(structure.alg, structure.field.matmul(structure.J_num.T, jplus))
+    return KForm.from_matrix(structure.alg, structure.J.T @ jplus)
 
 
 def dj_theta_expansion_residual(structure: AlmostHermitianStructure) -> float:
@@ -77,8 +72,8 @@ def bochner_residual(structure: AlmostHermitianStructure, alpha) -> float:
     """(delta (D a)^{J,+} - delta (D a)^{J,-})(X)
     = rho*(a^sharp, JX) - (n-1) D a(JT, JX) - sum_i D a(J e_i, (D_{e_i} J) X),
     max over basis X.  T is the Lee field of dF = theta ^ F."""
-    alpha = np.asarray(alpha)
     s = structure
+    alpha = s.field.array(alpha)
     da = connection.covariant_one_form(s, alpha)
     parts = s.split_tensor(da)
     lhs = (s.codifferential(parts["j_plus"]) - s.codifferential(parts["j_minus"])).vector()
@@ -115,9 +110,8 @@ def j_invariant_wedge_residual(structure, phi: KForm, psi: KForm) -> float:
 def nijenhuis_cyclic_residual(structure) -> float:
     """g(N(X,Y),Z) + g(N(Y,Z),X) + g(N(Z,X),Y) over basis triples."""
     # ng[i, j, k] = g(N(e_i, e_j), e_k), summed cyclically on the numerators
-    ng = structure.field.einsum_num('mij,mk->ijk', structure._nijenhuis, structure.g_num)
-    cyclic = ng.num + ng.num.transpose(2, 0, 1) + ng.num.transpose(1, 2, 0)
-    return float(structure.field.scalar(np.max(np.abs(cyclic)), ng.den))
+    ng = structure.field.einsum('mij,mk->ijk', structure._nijenhuis, structure.g)
+    return arith.max_abs(ng + ng.transpose(2, 0, 1) + ng.transpose(1, 2, 0))
 
 
 def lee_codifferential_residual(structure) -> float:
@@ -137,7 +131,7 @@ def lie_derivative_nijenhuis_residual(structure) -> float:
     s = structure
     lee = s.lee_form()
     lhs = s.lie_derivative_J(lee.JT) - s.J @ s.lie_derivative_J(lee.T)
-    rhs = np.array([4 * s.nijenhuis(lee.T, s.basis_vector(j)) for j in range(s.dim)]).T
+    rhs = s.field.array([4 * s.nijenhuis(lee.T, s.basis_vector(j)) for j in range(s.dim)]).T
     diff = lhs - rhs
     scale = max(1.0, arith.max_abs(lhs), arith.max_abs(rhs))
     return arith.max_abs(diff) / scale
@@ -187,8 +181,8 @@ def dim4_integrand_value(structure) -> float:
     bracket_t_jt = s.alg.bracket(lee.T, lee.JT)
     val = (delta_theta * delta_theta
            - 2 * lee.norm_sq * delta_theta
-           + form_norm_sq(sd_part, s.g_inv_num)
-           - 4 * form_norm_sq(asd_part, s.g_inv_num)
+           + s.form_inner(sd_part, sd_part)
+           - 4 * s.form_inner(asd_part, asd_part)
            + 2 * (bracket_t_jt @ s.g @ lee.JT))
     return float(val)
 

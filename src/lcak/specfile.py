@@ -201,7 +201,8 @@ class Report:
 
 def _encode(obj):
     """JSON-encodable copy: exact scalars become fraction strings, numpy
-    values become plain Python, tuples become lists."""
+    values become plain Python, tuples become lists; any other object
+    raises ``TypeError``."""
     from fractions import Fraction
     if isinstance(obj, dict):
         return {str(k): _encode(v) for k, v in obj.items()}
@@ -217,7 +218,7 @@ def _encode(obj):
         return [_encode(v) for v in obj.tolist()]
     if isinstance(obj, (bool, int, float, str)) or obj is None:
         return obj
-    return str(obj)
+    raise TypeError(f"cannot encode a {type(obj).__name__} in a report")
 
 
 def _form_dict(form):

@@ -6,11 +6,12 @@ from pathlib import Path
 
 import pytest
 
+from lcak.arith import Field
 from lcak.catalogs import CATALOG_NAMES, catalog, catalog_entry
 from lcak.cli import main
 from lcak.errors import ParseError, ValidationError
 from lcak.fuzzing import fuzz, summary_to_json
-from lcak.specfile import Report, load_spec, run_report
+from lcak.specfile import Report, _encode, load_spec, run_report
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -206,3 +207,11 @@ def test_equivalence_errors_are_reported_only_when_typed(monkeypatch):
     monkeypatch.setattr(conditions, "verify_equivalences", raise_untyped)
     with pytest.raises(ZeroDivisionError):
         run_report(catalog_entry("A4_1"))
+
+
+def test_report_encoder_refuses_unknown_objects():
+    assert _encode({"x": (1, 2.5, None)}) == {"x": [1, 2.5, None]}
+    with pytest.raises(TypeError):
+        _encode({"x": object()})
+    with pytest.raises(TypeError):  # an exact array never reaches a report as its repr
+        _encode([Field(True).array([1, "1/2"])])

@@ -380,7 +380,8 @@ def _float_scaled(s, bracket=1.0, metric=1.0):
     for (i, j, k), v in s.alg.sparse_constants().items():
         brackets.setdefault((i, j), {})[k] = bracket * float(v)
     alg = LieAlgebra(s.dim, brackets, exact=False)
-    return AlmostHermitianStructure(alg, s.J.astype(float), metric * s.g.astype(float))
+    return AlmostHermitianStructure(alg, np.asarray(s.J, dtype=float),
+                                    metric * np.asarray(s.g, dtype=float))
 
 
 # bracket scale 1e-6 is left out: absolute bounds on D theta and L_T J still

@@ -6,6 +6,7 @@ library contracts.  The Lee data, read off the codifferential, is checked
 against a direct solve of dF = theta ^ F.  Exact cases must agree entry for
 entry; float cases within a relative bound fixed from float64 round-off.
 """
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import dict_forms
-from lcak import arith, conditions, connection, identities
+from lcak import arith, conditions, connection, forms, hermitian, identities
 from lcak.algebra import LieAlgebra
 from lcak.almostabelian import AlmostAbelianParams, build_almost_abelian
 from lcak.catalogs import CATALOG_NAMES, catalog_entry
@@ -618,9 +619,9 @@ def test_feasibility_subspace_and_certificate_products(structure):
         rng = np.random.default_rng(s.dim)
         for w in forms[:4]:
             u = _vec(s, rng)
-            assert s.field.matmul(w.matrix(), s.J_num).tolist() == (w.matrix() @ s.J).tolist()
-            got = s.field.matmul_num(u, s.field.matmul_num(w.matrix(), s.J_num), u)
-            assert (got.num == 0) == (u @ (w.matrix() @ s.J) @ u == 0)
+            m, j = np.asarray(w.matrix()), np.asarray(s.J)  # the Fraction arrays
+            assert (w.matrix() @ s.J).tolist() == (m @ j).tolist()
+            assert u @ (w.matrix() @ s.J) @ u == np.asarray(u) @ (m @ j) @ np.asarray(u)
 
 
 # -- the loops replaced by products, kept as references ---------------------------
@@ -689,21 +690,50 @@ def test_float_contractions_keep_the_tensordot_bytes():
         assert s.lie_derivative_F(x).coeffs == want.coeffs
 
 
-# -- numerators of the read-only arrays, once per report --------------------------
+# -- the read-only arrays are cleared to integers once per report ------------------
 
 @pytest.mark.parametrize("make", [lambda: catalog_entry("A4_1"), lambda: _aa_member(5, 4),
                                   lambda: catalog_entry("A4_8")], ids=["A4_1", "aa8", "A4_8"])
 def test_exact_report_computes_numerators_once(monkeypatch, make):
+    """Every conversion of an object array of ints and Fractions to a QArray
+    is recorded; the structure tensor, J and g are each converted once, when
+    they are built."""
     seen = []
-    numerators = arith.Field.numerators
+    as_qarray = arith.as_qarray
 
-    def recording_numerators(self, a):
-        seen.append(a)
-        return numerators(self, a)
+    def recording_as_qarray(x):
+        if isinstance(x, np.ndarray) and x.dtype == object:
+            seen.append(x)
+        return as_qarray(x)
 
-    monkeypatch.setattr(arith.Field, "numerators", recording_numerators)
+    monkeypatch.setattr(arith, "as_qarray", recording_as_qarray)
     s = make()
     run_report(s, feasibility=True)
-    counts = {name: sum(a is arr for a in seen) for name, arr in
+
+    def conversions_of(arr):
+        want = np.asarray(arr)
+        return sum(a.shape == want.shape and bool(np.all(a == want)) for a in seen)
+
+    counts = {name: conversions_of(arr) for name, arr in
               (("structure_tensor", s.alg.structure_tensor), ("J", s.J), ("g", s.g))}
     assert counts == {"structure_tensor": 1, "J": 1, "g": 1}
+
+
+# -- the compound of g^-1, once per structure and degree ------------------------------
+
+@pytest.mark.parametrize("name", ["A4_1", "A4_8", "abelian_kahler"])
+def test_exact_report_builds_each_compound_once(monkeypatch, name):
+    built = []
+    compound = forms.compound
+
+    def recording_compound(field, m, k):
+        built.append((m, k))
+        return compound(field, m, k)
+
+    for module in (forms, hermitian, conditions):
+        monkeypatch.setattr(module, "compound", recording_compound)
+    s = catalog_entry(name)
+    run_report(s, feasibility=True)
+    counts = Counter((id(m), k) for m, k in built)
+    assert counts[(id(s.g_inv), 2)] == 1  # the dim-4 integrand pairs 2-forms twice
+    assert set(counts.values()) == {1}
