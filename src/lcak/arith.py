@@ -18,13 +18,16 @@ multiplies the integer numerators and the denominators once, a sum brings
 both operands to the lcm of their denominators.  :meth:`Field.einsum` is
 ``np.einsum`` on the numerators.  Python ints cannot overflow, and there is
 no int64 path.  Exact scalars are ``Fraction``s: one entry read out of a
-``QArray``, ``Field.scalar`` and the rows of the eliminations below;
-``np.asarray`` of a ``QArray`` is its Fraction array, so ``repr``, ``str`` and
-``tolist`` are those of the Fraction array.
+``QArray``, ``Field.scalar`` and a determinant; ``np.asarray`` of a ``QArray``
+is its Fraction array, so ``repr``, ``str`` and ``tolist`` are those of the
+Fraction array.
 
 The solvers take the field; they are written for the tiny systems that show
 up here (dimensions <= ~70 coming from spaces of 2- and 3-forms on algebras of
-dimension <= 8) and eliminate over Fraction rows.
+dimension <= 8).  In exact mode each runs one fraction-free Gauss-Jordan
+elimination on the integer numerators of a ``QArray`` and reads its answer
+off the reduced rows and the pivot values; float mode uses the SVD, ``lstsq``
+and ``eigvalsh``.
 """
 from __future__ import annotations
 
@@ -314,42 +317,41 @@ def max_abs(a) -> float:
 # exact elimination
 # ---------------------------------------------------------------------------
 
-def _rref(rows):
-    """Row-reduce a list of Fraction rows in place; return the pivot columns
-    and the product of the pivots, negated once per row swap (the
-    determinant of a square matrix of full rank)."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    det = Fraction(1)
-    r = 0
+def _eliminate(num):
+    """Fraction-free Gauss-Jordan elimination of the integer matrix ``num``
+    (E. H. Bareiss, "Sylvester's identity and multistep integer-preserving
+    Gaussian elimination", Math. Comp. 22, 1968), carried above the pivot:
+    with pivot p in row r, every other row becomes ``(p * row - row[c] *
+    row_r) // d``, d the previous pivot value, exact by Sylvester's identity.
+
+    Returns the pivot rows, which over the last pivot value are the reduced
+    echelon form, the pivot columns, the pivot values ``[1, p_1, ...]`` and
+    the number of row exchanges.
+    """
+    rows = num.tolist()
+    nrows, ncols = num.shape
+    pivots, values, swaps = [], [1], 0
     for c in range(ncols):
-        pivot = None
-        for rr in range(r, nrows):
-            if rows[rr][c] != 0:
-                pivot = rr
-                break
-        if pivot is None:
-            continue
-        if pivot != r:
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            det = -det
-        pv = rows[r][c]
-        det *= pv
-        rows[r] = [x / pv if x else x for x in rows[r]]
-        for rr in range(nrows):
-            if rr != r and rows[rr][c] != 0:
-                f = rows[rr][c]
-                rows[rr] = [x - f * y if y else x for x, y in zip(rows[rr], rows[r])]
-        pivots.append(c)
-        r += 1
+        r = len(pivots)
         if r == nrows:
             break
-    return pivots, det
-
-
-def _as_fraction_rows(a):
-    return [[Fraction(x) for x in row] for row in np.asarray(a).tolist()]
+        k = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if k is None:
+            continue
+        if k != r:
+            rows[r], rows[k] = rows[k], rows[r]
+            swaps += 1
+        pivot_row, p, d = rows[r], rows[r][c], values[-1]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                rows[i] = [(p * x - f * y) // d for x, y in zip(row, pivot_row)]
+            elif not f and p != d:
+                rows[i] = [p * x // d for x in row]
+        pivots.append(c)
+        values.append(p)
+    r = len(pivots)
+    return np.array(rows[:r], dtype=object).reshape(r, ncols), pivots, values, swaps
 
 
 def _svd_rank(s, tol):
@@ -358,40 +360,48 @@ def _svd_rank(s, tol):
 
 def nullspace(a, field: Field):
     """Basis of the right nullspace, as a list of vectors."""
-    a = np.asarray(a)
-    n, m = a.shape
+    n, m = np.shape(a)
     if n == 0:
         return list(field.eye(m))
     if field.exact:
-        rows = _as_fraction_rows(a)
-        pivots = _rref(rows)[0]
+        rows, pivots, values, _ = _eliminate(as_qarray(a).num)
         basis = []
-        for fc in (c for c in range(m) if c not in pivots):
-            v = [0] * m
-            v[fc] = 1
-            for r, pc in enumerate(pivots):
-                v[pc] = -rows[r][fc]
-            basis.append(field.array(v))
+        for c in (c for c in range(m) if c not in pivots):
+            v = np.zeros(m, dtype=object)
+            v[c], v[pivots] = values[-1], -rows[:, c]
+            basis.append(QArray(v, values[-1]))
         return basis
-    u, s, vt = np.linalg.svd(a.astype(float))
+    u, s, vt = np.linalg.svd(np.asarray(a, dtype=float))
     return list(vt[_svd_rank(s, field.tol):])
 
 
 def row_space(a, field: Field):
     """Basis of the row space: the nonzero rows of the reduced echelon form
     in exact mode, the leading right singular vectors in float mode."""
-    a = np.asarray(a)
-    if a.size == 0:
+    if 0 in np.shape(a):
         return []
     if field.exact:
-        rows = _as_fraction_rows(a)
-        return [field.array(rows[r]) for r in range(len(_rref(rows)[0]))]
-    u, s, vt = np.linalg.svd(a.astype(float))
+        rows, _, values, _ = _eliminate(as_qarray(a).num)
+        return [QArray(row, values[-1]) for row in rows]
+    u, s, vt = np.linalg.svd(np.asarray(a, dtype=float))
     return list(vt[:_svd_rank(s, field.tol)])
 
 
 def rank(a, field: Field) -> int:
     return len(row_space(a, field))
+
+
+def _solve(a, b):
+    """The solution of ``a x = b`` with every free unknown 0, read off the
+    elimination of ``[a | b]``; None when the system is inconsistent."""
+    den, m = math.lcm(a.den, b.den), a.shape[1]
+    rows, pivots, values, _ = _eliminate(np.column_stack(
+        [_scaled(a.num, den // a.den), _scaled(b.num, den // b.den)]))
+    if m in pivots:
+        return None
+    x = np.zeros(m, dtype=object)
+    x[pivots] = rows[:, m]
+    return QArray(x, values[-1])
 
 
 def solve_least_squares(a, b, field: Field):
@@ -402,25 +412,15 @@ def solve_least_squares(a, b, field: Field):
     otherwise the normal equations are solved exactly and the nonzero
     residual is reported.
     """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    n, m = a.shape
     if field.exact:
-        aug = _as_fraction_rows(np.column_stack([a, b]))
-        pivots = _rref(aug)[0]
-        if m in pivots:  # inconsistent: solve the normal equations
-            aug = _as_fraction_rows(np.column_stack([a.T @ a, a.T @ b]))
-            pivots = _rref(aug)[0]
-        x = [0] * m
-        for r, pc in enumerate(pivots):
-            if pc < m:
-                x[pc] = aug[r][m]
-        x = field.array(x)
-        return x, b - a @ x
-    af = a.astype(float)
-    bf = b.astype(float)
-    x = np.linalg.lstsq(af, bf, rcond=None)[0]
-    return x, bf - af @ x
+        a, b = as_qarray(a), as_qarray(b)
+        x = _solve(a, b)
+        if x is None:  # inconsistent: solve the normal equations
+            x = _solve(a.T @ a, a.T @ b)
+    else:
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        x = np.linalg.lstsq(a, b, rcond=None)[0]
+    return x, b - a @ x
 
 
 def solve_square(a, b, field: Field):
@@ -432,38 +432,35 @@ def solve_square(a, b, field: Field):
 
 
 def invert(a, field: Field):
-    a = np.asarray(a)
-    n = a.shape[0]
-    if field.exact:
-        aug = _as_fraction_rows(np.hstack([a, np.eye(n, dtype=int)]))
-        if _rref(aug)[0] != list(range(n)):
-            raise DegenerateMetric("matrix not invertible")
-        return field.array([row[n:] for row in aug])
-    return np.linalg.inv(a.astype(float))
+    if not field.exact:
+        return np.linalg.inv(np.asarray(a, dtype=float))
+    a = as_qarray(a)
+    n = len(a)
+    rows, pivots, values, _ = _eliminate(np.hstack([a.num, np.eye(n, dtype=int).astype(object)]))
+    if pivots != list(range(n)):
+        raise DegenerateMetric("matrix not invertible")
+    # [num | I] reduces to [I | num^-1], and a^-1 = den * num^-1
+    return QArray(a.den * rows[:, n:], values[-1])
 
 
 def determinant(a, field: Field):
-    a = np.asarray(a)
-    n = a.shape[0]
     if not field.exact:
-        return float(np.linalg.det(a.astype(float)))
-    pivots, det = _rref(_as_fraction_rows(a))
-    return det if len(pivots) == n else Fraction(0)
+        return float(np.linalg.det(np.asarray(a, dtype=float)))
+    a = as_qarray(a)
+    _, pivots, values, swaps = _eliminate(a.num)
+    return Fraction((-1) ** swaps * values[-1] if len(pivots) == len(a) else 0, a.den ** len(a))
 
 
 def is_positive_definite(a, field: Field) -> bool:
     """Sylvester's criterion in exact mode, eigenvalues in float mode.
 
-    Assumes ``a`` symmetric.
+    Assumes ``a`` symmetric.  Without row exchanges, the pivot values of one
+    elimination are the leading minors (times powers of the denominator).
     """
-    a = np.asarray(a)
-    n = a.shape[0]
     if field.exact:
-        for k in range(1, n + 1):
-            if determinant(a[:k, :k], field) <= 0:
-                return False
-        return True
-    w = np.linalg.eigvalsh(a.astype(float))
+        _, pivots, values, swaps = _eliminate(as_qarray(a).num)
+        return swaps == 0 and len(pivots) == len(a) and min(values) > 0
+    w = np.linalg.eigvalsh(np.asarray(a, dtype=float))
     if w.size == 0:
         return True
     scale = max(1.0, float(np.max(np.abs(w))))

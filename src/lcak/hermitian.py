@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from itertools import combinations
 
 import numpy as np
 
@@ -298,9 +297,9 @@ class AlmostHermitianStructure:
 
     def nijenhuis_image(self):
         """Basis of span{N(e_i, e_j)} as a list of vectors."""
-        cols = [self._nijenhuis[:, i, j] for i, j in combinations(range(self.dim), 2)
-                if not self.field.is_zero(self._nijenhuis[:, i, j])]
-        return arith.row_space(np.array(cols), self.field)
+        rows, cols = np.triu_indices(self.dim, 1)
+        table = self._nijenhuis[:, rows, cols].T
+        return arith.row_space(table[[not self.field.is_zero(v) for v in table]], self.field)
 
     # -- Lee form ----------------------------------------------------------------
 
@@ -309,7 +308,7 @@ class AlmostHermitianStructure:
 
     @cached_property
     def _lee(self) -> LeeData:
-        if not self.field.is_nondegenerate(self.f_matrix):
+        if not self.validation.f_nondegenerate:
             raise NondegeneracyFailure("fundamental form is degenerate")
         theta = KForm(self.alg, 1)
         if self.n > 1:

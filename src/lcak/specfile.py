@@ -20,6 +20,7 @@ byte-identical golden files are meaningful.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,8 +79,10 @@ def load_spec(source, tol=None) -> AlmostHermitianStructure:
     if mode not in ("auto", "exact", "float"):
         raise ParseError(f"arithmetic_mode {mode!r} invalid", code="BAD_FIELD",
                          field="options.arithmetic_mode")
-    if tol is None:
-        tol = float(options.get("tolerance", DEFAULT_TOL))
+    tol = options.get("tolerance", DEFAULT_TOL) if tol is None else tol
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 <= tol < math.inf:
+        raise ParseError(f"tolerance must be a finite number >= 0, got {tol!r}",
+                         code="BAD_FIELD", field="options.tolerance")
 
     brackets = {}
     for pos, item in enumerate(data.get("brackets") or []):

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -111,6 +112,46 @@ def test_load_spec_float_mode():
     data["options"] = {"arithmetic_mode": "float", "tolerance": 1e-8}
     s = load_spec(data)
     assert not s.exact and s.tol == 1e-8
+
+
+BAD_TOLERANCES = (-1, -1e-12, math.nan, math.inf, -math.inf, "1e-9", "abc", None, True, [1e-9])
+
+
+def _float_a41(tol):
+    data = json.loads(A41_SPEC)
+    data["options"] = {"arithmetic_mode": "float", "tolerance": tol}
+    return data
+
+
+@pytest.mark.parametrize("tol", BAD_TOLERANCES, ids=repr)
+def test_load_spec_rejects_a_bad_tolerance(tol):
+    """A tolerance that is negative, not finite or not a number is an input
+    error, not a failed Jacobi or positivity check, whether it comes in a
+    parsed dict, in JSON text or as the ``tol`` argument."""
+    for data in (_float_a41(tol), json.dumps(_float_a41(tol))):
+        with pytest.raises(ParseError) as err:
+            load_spec(data)
+        assert (err.value.code, err.value.field) == ("BAD_FIELD", "options.tolerance")
+    if tol is not None:  # tol=None reads the file's tolerance
+        with pytest.raises(ParseError) as err:
+            load_spec(A41_SPEC, tol=tol)
+        assert (err.value.code, err.value.field) == ("BAD_FIELD", "options.tolerance")
+
+
+@pytest.mark.parametrize("tol", [0, 0.0, 1e-12, 1e-3])
+def test_load_spec_accepts_a_finite_nonnegative_tolerance(tol):
+    s = load_spec(_float_a41(tol))
+    assert s.tol == tol and s.validation.ok
+    assert load_spec(A41_SPEC, tol=tol).tol == tol
+
+
+@pytest.mark.parametrize("arg", ["nan", "inf", "-inf", "-1", "-0.5"])
+def test_cli_check_rejects_a_bad_tolerance(tmp_path, capsys, arg):
+    path = tmp_path / "a41.json"
+    path.write_text(A41_SPEC, encoding="utf-8")
+    assert main(["check", str(path), f"--tol={arg}"], out=io.StringIO()) == 2
+    assert capsys.readouterr().err.startswith("input error [BAD_FIELD]: tolerance")
+    assert main(["check", str(path), "--tol=0"], out=io.StringIO()) == 0
 
 
 def test_cli_check_exit_codes(tmp_path):

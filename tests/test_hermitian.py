@@ -5,7 +5,7 @@ import pytest
 
 from lcak import arith, connection, identities
 from lcak.algebra import LieAlgebra, abelian_algebra
-from lcak.errors import UnsupportedDimension, ValidationError
+from lcak.errors import NondegeneracyFailure, UnsupportedDimension, ValidationError
 from lcak.forms import KForm
 from lcak.fuzzing import random_hermitian_structure
 from lcak.hermitian import AlmostHermitianStructure, Tensor2, validate_structure
@@ -149,6 +149,29 @@ def test_lee_form_catalog(a41, a48, abelian_kahler):
     assert a48.lee_form().theta == KForm.from_terms(a48.alg, {(4,): -1})
     lee0 = abelian_kahler.lee_form()
     assert lee0.theta.is_zero() and arith.max_abs(lee0.V) == 0
+
+
+def test_lee_form_reads_nondegeneracy_from_the_validation(monkeypatch):
+    """F = J^T g is tested for nondegeneracy once, when the structure is
+    validated; the Lee form reads that verdict."""
+    calls = []
+    is_nondegenerate = arith.Field.is_nondegenerate
+
+    def counting(self, m):
+        calls.append(m)
+        return is_nondegenerate(self, m)
+
+    monkeypatch.setattr(arith.Field, "is_nondegenerate", counting)
+    alg = LieAlgebra(4, {(2, 4): {1: 1}, (3, 4): {2: 1}})
+    s = AlmostHermitianStructure(alg, split_j())
+    assert s.exact and s.lee_form().norm_sq == 1
+    assert len(calls) == 1
+    degenerate = AlmostHermitianStructure(alg, split_j(), np.diag([1, 1, 1, 0]),
+                                          validate=False)
+    assert not degenerate.validation.f_nondegenerate
+    with pytest.raises(NondegeneracyFailure):
+        degenerate.lee_form()
+    assert len(calls) == 2
 
 
 def test_lee_data_invariants(a41):
