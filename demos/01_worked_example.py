@@ -30,9 +30,9 @@ print("image of N spans     =", [list(v) for v in s.nijenhuis_image()])
 
 dtheta = covariant_one_form(s, lee.theta)
 print("\nD theta (rows = direction):")
-print(dtheta.mat)
+print(dtheta)
 parts = s.split_tensor(dtheta)
-print("J-invariant part of D theta vanishes:", parts["j_plus"].max_abs() == 0)
+print("J-invariant part of D theta vanishes:", (parts["j_plus"] == 0).all())
 
 print("\nd(J theta)           =", lee.jtheta.d())
 print("-|theta|^2 F + theta ^ J theta =",

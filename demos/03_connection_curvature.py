@@ -22,7 +22,7 @@ print("Koszul residual  :", table.koszul_residual())
 
 lee = s.lee_form()
 dth = covariant_one_form(s, lee.theta)
-print("\nD theta =", dth.mat.tolist())
+print("\nD theta =", dth.tolist())
 
 print("\nD_T J and D_JT J vanish (T is orthogonal to im N):")
 for label, x in [("T", lee.T), ("JT", lee.JT)]:

@@ -28,15 +28,14 @@ from .errors import (Degenerate, DegenerateMetric, DimensionMismatch, IndexOutOf
                      PreconditionFailed, UnsupportedDimension, ValidationError)
 from .forms import KForm, form_inner_product, form_norm_sq, hodge_star
 from .fuzzing import FAMILIES, fuzz
-from .hermitian import (AlmostHermitianStructure, LeeData, Tensor2,
-                        validate_structure)
+from .hermitian import AlmostHermitianStructure, LeeData, validate_structure
 from .specfile import Report, load_spec, run_report
 
 __all__ = [
     "__version__", "CONVENTIONS", "CATALOG_NAMES", "FAMILIES",
     "LieAlgebra", "abelian_algebra", "validate_lie_algebra",
     "KForm", "form_inner_product", "form_norm_sq", "hodge_star",
-    "AlmostHermitianStructure", "LeeData", "Tensor2", "validate_structure",
+    "AlmostHermitianStructure", "LeeData", "validate_structure",
     "ConnectionTable", "CurvatureTensor", "RicciForms", "levi_civita",
     "curvature", "star_ricci", "canonical_connection_forms",
     "first_canonical_connection", "covariant_one_form",

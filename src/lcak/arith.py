@@ -227,11 +227,15 @@ class Field:
         return Fraction(x) if den == 1 else Fraction(x) / den
 
     def array(self, values):
-        """A new array of this field's scalars from nested lists or an array."""
+        """A new array of this field's scalars from nested lists or an array; a
+        list of QArrays is stacked on its numerators, over their lcm denominator."""
         if not self.exact:
             return np.array(values, dtype=float)
         if isinstance(values, QArray):
             return values.copy()
+        if isinstance(values, list) and values and all(isinstance(v, QArray) for v in values):
+            den = math.lcm(*(v.den for v in values))
+            return QArray(np.array([_scaled(v.num, den // v.den) for v in values]), den)
         a = np.array(values, dtype=object)
         return as_qarray(np.array([v if type(v) in (int, Fraction) else self.scalar(v)
                                    for v in a.flat], dtype=object).reshape(a.shape))
@@ -307,10 +311,8 @@ def max_abs(a) -> float:
     QArray gives ``max |num| / den`` in int true division, correctly rounded)."""
     if isinstance(a, QArray):
         return max(map(abs, a.num.ravel().tolist()), default=0) / a.den
-    flat = np.asarray(a).ravel()
-    if flat.size == 0:
-        return 0.0
-    return max(abs(float(v)) for v in flat)
+    a = np.asarray(a, dtype=float)
+    return float(np.max(np.abs(a))) if a.size else 0.0
 
 
 # ---------------------------------------------------------------------------

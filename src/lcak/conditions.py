@@ -3,7 +3,10 @@
 The flags live in a :class:`ConditionReport`; every flag is backed by a named
 residual so a report can always be audited.  Exact-mode residuals must vanish
 identically; float-mode flags compare against ``tol`` scaled by the norms of
-the tensors involved.
+the tensors involved.  :func:`classify_metric` decides each flag once: one
+:func:`check_lcs`, one :func:`automorphism_algebra` on LCS structures and one
+adapted test (:func:`_adapted`, which scales |theta| to 1 on its residuals,
+not by building a rescaled structure) on first-kind ones.
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ from . import arith, connection, identities
 from .conventions import CONVENTIONS
 from .errors import NotFirstKind, NotLCS
 from .forms import KForm, compound
-from .hermitian import AlmostHermitianStructure, Tensor2
+from .hermitian import AlmostHermitianStructure
 
 
 @dataclass
@@ -82,13 +85,13 @@ def automorphism_algebra(structure: AlmostHermitianStructure) -> AutomorphismAlg
                                kind="first" if onto else "second")
 
 
-def _first_kind_flag(structure, strict):
+def _first_kind(structure, strict):
     """(first kind?, automorphism algebra); NotLCS on a strict non-LCS input."""
-    lcs = check_lcs(structure)
-    if strict and not lcs["is_lcs"]:
+    is_lcs = check_lcs(structure)["is_lcs"]
+    if strict and not is_lcs:
         raise NotLCS("structure is not locally conformally symplectic")
     aut = automorphism_algebra(structure)
-    return aut.kind == "first" and lcs["is_lcs"], aut
+    return is_lcs and aut.kind == "first", aut
 
 
 def check_first_kind(structure: AlmostHermitianStructure, strict: bool = True) -> dict:
@@ -97,7 +100,7 @@ def check_first_kind(structure: AlmostHermitianStructure, strict: bool = True) -
     When it exists, T is normalized to the minimal g-norm solution and the
     reconstruction F = d eta - theta ^ eta with eta = -i_T F is verified.
     """
-    first_kind, aut = _first_kind_flag(structure, strict)
+    first_kind, aut = _first_kind(structure, strict)
     out = {
         "first_kind": first_kind,
         "kind": aut.kind,
@@ -127,42 +130,45 @@ def check_first_kind(structure: AlmostHermitianStructure, strict: bool = True) -
     return out
 
 
-def check_adapted(structure: AlmostHermitianStructure, strict: bool = True,
-                  normalize_scale: bool = True) -> dict:
+def check_adapted(structure: AlmostHermitianStructure, strict: bool = True) -> dict:
     """Is J adapted to the first-kind structure (after unit Lee-norm scaling)?
+
+    See :func:`_adapted` for the tests; ``residuals`` is empty when the
+    structure is not of the first kind.
+    """
+    first_kind, _ = _first_kind(structure, strict)
+    if strict and not first_kind:
+        raise NotFirstKind("LCS structure is not of the first kind")
+    if not first_kind:
+        return {"adapted": False, "lee_norm_sq": structure.lee_form().norm_sq,
+                "scale_normalized": False, "residuals": {}, "first_kind": False}
+    return {**_adapted(structure), "first_kind": True}
+
+
+def _adapted(s) -> dict:
+    """The adapted test on a first-kind structure, with g scaled to unit |theta|.
 
     Tests, with T = J V (forced by J theta = -eta):  L_T F = 0, theta(T) = 1,
     J theta = -eta, J preserves H = ker theta  /\\  ker eta, the splitting
     H + span(T, V) is g-orthogonal with T, V orthonormal, and d eta(., J.)
     restricted to H is positive definite.
+
+    The scaling g -> c g with c = |theta|^2 is applied to the residuals, not
+    to the structure: it leaves theta, eta = -i_T F, H, d eta and L_T F as
+    they are and divides T and V by c, so only theta(T), the Gram matrix of
+    (T, V) and the float scale carry c.
     """
-    first_kind, _ = _first_kind_flag(structure, strict)
-    if strict and not first_kind:
-        raise NotFirstKind("LCS structure is not of the first kind")
-    lee = structure.lee_form()
-    norm_sq = lee.norm_sq
-    out = {"adapted": False, "lee_norm_sq": norm_sq, "scale_normalized": False,
-           "residuals": {}, "first_kind": first_kind}
-    if not first_kind or float(norm_sq) <= 0:
-        return out
-    s = structure
-    if normalize_scale and norm_sq != 1:
-        s = structure.rescaled(norm_sq)
-        out["scale_normalized"] = True
-    lee = s.lee_form()
-    f = s.field
-    res = out["residuals"]
-    v_vec = lee.V
+    lee, f = s.lee_form(), s.field
+    c = lee.norm_sq
+    res, v_vec, theta_vec = {}, lee.V, lee.theta.vector()
     t_vec = s.J @ v_vec
-    theta_vec = lee.theta.vector()
     res["automorphism"] = s.lie_derivative_F(t_vec).max_abs()
-    res["theta_of_T"] = abs(float(t_vec @ theta_vec - 1))
+    res["theta_of_T"] = abs(float((t_vec @ theta_vec) / c - 1))
     eta = -1 * s.F.contract(t_vec)
     res["jtheta_plus_eta"] = (s.j_one_form(lee.theta) + eta).max_abs()
     # H = ker theta  /\  ker eta
-    eta_vec = eta.vector()
-    theta_eta = f.array([theta_vec, eta_vec])
-    h_basis = arith.nullspace(theta_eta, s.field)
+    theta_eta = f.array([theta_vec, eta.vector()])
+    h_basis = arith.nullspace(theta_eta, f)
     k = len(h_basis)
     res["h_dimension_defect"] = abs(k - (s.dim - 2))
     # the rows of h span H; (J h) . alpha = h J^T alpha
@@ -170,20 +176,17 @@ def check_adapted(structure: AlmostHermitianStructure, strict: bool = True,
     res["j_preserves_h"] = arith.max_abs(h @ s.J.T @ theta_eta.T)
     tv = f.array([t_vec, v_vec])
     res["splitting_orthogonal"] = arith.max_abs(h @ s.g @ tv.T)
-    res["tv_orthonormal"] = arith.max_abs(tv @ s.g @ tv.T - f.eye(2))
+    res["tv_orthonormal"] = arith.max_abs((tv @ s.g @ tv.T) * (f.scalar(1) / c) - f.eye(2))
     gram = _deta_gram(s, eta.d(), h)
-    sym_defect = arith.max_abs(gram - gram.T)
-    res["deta_metric_symmetric"] = sym_defect
-    sym = s.field.scalar(1, 2) * (gram + gram.T)
-    pd = arith.is_positive_definite(sym, s.field) if k else True
+    res["deta_metric_symmetric"] = arith.max_abs(gram - gram.T)
+    pd = arith.is_positive_definite(f.scalar(1, 2) * (gram + gram.T), f) if k else True
     res["deta_metric_positive"] = 0.0 if pd else 1.0
-    scale = max(1.0, s.F.max_abs(), 1.0 + float(abs(norm_sq)))
-    bound = s.field.bound(scale)
-    out["adapted"] = (pd
-                      and res["h_dimension_defect"] == 0
-                      and all(r <= bound for key, r in res.items()
-                              if key not in ("deta_metric_positive", "h_dimension_defect")))
-    return out
+    bound = f.bound(max(1.0, float(c * s.F.max_abs()), 1.0 + float(c)))
+    adapted = (pd and res["h_dimension_defect"] == 0
+               and all(r <= bound for key, r in res.items()
+                       if key not in ("deta_metric_positive", "h_dimension_defect")))
+    return {"adapted": adapted, "lee_norm_sq": c, "scale_normalized": c != 1,
+            "residuals": res}
 
 
 def _deta_gram(structure, d_eta: KForm, h):
@@ -230,10 +233,10 @@ def classify_metric(structure: AlmostHermitianStructure) -> ConditionReport:
 
     dth = s.Dtheta
     parts = s.split_tensor(dth)
-    dth_scale = max(1.0, dth.max_abs())
-    residuals["dtheta_j_plus"] = float(parts["j_plus"].max_abs())
-    residuals["dtheta_j_minus"] = float(parts["j_minus"].max_abs())
-    residuals["dtheta_full"] = float(dth.max_abs())
+    dth_scale = max(1.0, arith.max_abs(dth))
+    residuals["dtheta_j_plus"] = float(arith.max_abs(parts["j_plus"]))
+    residuals["dtheta_j_minus"] = float(arith.max_abs(parts["j_minus"]))
+    residuals["dtheta_full"] = float(arith.max_abs(dth))
     flags["Dtheta_J_anti_invariant"] = residuals["dtheta_j_plus"] <= s.field.bound(dth_scale)
     flags["Dtheta_J_invariant"] = residuals["dtheta_j_minus"] <= s.field.bound(dth_scale)
     flags["vaisman"] = (flags["is_lcs"]
@@ -249,49 +252,46 @@ def classify_metric(structure: AlmostHermitianStructure) -> ConditionReport:
     flags["lee_field_holomorphic"] = (residuals["lie_T_J"]
                                       <= s.field.bound(arith.max_abs(lee.T)))
     ljt_g = s.lie_derivative_g(lee.JT)
-    residuals["lie_JT_g"] = float(ljt_g.max_abs())
+    residuals["lie_JT_g"] = float(arith.max_abs(ljt_g))
     flags["JT_killing"] = residuals["lie_JT_g"] <= s.field.bound(arith.max_abs(lee.JT))
 
     kind = "second"
-    flags["first_kind"] = False
-    flags["adapted"] = False
+    flags["first_kind"] = flags["adapted"] = False
     if flags["is_lcs"]:
-        fk = check_first_kind(s, strict=False)
-        kind = fk["kind"]
-        flags["first_kind"] = fk["first_kind"]
-        if fk["first_kind"]:
-            ad = check_adapted(s, strict=False)
-            flags["adapted"] = ad["adapted"]
-            residuals["adapted_jtheta_plus_eta"] = float(
-                ad["residuals"].get("jtheta_plus_eta", 0.0))
+        kind = automorphism_algebra(s).kind
+        flags["first_kind"] = kind == "first"
+    if flags["first_kind"]:
+        ad = _adapted(s)
+        flags["adapted"] = ad["adapted"]
+        residuals["adapted_jtheta_plus_eta"] = float(ad["residuals"]["jtheta_plus_eta"])
 
     uni, _traces = s.alg.is_unimodular()
     flags["unimodular"] = bool(uni)
 
     # implication warnings: hypotheses proved in the source theory; a failure
     # here indicates an implementation bug, not a property of the input.
-    def warn_if(cond, hypothesis, conclusion, residual):
-        if cond and residual > s.field.bound(10.0):
+    def warn_if(hypothesis, conclusion, residual):
+        if residual > s.field.bound(10.0):
             warnings.append(f"{hypothesis} should imply {conclusion}; "
                             f"residual {float(residual):.3e}")
 
     if flags["pluricanonical"]:
-        warn_if(True, "pluricanonical", "Gauduchon", residuals["delta_theta"])
+        warn_if("pluricanonical", "Gauduchon", residuals["delta_theta"])
         ltf = s.lie_derivative_F(lee.T).max_abs()
-        warn_if(True, "pluricanonical", "L_T F = 0", ltf)
+        warn_if("pluricanonical", "L_T F = 0", ltf)
         target = -1 * lee.norm_sq * s.F + theta.wedge(lee.jtheta)
-        warn_if(True, "pluricanonical", "dJtheta = -|theta|^2 F + theta^Jtheta",
+        warn_if("pluricanonical", "dJtheta = -|theta|^2 F + theta^Jtheta",
                 (lee.djtheta - target).max_abs())
     if flags["is_lcs"] and flags["T_orthogonal_to_imN"]:
         # proved for LCS metrics only (dF = theta ^ F, d theta = 0)
-        jminus = s.split_tensor(Tensor2(s.alg, lee.djtheta.matrix()))["j_minus"].max_abs()
-        warn_if(True, "T orth im N", "dJtheta J-invariant", jminus)
+        jminus = s.split_tensor(lee.djtheta.matrix())["j_minus"]
+        warn_if("T orth im N", "dJtheta J-invariant", arith.max_abs(jminus))
         nt = s.nijenhuis_tensor(lee.T)
-        warn_if(True, "T orth im N", "N(T) symmetric", nt.antisym().max_abs())
+        warn_if("T orth im N", "N(T) symmetric", arith.max_abs(s.split_tensor(nt)["antisym"]))
         dj = s.connection.DJ.reshape(s.dim, -1)
-        warn_if(True, "T orth im N", "D_T J = 0",
+        warn_if("T orth im N", "D_T J = 0",
                 arith.max_abs(lee.T.reshape(1, s.dim) @ dj))
-        warn_if(True, "T orth im N", "D_JT J = 0",
+        warn_if("T orth im N", "D_JT J = 0",
                 arith.max_abs(lee.JT.reshape(1, s.dim) @ dj))
     if flags["vaisman"]:
         if not (flags["pluricanonical"] and flags["anti_pluricanonical"]):
@@ -299,9 +299,9 @@ def classify_metric(structure: AlmostHermitianStructure) -> ConditionReport:
                             "did not both follow")
     if flags["unimodular"] and flags["pluricanonical"]:
         rho = connection.star_ricci(s)
-        warn_if(True, "unimodular pluricanonical", "rho*(T,JT) = 0",
+        warn_if("unimodular pluricanonical", "rho*(T,JT) = 0",
                 abs(float(rho(lee.T, lee.JT))))
-        warn_if(True, "unimodular pluricanonical",
+        warn_if("unimodular pluricanonical",
                 "|(Dtheta)^{J,+}|^2 + 2<D_JT theta, Jtheta> = 0",
                 abs(float(identities.unimodular_pluricanonical_defect(s))))
 
@@ -376,8 +376,8 @@ def verify_equivalences(structure: AlmostHermitianStructure, strict: bool = True
     }
 
     if pluri:
-        dth = s.Dtheta.mat
-        djth = connection.covariant_one_form(s, lee.jtheta).mat
+        dth = s.Dtheta
+        djth = connection.covariant_one_form(s, lee.jtheta)
         vals = {
             "D_T_theta": arith.max_abs(lee.T @ dth),
             "D_JT_theta": arith.max_abs(lee.JT @ dth),
@@ -421,12 +421,12 @@ def _feasibility_subspace(structure):
     the report records which space was used.
     """
     s = structure
-    pairs = list(combinations(range(s.dim), 2))
     # the J-invariance defect omega - J^T omega J is 1 - C_2(J)^T on the pair
-    # basis, C_2 the second compound; then the matrix of d on 2-forms
-    defect = s.field.eye(len(pairs)) - compound(s.field, s.J, 2).T
-    mat = np.concatenate([defect, s.alg.d_matrix(2)])
-    return [KForm(s.alg, 2, dict(zip(pairs, x))) for x in arith.nullspace(mat, s.field)]
+    # basis, C_2 the second compound; then the matrix of d on 2-forms.  A
+    # nullspace vector is already a 2-form's coefficients in storage order.
+    c2 = compound(s.field, s.J, 2)
+    mat = s.field.array([*(s.field.eye(len(c2)) - c2.T), *s.alg.d_matrix(2)])
+    return [KForm._of(s.alg, 2, x) for x in arith.nullspace(mat, s.field)]
 
 
 def symplectic_feasibility(structure: AlmostHermitianStructure, seed: int = 0,

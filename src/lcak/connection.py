@@ -28,7 +28,7 @@ import numpy as np
 
 from . import arith
 from .forms import KForm
-from .hermitian import AlmostHermitianStructure, Tensor2
+from .hermitian import AlmostHermitianStructure
 
 
 @dataclass
@@ -84,11 +84,10 @@ def levi_civita(structure: AlmostHermitianStructure) -> ConnectionTable:
 # covariant derivatives of invariant tensors
 # ---------------------------------------------------------------------------
 
-def covariant_one_form(structure, theta) -> Tensor2:
+def covariant_one_form(structure, theta):
     """D theta as the 2-tensor (X, Y) -> (D_X theta)(Y) = -theta(D_X Y)."""
     vec = theta.vector() if isinstance(theta, KForm) else theta
-    return Tensor2(structure.alg, -structure.field.einsum('m,imj->ij', vec,
-                                                         structure.connection.gamma))
+    return -structure.field.einsum('m,imj->ij', vec, structure.connection.gamma)
 
 
 def covariant_J(structure, i):

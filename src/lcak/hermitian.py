@@ -14,7 +14,9 @@ Conventions (fixed once, used everywhere):
 The structure holds the algebra's arithmetic field (``field``), with its own
 tolerance when one is given; J, g and every derived array are
 :class:`~lcak.arith.QArray`s in exact mode and float arrays otherwise, and
-one expression (``J.T @ g @ J``) serves both.  The Nijenhuis table and the
+one expression (``J.T @ g @ J``) serves both.  A 2-tensor (D theta, N(X),
+L_X g, the parts of ``split_tensor``) is its plain dim x dim component
+array, entry [i, j] its value on (e_i, e_j).  The Nijenhuis table and the
 Lie-derivative table of F are contractions of the algebra's
 ``structure_tensor`` with J and F, computed once per structure; N(X, Y), the
 forms N_X, the tensors N(X) and the image of N read from the table.  The
@@ -45,42 +47,6 @@ def preset_j(name, dim):
         j[k, i] = 1
         j[i, k] = -1
     return j
-
-
-class Tensor2:
-    """A general bilinear form on the algebra, stored as its component matrix."""
-
-    __slots__ = ("alg", "mat")
-
-    def __init__(self, alg, mat):
-        if np.shape(mat) != (alg.dim, alg.dim):
-            raise DimensionMismatch("Tensor2 matrix has wrong shape")
-        self.alg = alg
-        self.mat = alg.field.array(mat)
-
-    def __call__(self, x, y):
-        return x @ self.mat @ y
-
-    def __add__(self, other):
-        return Tensor2(self.alg, self.mat + other.mat)
-
-    def __sub__(self, other):
-        return Tensor2(self.alg, self.mat - other.mat)
-
-    def __rmul__(self, scalar):
-        return Tensor2(self.alg, scalar * self.mat)
-
-    def sym(self):
-        return Tensor2(self.alg, self.alg.field.scalar(1, 2) * (self.mat + self.mat.T))
-
-    def antisym(self):
-        return Tensor2(self.alg, self.alg.field.scalar(1, 2) * (self.mat - self.mat.T))
-
-    def max_abs(self):
-        return arith.max_abs(self.mat)
-
-    def __repr__(self):
-        return f"Tensor2({self.mat!r})"
 
 
 @dataclass
@@ -241,12 +207,12 @@ class AlmostHermitianStructure:
     # -- tensor splittings -------------------------------------------------------
 
     def split_tensor(self, phi):
-        """J-(anti)invariant and (anti)symmetric parts; parts sum back exactly."""
-        phi = phi if isinstance(phi, Tensor2) else Tensor2(self.alg, phi)
-        pulled = Tensor2(self.alg, self.J.T @ phi.mat @ self.J)
+        """J-(anti)invariant and (anti)symmetric parts of the 2-tensor ``phi``;
+        parts sum back exactly."""
+        pulled = self.J.T @ phi @ self.J
         half = self.field.scalar(1, 2)
         return {"j_plus": half * (phi + pulled), "j_minus": half * (phi - pulled),
-                "sym": phi.sym(), "antisym": phi.antisym()}
+                "sym": half * (phi + phi.T), "antisym": half * (phi - phi.T)}
 
     # -- norms and inner products -------------------------------------------------
 
@@ -256,8 +222,7 @@ class AlmostHermitianStructure:
 
     def tensor_norm_sq(self, phi):
         """Frobenius norm squared w.r.t. g: sum g^ik g^jl phi_ij phi_kl."""
-        m = phi.mat if isinstance(phi, Tensor2) else self.field.array(phi)
-        return (self.g_inv @ m @ self.g_inv @ m.T).trace()
+        return (self.g_inv @ phi @ self.g_inv @ phi.T).trace()
 
     def endo_inner(self, a, b):
         """<A, B>_g = tr(g^-1 A^T g B) for endomorphisms."""
@@ -292,8 +257,8 @@ class AlmostHermitianStructure:
         return KForm.from_matrix(self.alg, self._contract_first(gx, self._nijenhuis))
 
     def nijenhuis_tensor(self, x):
-        """N(X) = g(N(X, .), .) as a Tensor2."""
-        return Tensor2(self.alg, self.field.einsum('kij,i,lk->jl', self._nijenhuis, x, self.g))
+        """N(X) = g(N(X, .), .) as a 2-tensor."""
+        return self.field.einsum('kij,i,lk->jl', self._nijenhuis, x, self.g)
 
     def nijenhuis_image(self):
         """Basis of span{N(e_i, e_j)} as a list of vectors."""
@@ -312,7 +277,7 @@ class AlmostHermitianStructure:
             raise NondegeneracyFailure("fundamental form is degenerate")
         theta = KForm(self.alg, 1)
         if self.n > 1:
-            delta_f = self.codifferential(Tensor2(self.alg, self.f_matrix))
+            delta_f = self.codifferential(self.f_matrix)
             theta = self.field.scalar(1, self.n - 1) * self.j_one_form(delta_f)
         dF = self.F.d()
         solve_residual = (dF - theta.wedge(self.F)).max_abs() / max(1.0, dF.max_abs())
@@ -338,36 +303,36 @@ class AlmostHermitianStructure:
         return connection.curvature(self)
 
     @cached_property
-    def Dtheta(self) -> Tensor2:
-        """D theta, the covariant derivative of the Lee form."""
+    def Dtheta(self):
+        """D theta, the covariant derivative of the Lee form, as a 2-tensor."""
         from . import connection
         return connection.covariant_one_form(self, self._lee.theta)
 
     @cached_property
     def delta_theta(self):
         """delta theta = -sum_ab g^{ab} (D theta)_{ab}, read off the cached D theta."""
-        return -(self.g_inv @ self.Dtheta.mat).trace()
+        return -(self.g_inv @ self.Dtheta).trace()
 
     def codifferential(self, obj):
-        """delta^g on 2-tensors and on forms of degree <= 2, via the
-        covariant-derivative trace (a 2-form goes through its matrix)."""
+        """delta^g on forms of degree <= 2 and on 2-tensors (dim x dim arrays),
+        via the covariant-derivative trace (a 2-form goes through its matrix)."""
         if isinstance(obj, KForm):
             if obj.degree == 0:
                 return KForm(self.alg, 0)
             if obj.degree == 1:  # -sum_ab g^{ab} (D alpha)_{ab}
                 from . import connection
                 d_alpha = connection.covariant_one_form(self, obj)
-                return KForm(self.alg, 0, {(): -(self.g_inv @ d_alpha.mat).trace()})
+                return KForm(self.alg, 0, {(): -(self.g_inv @ d_alpha).trace()})
             if obj.degree != 2:
                 raise UnsupportedDimension("codifferential of forms of degree > 2")
-            obj = Tensor2(self.alg, obj.matrix())
-        if isinstance(obj, Tensor2):
-            # (D_{e_a} phi)(e_b, .) = -(Gamma_a^T phi + phi Gamma_a)[b], traced with g^{ab}
-            f, gamma = self.field, self.connection.gamma
-            out = (f.einsum('ab,akb->k', self.g_inv, gamma) @ obj.mat
-                   + f.einsum('ab,bk,akc->c', self.g_inv, obj.mat, gamma))
-            return KForm.from_vector(self.alg, out)
-        raise DimensionMismatch("codifferential expects a KForm or Tensor2")
+            obj = obj.matrix()
+        elif np.shape(obj) != (self.dim, self.dim):
+            raise DimensionMismatch("codifferential expects a KForm or a dim x dim array")
+        # (D_{e_a} phi)(e_b, .) = -(Gamma_a^T phi + phi Gamma_a)[b], traced with g^{ab}
+        f, gamma = self.field, self.connection.gamma
+        out = (f.einsum('ab,akb->k', self.g_inv, gamma) @ obj
+               + f.einsum('ab,bk,akc->c', self.g_inv, obj, gamma))
+        return KForm.from_vector(self.alg, out)
 
     # -- Lie derivatives -----------------------------------------------------------
 
@@ -398,8 +363,9 @@ class AlmostHermitianStructure:
         return arith.nullspace(self._lie_F[:, rows, cols].T, self.field)
 
     def lie_derivative_g(self, x):
+        """(L_X g)(Y, Z) = -g([X, Y], Z) - g(Y, [X, Z]) as a 2-tensor."""
         ad = self.alg.ad(x)
-        return Tensor2(self.alg, -(ad.T @ self.g + self.g @ ad))
+        return -(ad.T @ self.g + self.g @ ad)
 
     # -- transforms ------------------------------------------------------------------
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from . import arith, connection
 from .errors import UnsupportedDimension
 from .forms import KForm, hodge_star
-from .hermitian import AlmostHermitianStructure, Tensor2
+from .hermitian import AlmostHermitianStructure
 
 
 def dtheta_anti_invariant_twist(structure, dtheta: KForm) -> KForm:
@@ -21,10 +21,10 @@ def dtheta_anti_invariant_twist(structure, dtheta: KForm) -> KForm:
                              structure.field.scalar(-1, 2) * (J.T @ twice_minus))
 
 
-def sym_j_plus_twisted(structure, dtheta_tensor: Tensor2) -> KForm:
+def sym_j_plus_twisted(structure, dtheta_tensor) -> KForm:
     """(D theta)^{sym, J, +}_{J., .} as a 2-form."""
-    sym = dtheta_tensor.sym()
-    jplus = structure.split_tensor(sym)["j_plus"].mat
+    sym = structure.split_tensor(dtheta_tensor)["sym"]
+    jplus = structure.split_tensor(sym)["j_plus"]
     return KForm.from_matrix(structure.alg, structure.J.T @ jplus)
 
 
@@ -80,8 +80,8 @@ def bochner_residual(structure: AlmostHermitianStructure, alpha) -> float:
     lee = s.lee_form()
     rho = connection.star_ricci(s)
     # entry x of each term at X = e_x; the sum is g^{ab} Da(J e_a, (D_{e_b} J) e_x)
-    rhs = ((s.sharp(alpha) @ rho.matrix() - (s.n - 1) * (lee.JT @ da.mat)) @ s.J
-           - s.field.einsum('ab,aq,bqx->x', s.g_inv, s.J.T @ da.mat, s.connection.DJ))
+    rhs = ((s.sharp(alpha) @ rho.matrix() - (s.n - 1) * (lee.JT @ da)) @ s.J
+           - s.field.einsum('ab,aq,bqx->x', s.g_inv, s.J.T @ da, s.connection.DJ))
     diff = lhs - rhs
     scale = max(1.0, arith.max_abs(lhs), arith.max_abs(rhs))
     return arith.max_abs(diff) / scale
@@ -194,7 +194,7 @@ def unimodular_pluricanonical_defect(structure):
     lee = s.lee_form()
     dth = s.Dtheta
     jplus = s.split_tensor(dth)["j_plus"]
-    d_jt_theta = lee.JT @ dth.mat  # (D_{JT} theta)(e_j) row vector
+    d_jt_theta = lee.JT @ dth  # (D_{JT} theta)(e_j) row vector
     inner = d_jt_theta @ s.g_inv @ lee.jtheta.vector()
     return s.tensor_norm_sq(jplus) + 2 * inner
 

@@ -20,7 +20,6 @@ byte-identical golden files are meaningful.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,8 +79,9 @@ def load_spec(source, tol=None) -> AlmostHermitianStructure:
         raise ParseError(f"arithmetic_mode {mode!r} invalid", code="BAD_FIELD",
                          field="options.arithmetic_mode")
     tol = options.get("tolerance", DEFAULT_TOL) if tol is None else tol
-    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 <= tol < math.inf:
-        raise ParseError(f"tolerance must be a finite number >= 0, got {tol!r}",
+    # from tol = 1 on, no metric passes lambda_min > tol * max(1, lambda_max)
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 <= tol < 1:
+        raise ParseError(f"tolerance must be a number in [0, 1), got {tol!r}",
                          code="BAD_FIELD", field="options.tolerance")
 
     brackets = {}

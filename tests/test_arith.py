@@ -38,6 +38,27 @@ def test_is_zero_exact_and_relative():
     assert FLOAT.is_zero(5e-9, scale=10.0)
 
 
+def test_float_max_abs_keeps_a_nan_wherever_it_sits():
+    assert not FLOAT.is_zero([0.0, math.nan]) and not FLOAT.is_zero([math.nan, 0.0])
+    assert math.isnan(max_abs(np.array([[1.0, 2.0], [math.nan, 0.0]])))
+    assert max_abs([]) == 0.0 and max_abs(np.zeros((0, 3))) == 0.0
+    assert type(max_abs([1.0, -2.5])) is float and max_abs([1.0, -2.5]) == 2.5
+
+
+def test_array_stacks_qarrays_on_their_numerators(monkeypatch):
+    rows = [EXACT.array(["1/2", 1]), EXACT.array(["2/3", 0]), EXACT.array([3, "-1/6"])]
+
+    def expand(self, dtype=None, copy=None):
+        raise AssertionError("a QArray was expanded to Fractions")
+
+    monkeypatch.setattr(QArray, "__array__", expand)
+    a = EXACT.array(rows)
+    assert (a.num.tolist(), a.den) == ([[3, 6], [4, 0], [18, -1]], 6)
+    b = EXACT.array([*a, *EXACT.eye(2)])
+    assert b.shape == (5, 2) and (b[3:] == EXACT.eye(2)).all() and (b[:3] == a).all()
+    assert EXACT.array([EXACT.array(["1/2", "1/2"])]).den == 2  # lowest terms
+
+
 @pytest.mark.parametrize("scale", [1e-8, 1e-3, 1.0, 1e6])
 def test_nondegeneracy_is_scale_free(scale):
     f = np.array([[0.0, 1.0], [-1.0, 0.0]])

@@ -46,7 +46,7 @@ def test_catalog_expected_flags():
     from lcak import connection, arith
     s = catalog_entry("abelian_kahler")
     dth = connection.covariant_one_form(s, s.lee_form().theta)
-    assert dth.max_abs() == 0
+    assert arith.max_abs(dth) == 0
     img = catalog_entry("A4_8").nijenhuis_image()
     assert len(img) == 2 and all(v[0] == 0 and v[3] == 0 for v in img)
 
@@ -114,7 +114,8 @@ def test_load_spec_float_mode():
     assert not s.exact and s.tol == 1e-8
 
 
-BAD_TOLERANCES = (-1, -1e-12, math.nan, math.inf, -math.inf, "1e-9", "abc", None, True, [1e-9])
+BAD_TOLERANCES = (-1, -1e-12, 1, 2.5, math.nan, math.inf, -math.inf, "1e-9", "abc", None, True,
+                  [1e-9])
 
 
 def _float_a41(tol):
@@ -125,8 +126,8 @@ def _float_a41(tol):
 
 @pytest.mark.parametrize("tol", BAD_TOLERANCES, ids=repr)
 def test_load_spec_rejects_a_bad_tolerance(tol):
-    """A tolerance that is negative, not finite or not a number is an input
-    error, not a failed Jacobi or positivity check, whether it comes in a
+    """A tolerance that is negative, at least 1, not finite or not a number is
+    an input error, not a failed Jacobi or positivity check, whether it comes in a
     parsed dict, in JSON text or as the ``tol`` argument."""
     for data in (_float_a41(tol), json.dumps(_float_a41(tol))):
         with pytest.raises(ParseError) as err:
@@ -145,7 +146,7 @@ def test_load_spec_accepts_a_finite_nonnegative_tolerance(tol):
     assert load_spec(A41_SPEC, tol=tol).tol == tol
 
 
-@pytest.mark.parametrize("arg", ["nan", "inf", "-inf", "-1", "-0.5"])
+@pytest.mark.parametrize("arg", ["nan", "inf", "-inf", "-1", "-0.5", "1", "2.5"])
 def test_cli_check_rejects_a_bad_tolerance(tmp_path, capsys, arg):
     path = tmp_path / "a41.json"
     path.write_text(A41_SPEC, encoding="utf-8")

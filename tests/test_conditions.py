@@ -140,8 +140,6 @@ def test_check_adapted_scale_normalizes(a41):
     out = check_adapted(scaled)
     assert out["adapted"] and out["scale_normalized"]
     assert out["lee_norm_sq"] == Fraction(1, 4)
-    strict = check_adapted(scaled, normalize_scale=False)
-    assert not strict["adapted"]
 
 
 def test_classify_metric_a41(a41):

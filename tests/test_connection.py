@@ -37,7 +37,7 @@ def test_koszul_residuals_random(rng):
 
 def test_dtheta_component_a41(a41):
     dth = connection.covariant_one_form(a41, a41.lee_form().theta)
-    assert dth.mat[1, 3] == Fraction(1, 2)  # D theta (e2, e4) = 1/2
+    assert dth[1, 3] == Fraction(1, 2)  # D theta (e2, e4) = 1/2
 
 
 def test_covariant_j_parallel_along_lee_field(a41):

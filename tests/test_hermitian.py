@@ -5,10 +5,11 @@ import pytest
 
 from lcak import arith, connection, identities
 from lcak.algebra import LieAlgebra, abelian_algebra
-from lcak.errors import NondegeneracyFailure, UnsupportedDimension, ValidationError
+from lcak.errors import (DimensionMismatch, NondegeneracyFailure, UnsupportedDimension,
+                         ValidationError)
 from lcak.forms import KForm
 from lcak.fuzzing import random_hermitian_structure
-from lcak.hermitian import AlmostHermitianStructure, Tensor2, validate_structure
+from lcak.hermitian import AlmostHermitianStructure, validate_structure
 
 
 def split_j():
@@ -61,14 +62,14 @@ def test_dj_theta_identity_a41(a41):
 
 def test_split_tensor_a41_dtheta(a41):
     dth = connection.covariant_one_form(a41, a41.lee_form().theta)
-    sym = dth.sym()
+    sym = a41.split_tensor(dth)["sym"]
     expected = arith.Field(True).zeros(4, 4)
     expected[1, 3] = Fraction(1, 2)
     expected[3, 1] = Fraction(1, 2)
-    assert arith.max_abs(sym.mat - expected) == 0
+    assert arith.max_abs(sym - expected) == 0
     parts = a41.split_tensor(sym)
-    assert parts["j_plus"].max_abs() == 0          # entirely J-anti-invariant
-    assert arith.max_abs(parts["j_minus"].mat - expected) == 0
+    assert arith.max_abs(parts["j_plus"]) == 0          # entirely J-anti-invariant
+    assert arith.max_abs(parts["j_minus"] - expected) == 0
 
 
 def test_split_tensor_a48_dtheta(a48):
@@ -76,25 +77,25 @@ def test_split_tensor_a48_dtheta(a48):
     expected = arith.Field(True).zeros(4, 4)
     expected[1, 1] = Fraction(-1)
     expected[2, 2] = Fraction(1)
-    assert arith.max_abs(dth.sym().mat - expected) == 0
-    assert a48.split_tensor(dth)["j_plus"].max_abs() == 0
+    assert arith.max_abs(a48.split_tensor(dth)["sym"] - expected) == 0
+    assert arith.max_abs(a48.split_tensor(dth)["j_plus"]) == 0
 
 
 def test_split_tensor_metric_is_j_invariant(a41):
-    parts = a41.split_tensor(Tensor2(a41.alg, a41.g))
-    assert parts["j_minus"].max_abs() == 0
-    assert parts["antisym"].max_abs() == 0
+    parts = a41.split_tensor(a41.g)
+    assert arith.max_abs(parts["j_minus"]) == 0
+    assert arith.max_abs(parts["antisym"]) == 0
 
 
 def test_split_tensor_recombines_and_is_idempotent(rng):
     s = random_hermitian_structure(rng, dim=4)
     m = rng.standard_normal((4, 4))
     parts = s.split_tensor(m)
-    assert arith.max_abs(parts["j_plus"].mat + parts["j_minus"].mat - m) <= 1e-12
-    assert arith.max_abs(parts["sym"].mat + parts["antisym"].mat - m) <= 1e-12
+    assert arith.max_abs(parts["j_plus"] + parts["j_minus"] - m) <= 1e-12
+    assert arith.max_abs(parts["sym"] + parts["antisym"] - m) <= 1e-12
     again = s.split_tensor(parts["j_plus"])
-    assert again["j_minus"].max_abs() <= 1e-12
-    assert arith.max_abs(again["j_plus"].mat - parts["j_plus"].mat) <= 1e-12
+    assert arith.max_abs(again["j_minus"]) <= 1e-12
+    assert arith.max_abs(again["j_plus"] - parts["j_plus"]) <= 1e-12
 
 
 def test_nijenhuis_values(a41, a48):
@@ -195,7 +196,7 @@ def test_codifferential_unimodular_kills_one_forms(a41, a48, rng):
 def test_codifferential_abelian_everything():
     s = AlmostHermitianStructure(abelian_algebra(4), split_j())
     assert s.codifferential(s.F).is_zero()
-    assert s.codifferential(Tensor2(s.alg, arith.Field(True).eye(4))).is_zero()
+    assert s.codifferential(arith.Field(True).eye(4)).is_zero()
 
 
 def test_codifferential_f_proportional_to_theta(a41, a48):
@@ -203,6 +204,12 @@ def test_codifferential_f_proportional_to_theta(a41, a48):
     for s in (a41, a48):
         assert s.j_one_form(s.codifferential(s.F)) == s.lee_form().theta
     assert identities.lee_codifferential_residual(a41) == 0
+
+
+def test_codifferential_refuses_what_is_not_a_form_or_a_square_array(a41):
+    for obj in (a41.field.zeros(3, 3), a41.field.zeros(4), "F"):
+        with pytest.raises(DimensionMismatch):
+            a41.codifferential(obj)
 
 
 def test_codifferential_of_a_three_form_is_unsupported(a41):
@@ -266,9 +273,9 @@ def test_orthogonality_implies_symmetric_nt_and_invariant_djtheta(rng):
         hits += 1
         lee = s.lee_form()
         nt = s.nijenhuis_tensor(lee.T)
-        assert nt.antisym().max_abs() <= 1e-8 * max(1.0, nt.max_abs())
+        assert arith.max_abs(s.split_tensor(nt)["antisym"]) <= 1e-8 * max(1.0, arith.max_abs(nt))
         djt = lee.jtheta.d()
-        jm = s.split_tensor(djt.matrix())["j_minus"].max_abs()
+        jm = arith.max_abs(s.split_tensor(djt.matrix())["j_minus"])
         assert jm <= 1e-8 * max(1.0, djt.max_abs())
     assert hits >= 4  # catalog conjugates guarantee coverage
 
