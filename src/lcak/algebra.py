@@ -47,13 +47,12 @@ class LieAlgebra:
         ``[e_i, e_j] = sum_k value * e_k``.  Pairs may be given in either
         order; the antisymmetric extension is applied.  Values may be ints,
         Fractions, fraction strings or floats.
-    labels : optional list of basis labels (defaults to e1..en).
     exact : force exact (Fraction) or float arithmetic; inferred from the
         values when omitted.
     tol : comparison tolerance for float mode.
     """
 
-    def __init__(self, dim, brackets=None, labels=None, exact=None, tol=DEFAULT_TOL):
+    def __init__(self, dim, brackets=None, exact=None, tol=DEFAULT_TOL):
         if dim < 1:
             raise IndexOutOfRange(f"dim must be positive, got {dim}")
         self.dim = int(dim)
@@ -65,9 +64,6 @@ class LieAlgebra:
         if exact is None:
             exact = arith.all_exact(values)
         self.field = arith.Field(bool(exact), float(tol))
-        self.labels = list(labels) if labels else [f"e{i}" for i in range(1, dim + 1)]
-        if len(self.labels) != dim:
-            raise DimensionMismatch("labels length != dim")
 
         self._d = {}  # degree -> d_matrix
         # sparse storage: {(i, j, k) 0-based, i < j: scalar}
@@ -202,13 +198,13 @@ class LieAlgebra:
         new = {}
         for (i, j, k), v in self.sparse_constants().items():
             new.setdefault((i, j), {})[k] = float(v)
-        return LieAlgebra(self.dim, new, labels=self.labels, exact=False, tol=self.tol)
+        return LieAlgebra(self.dim, new, exact=False, tol=self.tol)
 
     def __repr__(self):
         return f"LieAlgebra(dim={self.dim}, brackets={len(self._c)} terms, exact={self.exact})"
 
 
-def validate_lie_algebra(constants, dim, exact=None, tol=DEFAULT_TOL) -> AlgebraValidationReport:
+def validate_lie_algebra(constants, dim) -> AlgebraValidationReport:
     """Check raw constants ``{(i, j): {k: value}}`` for antisymmetry and Jacobi.
 
     Unlike the ``LieAlgebra`` constructor (which antisymmetrizes), this sees
@@ -223,9 +219,7 @@ def validate_lie_algebra(constants, dim, exact=None, tol=DEFAULT_TOL) -> Algebra
             if not 1 <= k <= dim:
                 raise IndexOutOfRange(f"target index {k} outside 1..{dim}")
             seen[(i, j, k)] = arith.parse_scalar(v) if isinstance(v, str) else v
-    if exact is None:
-        exact = arith.all_exact(list(seen.values()))
-    field = arith.Field(bool(exact), tol)
+    field = arith.Field(arith.all_exact(list(seen.values())))
     anti_ok = all((i != j or field.is_zero(v))
                   and ((j, i, k) not in seen or field.is_zero(v + seen[(j, i, k)]))
                   for (i, j, k), v in seen.items())
@@ -237,10 +231,10 @@ def validate_lie_algebra(constants, dim, exact=None, tol=DEFAULT_TOL) -> Algebra
     for (i, j, k), v in seen.items():
         if i != j:
             brackets.setdefault((i, j), {})[k] = half * v if (j, i) in listed else v
-    res = LieAlgebra(dim, brackets, exact=exact, tol=tol).jacobi_residual()
+    res = LieAlgebra(dim, brackets, exact=field.exact).jacobi_residual()
     return AlgebraValidationReport(antisymmetry_ok=anti_ok, jacobi_residual=res,
                                    ok=anti_ok and field.is_zero(res))
 
 
-def abelian_algebra(dim, exact=True, tol=DEFAULT_TOL) -> LieAlgebra:
-    return LieAlgebra(dim, {}, exact=exact, tol=tol)
+def abelian_algebra(dim) -> LieAlgebra:
+    return LieAlgebra(dim, {}, exact=True)

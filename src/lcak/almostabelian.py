@@ -55,9 +55,6 @@ class AlmostAbelianParams:
     def trace_a(self):
         return sum(self.A[i][i] for i in range(2 * self.n - 2))
 
-    def is_unimodular(self):
-        return arith.Field(self.exact).is_zero(self.a + self.trace_a())
-
     def ad_matrix(self):
         """ad_{e_{2n}}|_n as a (2n-1) x (2n-1) matrix over (e_1, .., e_{2n-1})."""
         rows = [[self.a, *self.b]] + [[vi, *row] for vi, row in zip(self.v, self.A)]
@@ -67,18 +64,11 @@ class AlmostAbelianParams:
 def build_almost_abelian(params: AlmostAbelianParams, tol=DEFAULT_TOL):
     """The Lie algebra and its adapted orthonormal almost Hermitian structure."""
     dim = params.dim
-    exact = params.exact
     ad = params.ad_matrix()
-    brackets = {}
-    for col in range(dim - 1):
-        comps = {}
-        for row in range(dim - 1):
-            if ad[row, col] != 0:
-                comps[row + 1] = ad[row, col]
-        if comps:
-            brackets[(dim, col + 1)] = comps
-    alg = LieAlgebra(dim, brackets, exact=exact, tol=tol)
-    structure = AlmostHermitianStructure(alg, preset_j("mirror", dim), tol=tol)
+    brackets = {(dim, c + 1): {r + 1: ad[r, c] for r in range(dim - 1) if ad[r, c] != 0}
+                for c in range(dim - 1)}
+    alg = LieAlgebra(dim, brackets, exact=params.exact, tol=tol)
+    structure = AlmostHermitianStructure(alg, preset_j("mirror", dim))
     return alg, structure
 
 
@@ -137,7 +127,7 @@ class ClassLabel:
         return {"name": self.name, "invariants": self.invariants}
 
 
-def ad_jordan_type(alg: LieAlgebra, tol=DEFAULT_TOL) -> str:
+def ad_jordan_type(alg: LieAlgebra) -> str:
     """Real-Jordan type of ad_{e_4} restricted to span(e_1, e_2, e_3).
 
     Works straight off the built algebra (independent of any (a, b, v, A)
@@ -151,7 +141,7 @@ def ad_jordan_type(alg: LieAlgebra, tol=DEFAULT_TOL) -> str:
     """
     if alg.dim != 4:
         raise UnsupportedDimension("Jordan cross-check is for dim 4")
-    field = arith.Field(alg.exact, tol)
+    field = alg.field
     ad4 = alg.ad_basis(3)
     m = ad4[:3, :3]
     scale = arith.max_abs(m)
@@ -171,27 +161,21 @@ def ad_jordan_type(alg: LieAlgebra, tol=DEFAULT_TOL) -> str:
     return "nilpotent_j3"
 
 
-_JORDAN_TO_LABEL = {
-    "semisimple_real": "A3_4_plus_A1",
-    "rotation": "A3_6_plus_A1",
-    "nilpotent_j3": "A4_1",
-}
-
-
 def classify_4d(params: AlmostAbelianParams, tol=DEFAULT_TOL) -> ClassLabel:
     """Classify a unimodular dim-4 pluricanonical family member by sign(b.v).
 
-    Preconditions: the condition systems vanish (hence a = 0 and A = 0),
-    v != 0, unimodular.  Cross-validated against the Jordan type of the
-    built ad_{e_4}.
+    Preconditions, decided in the field of the built algebra: the condition
+    systems vanish (hence a = 0 and A = 0), v != 0, unimodular.
+    Cross-validated against the Jordan type of the built ad_{e_4}.
     """
     if params.n != 2:
         raise UnsupportedDimension("classification is for dim 4")
-    field = arith.Field(params.exact, tol)
+    alg, _ = build_almost_abelian(params, tol=tol)
+    field = alg.field
     conds = pluricanonical_conditions_aa(params)
     if not field.is_zero(conds["max_residual"]):
         raise PreconditionFailed("pluricanonical condition systems do not vanish")
-    if not params.is_unimodular():
+    if not alg.is_unimodular()[0]:
         raise PreconditionFailed("parameters are not unimodular")
     b_zero = field.is_zero(params.b)
     v_zero = field.is_zero(params.v)
@@ -199,14 +183,12 @@ def classify_4d(params: AlmostAbelianParams, tol=DEFAULT_TOL) -> ClassLabel:
         raise Degenerate("v = 0 and b = 0: abelian algebra")
     if v_zero:
         raise PreconditionFailed("v must be nonzero")
-    alg, _ = build_almost_abelian(params, tol=tol)
-    jordan = ad_jordan_type(alg, tol=tol)
+    jordan = ad_jordan_type(alg)
     bv = sum(x * y for x, y in zip(params.b, params.v))
-    uni, _tr = alg.is_unimodular()
     invariants = {
         "b_dot_v": float(bv),
         "jordan_type": jordan,
-        "unimodular": bool(uni),
+        "unimodular": True,
     }
     if field.is_zero(bv):
         name = "A4_1" if not b_zero else "other"

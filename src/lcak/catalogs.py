@@ -36,7 +36,6 @@ def _from_params(name, a, b, v):
     params = AlmostAbelianParams(2, a, b, v, ((0, 0), (0, 0)))
     _, structure = build_almost_abelian(params)
     structure.name = name
-    structure.aa_params = params
     return structure
 
 

@@ -429,12 +429,16 @@ def _feasibility_subspace(structure):
     return [KForm._of(s.alg, 2, x) for x in arith.nullspace(mat, s.field)]
 
 
-def symplectic_feasibility(structure: AlmostHermitianStructure, seed: int = 0,
-                           restarts: int = 64, iterations: int = 250) -> dict:
+# the ascent's seed, number of restarts and iterations per restart
+FEASIBILITY_SEED, FEASIBILITY_RESTARTS, FEASIBILITY_ITERATIONS = 0, 64, 250
+
+
+def symplectic_feasibility(structure: AlmostHermitianStructure) -> dict:
     """Search invariant J-compatible forms with d omega^{n-1} = 0.
 
     Maximizes the minimal eigenvalue of omega(., J.) over the unit sphere of
-    the constraint subspace by projected subgradient ascent.  Outcomes:
+    the constraint subspace by projected subgradient ascent from
+    ``FEASIBILITY_RESTARTS`` seeded starting points.  Outcomes:
 
     * ``feasible`` with a witness when the optimum exceeds tol;
     * ``infeasible`` when the optimum is <= -tol, or when an exact isotropic
@@ -451,7 +455,7 @@ def symplectic_feasibility(structure: AlmostHermitianStructure, seed: int = 0,
         "optimum": None,
         "witness": None,
         "certificate": None,
-        "restarts": restarts,
+        "restarts": FEASIBILITY_RESTARTS,
     }
     if not basis_forms:
         out["status"] = "infeasible"
@@ -460,7 +464,8 @@ def symplectic_feasibility(structure: AlmostHermitianStructure, seed: int = 0,
     W = np.stack([np.asarray(w.matrix(), dtype=float) for w in basis_forms])
     G = np.stack([w @ np.asarray(s.J, dtype=float) for w in W])
     G = 0.5 * (G + G.transpose(0, 2, 1))
-    best_val, best_x = _ascent(G, seed, restarts, iterations)
+    best_val, best_x = _ascent(G, FEASIBILITY_SEED, FEASIBILITY_RESTARTS,
+                               FEASIBILITY_ITERATIONS)
     out["optimum"] = best_val
     if best_val > s.tol:
         out["status"] = "feasible"

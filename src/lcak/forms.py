@@ -148,8 +148,8 @@ class KForm:
             raise DimensionMismatch("cannot add forms of different degree")
         return self.degree
 
-    def is_zero(self, tol=0):
-        return bool(np.all(abs(self.vec) <= tol))
+    def is_zero(self):
+        return self.max_abs() == 0
 
     def max_abs(self) -> float:
         return max_abs(self.vec)

@@ -83,9 +83,10 @@ def random_params_4d(rng, kind="general") -> AlmostAbelianParams:
                                tuple(tuple(float(x) for x in row) for row in A))
 
 
-def random_unimodular_4d(rng, max_tries=200) -> LieAlgebra:
-    """Sparse random constants, traces projected to zero, Jacobi by rejection."""
-    for _ in range(max_tries):
+def random_unimodular_4d(rng) -> LieAlgebra:
+    """Sparse random constants, traces projected to zero, Jacobi by rejection
+    (at most 200 draws)."""
+    for _ in range(200):
         entries = {}
         for _ in range(int(rng.integers(2, 5))):
             i, j = sorted(rng.choice(4, size=2, replace=False) + 1)
@@ -194,10 +195,10 @@ def fuzz(seed: int, count: int, family: str) -> dict:
     failures = []
     worst = {}
 
-    def record(name, sample_idx, value, bound=IDENTITY_TOL, context=None):
+    def record(name, sample_idx, value, context=None):
         value = float(value)
         worst[name] = max(worst.get(name, 0.0), abs(value))
-        if abs(value) > bound:
+        if abs(value) > IDENTITY_TOL:
             failures.append({"check": name, "sample": sample_idx,
                              "residual": value, "context": context or {}})
 

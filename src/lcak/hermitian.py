@@ -11,8 +11,8 @@ Conventions (fixed once, used everywhere):
   the metric norm on 3-forms otherwise; ``max |dF - theta ^ F|`` is reported;
 * characteristic field V solves ``i_V F = theta``, so ``V = -JT``.
 
-The structure holds the algebra's arithmetic field (``field``), with its own
-tolerance when one is given; J, g and every derived array are
+The structure holds its algebra's arithmetic field (``field is alg.field``)
+and has no tolerance of its own; J, g and every derived array are
 :class:`~lcak.arith.QArray`s in exact mode and float arrays otherwise, and
 one expression (``J.T @ g @ J``) serves both.  A 2-tensor (D theta, N(X),
 L_X g, the parts of ``split_tensor``) is its plain dim x dim component
@@ -31,7 +31,6 @@ import numpy as np
 
 from . import arith
 from .algebra import LieAlgebra
-from .arith import DEFAULT_TOL
 from .errors import (DegenerateMetric, DimensionMismatch, NondegeneracyFailure,
                      UnsupportedDimension, ValidationError)
 from .forms import KForm, compound, pairing
@@ -89,7 +88,7 @@ class LeeData:
     djtheta: KForm
 
 
-def validate_structure(J, g, alg=None, tol=DEFAULT_TOL) -> StructureValidationReport:
+def validate_structure(J, g, alg=None) -> StructureValidationReport:
     """Check J^2 = -id, g symmetric positive definite and J-invariant."""
     J = np.asarray(J)
     g = np.asarray(g)
@@ -97,7 +96,7 @@ def validate_structure(J, g, alg=None, tol=DEFAULT_TOL) -> StructureValidationRe
         raise DimensionMismatch("J and g must be square of equal size")
     if alg is not None and J.shape[0] != alg.dim:
         raise DimensionMismatch("matrix size != algebra dimension")
-    field = arith.Field(arith.all_exact(J) and arith.all_exact(g), tol)
+    field = arith.Field(arith.all_exact(J) and arith.all_exact(g))
     return _validation(field, field.array(J), field.array(g))
 
 
@@ -120,7 +119,8 @@ class AlmostHermitianStructure:
 
     Parameters
     ----------
-    alg : LieAlgebra
+    alg : LieAlgebra; its ``field`` is the structure's, so J and g must be
+        exact when the algebra is (build on ``alg.as_float()`` otherwise).
     J : dim x dim matrix with J^2 = -id (columns are J e_j).
     g : dim x dim Gram matrix; identity when omitted.
     validate : raise ValidationError on invalid input (default). Pass False
@@ -128,13 +128,10 @@ class AlmostHermitianStructure:
         checkers then report the defect instead of raising).
     """
 
-    def __init__(self, alg: LieAlgebra, J, g=None, tol=None, validate=True, name=None):
-        g = alg.field.eye(alg.dim) if g is None else g
-        exact = alg.exact and arith.all_exact(J) and arith.all_exact(g)
-        self.alg = alg if exact == alg.exact else alg.as_float()
-        self.field = arith.Field(exact, self.alg.tol if tol is None else float(tol))
+    def __init__(self, alg: LieAlgebra, J, g=None, validate=True, name=None):
+        self.alg, self.field = alg, alg.field
         self.J = self.field.array(J)
-        self.g = self.field.array(g)
+        self.g = self.field.eye(alg.dim) if g is None else self.field.array(g)
         self.name = name
         self._compounds = {}  # degree -> compound of g^-1
         if self.J.shape != self.g.shape or self.J.shape != (alg.dim, alg.dim):
@@ -373,7 +370,7 @@ class AlmostHermitianStructure:
         """Same J, metric scaled: g -> factor * g."""
         factor = self.field.scalar(factor)
         return AlmostHermitianStructure(self.alg, self.J, factor * self.g,
-                                        tol=self.tol, validate=False, name=self.name)
+                                        validate=False, name=self.name)
 
     def change_basis(self, p):
         """Transport the whole structure to the basis with columns of P."""
@@ -383,8 +380,7 @@ class AlmostHermitianStructure:
         pinv = arith.invert(pm, f)
         j2 = pinv @ f.array(self.J) @ pm
         g2 = pm.T @ f.array(self.g) @ pm
-        return AlmostHermitianStructure(alg2, j2, g2, tol=self.tol, validate=False,
-                                        name=self.name)
+        return AlmostHermitianStructure(alg2, j2, g2, validate=False, name=self.name)
 
     def as_float(self):
         if not self.exact:
@@ -392,7 +388,7 @@ class AlmostHermitianStructure:
         return AlmostHermitianStructure(
             self.alg.as_float(),
             np.asarray(self.J, dtype=float), np.asarray(self.g, dtype=float),
-            tol=self.tol, validate=False, name=self.name)
+            validate=False, name=self.name)
 
     def basis_vector(self, i):
         v = self.field.zeros(self.dim)

@@ -13,6 +13,12 @@ from .forms import KForm, hodge_star
 from .hermitian import AlmostHermitianStructure
 
 
+def _relative(lhs, rhs) -> float:
+    """max |lhs - rhs| / max(1, max |lhs|, max |rhs|) for two forms or two arrays."""
+    size = KForm.max_abs if isinstance(lhs, KForm) else arith.max_abs
+    return size(lhs - rhs) / max(1.0, size(lhs), size(rhs))
+
+
 def dtheta_anti_invariant_twist(structure, dtheta: KForm) -> KForm:
     """J (d theta)^{J,-} with (J phi)(X, Y) = -phi(JX, Y)."""
     J, m = structure.J, dtheta.matrix()
@@ -39,9 +45,7 @@ def dj_theta_expansion_residual(structure: AlmostHermitianStructure) -> float:
            + 2 * structure.nijenhuis_form(lee.JT)
            + lee.theta.wedge(lee.jtheta)
            - lee.norm_sq * structure.F)
-    diff = lhs - rhs
-    scale = max(1.0, lhs.max_abs(), rhs.max_abs())
-    return diff.max_abs() / scale
+    return _relative(lhs, rhs)
 
 
 def covariant_f_residual(structure: AlmostHermitianStructure) -> float:
@@ -57,9 +61,7 @@ def covariant_f_residual(structure: AlmostHermitianStructure) -> float:
         jxf = structure.flat(structure.J @ x)
         rhs = (half * (xf.wedge(lee.jtheta) + jxf.wedge(lee.theta))
                + 2 * structure.nijenhuis_form(structure.J @ x))
-        diff = lhs - rhs
-        scale = max(1.0, lhs.max_abs(), rhs.max_abs())
-        worst = max(worst, diff.max_abs() / scale)
+        worst = max(worst, _relative(lhs, rhs))
     return worst
 
 
@@ -82,9 +84,7 @@ def bochner_residual(structure: AlmostHermitianStructure, alpha) -> float:
     # entry x of each term at X = e_x; the sum is g^{ab} Da(J e_a, (D_{e_b} J) e_x)
     rhs = ((s.sharp(alpha) @ rho.matrix() - (s.n - 1) * (lee.JT @ da)) @ s.J
            - s.field.einsum('ab,aq,bqx->x', s.g_inv, s.J.T @ da, s.connection.DJ))
-    diff = lhs - rhs
-    scale = max(1.0, arith.max_abs(lhs), arith.max_abs(rhs))
-    return arith.max_abs(diff) / scale
+    return _relative(lhs, rhs)
 
 
 def j_invariant_wedge_residual(structure, phi: KForm, psi: KForm) -> float:
@@ -101,10 +101,7 @@ def j_invariant_wedge_residual(structure, phi: KForm, psi: KForm) -> float:
     fn = fpow.wedge(s.F).wedge(s.F)
     coef = (s.form_inner(phi, s.F) * s.form_inner(psi, s.F)
             - s.form_inner(phi, psi)) / s.field.scalar(n * (n - 1))
-    rhs = coef * fn
-    diff = lhs - rhs
-    scale = max(1.0, lhs.max_abs(), rhs.max_abs())
-    return diff.max_abs() / scale
+    return _relative(lhs, coef * fn)
 
 
 def nijenhuis_cyclic_residual(structure) -> float:
@@ -120,10 +117,7 @@ def lee_codifferential_residual(structure) -> float:
     lee = s.lee_form()
     delta_f = s.codifferential(s.F)
     lhs = s.j_one_form(delta_f)
-    rhs = (s.n - 1) * lee.theta
-    diff = lhs - rhs
-    scale = max(1.0, lhs.max_abs(), rhs.max_abs())
-    return diff.max_abs() / scale
+    return _relative(lhs, (s.n - 1) * lee.theta)
 
 
 def lie_derivative_nijenhuis_residual(structure) -> float:
@@ -132,9 +126,7 @@ def lie_derivative_nijenhuis_residual(structure) -> float:
     lee = s.lee_form()
     lhs = s.lie_derivative_J(lee.JT) - s.J @ s.lie_derivative_J(lee.T)
     rhs = s.field.array([4 * s.nijenhuis(lee.T, s.basis_vector(j)) for j in range(s.dim)]).T
-    diff = lhs - rhs
-    scale = max(1.0, arith.max_abs(lhs), arith.max_abs(rhs))
-    return arith.max_abs(diff) / scale
+    return _relative(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +197,4 @@ def cartan_formula_residual(structure, form: KForm, x) -> float:
     rhs = form.d().contract(x)
     if form.degree >= 1:
         rhs = rhs + form.contract(x).d()
-    diff = lhs - rhs
-    scale = max(1.0, lhs.max_abs(), rhs.max_abs())
-    return diff.max_abs() / scale
+    return _relative(lhs, rhs)

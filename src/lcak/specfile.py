@@ -11,8 +11,11 @@ A structure file is UTF-8 JSON:
     }
 
 Scalar strings like "1/4" parse exactly; bare numbers are taken as given
-(ints exact, decimals float).  ``arithmetic_mode`` "auto" (default) uses
-exact arithmetic iff every value is exact.
+(ints exact, decimals float).  The arithmetic mode is decided here, once,
+over every bracket, J and g value: "auto" (default) is exact iff every value
+is exact, and "exact" with a decimal anywhere is a ``BAD_FIELD`` error.  The
+algebra is built in that mode with the file's tolerance (or ``tol``), and
+the structure uses the algebra's field.
 
 Reports serialize with sorted keys and exact values as fraction strings, so
 byte-identical golden files are meaningful.
@@ -43,6 +46,16 @@ def _parse_value(raw, field_name):
                          field=field_name) from e
 
 
+def _matrix(raw, name, dim):
+    """A dim x dim matrix of parsed scalars from a list of rows."""
+    if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
+        raise ParseError(f"{name} must be a list of rows", code="BAD_FIELD", field=name)
+    m = [[_parse_value(v, name) for v in row] for row in raw]
+    if len(m) != dim or any(len(row) != dim for row in m):
+        raise ValidationError(f"{name} must be dim x dim", code="BAD_DIM", field=name)
+    return m
+
+
 def load_spec(source, tol=None) -> AlmostHermitianStructure:
     """Parse a structure file (path, text, or parsed dict) into a validated
     structure.  Raises ParseError / ValidationError with machine codes."""
@@ -50,9 +63,7 @@ def load_spec(source, tol=None) -> AlmostHermitianStructure:
         data = source
     else:
         text = source
-        if hasattr(source, "read"):
-            text = source.read()
-        elif isinstance(source, str) and "\n" not in source and not source.lstrip().startswith("{"):
+        if isinstance(source, str) and "\n" not in source and not source.lstrip().startswith("{"):
             import os
             if not os.path.exists(source):
                 raise ParseError(f"no such file: {source}", code="IO_ERROR")
@@ -102,45 +113,33 @@ def load_spec(source, tol=None) -> AlmostHermitianStructure:
             cur[k] = cur.get(k, 0) + v
 
     jraw = data.get("J", "split")
-    if isinstance(jraw, dict) and "preset" in jraw:
-        jraw = str(jraw["preset"])
     if isinstance(jraw, str):
         if jraw not in J_PRESETS:
             raise ParseError(f"unknown J preset {jraw!r}; have {J_PRESETS}",
                              code="BAD_FIELD", field="J")
         jmat = preset_j(jraw, dim).tolist()
     else:
-        jmat = [[_parse_value(v, "J") for v in row] for row in jraw]
-        if len(jmat) != dim or any(len(r) != dim for r in jmat):
-            raise ValidationError("J must be dim x dim", code="BAD_DIM", field="J")
+        jmat = _matrix(jraw, "J", dim)
     graw = data.get("g", "identity")
     if graw == "identity":
         gmat = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
     else:
-        gmat = [[_parse_value(v, "g") for v in row] for row in graw]
-        if len(gmat) != dim or any(len(r) != dim for r in gmat):
-            raise ValidationError("g must be dim x dim", code="BAD_DIM", field="g")
+        gmat = _matrix(graw, "g", dim)
 
-    exact = None
-    if mode == "exact":
-        exact = True
-    elif mode == "float":
-        exact = False
-    if mode == "float":
-        brackets = {p: {k: float(v) for k, v in comps.items()}
-                    for p, comps in brackets.items()}
-        jmat = [[float(v) for v in row] for row in jmat]
-        gmat = [[float(v) for v in row] for row in gmat]
-
-    alg = LieAlgebra(dim, brackets, exact=exact, tol=tol)
+    values = [v for comps in brackets.values() for v in comps.values()]
+    values += [v for row in jmat + gmat for v in row]
+    all_exact = arith.all_exact(values)
+    if mode == "exact" and not all_exact:
+        raise ParseError("arithmetic_mode \"exact\" needs exact values, found a decimal",
+                         code="BAD_FIELD", field="options.arithmetic_mode")
+    alg = LieAlgebra(dim, brackets, exact=all_exact and mode != "float", tol=tol)
     algrep = alg.validate()
     if not algrep.ok:
         raise ValidationError(
             f"Jacobi identity fails, residual {algrep.jacobi_residual}",
             code="JACOBI_FAILED", field="brackets")
     return AlmostHermitianStructure(alg, np.array(jmat, dtype=object),
-                                    np.array(gmat, dtype=object), tol=tol,
-                                    name=data.get("name"))
+                                    np.array(gmat, dtype=object), name=data.get("name"))
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +231,8 @@ def _form_dict(form):
 def _detect_aa_params(structure):
     """Recover (a, b, v, A) when the structure uses the standard mirror frame."""
     s = structure
-    if s.dim != 4 or getattr(s, "aa_params", None) is not None:
-        return getattr(s, "aa_params", None)
+    if s.dim != 4:
+        return None
     alg = s.alg
     zero = s.field.is_zero
     if not all(zero(alg.basis_bracket(i, j)) for i, j in ((0, 1), (0, 2), (1, 2))):
@@ -247,8 +246,7 @@ def _detect_aa_params(structure):
         ((ad[1, 1], ad[1, 2]), (ad[2, 1], ad[2, 2])))
 
 
-def run_report(structure: AlmostHermitianStructure, feasibility: bool = False,
-               feasibility_seed: int = 0) -> Report:
+def run_report(structure: AlmostHermitianStructure, feasibility: bool = False) -> Report:
     """validation -> Lee form -> connection -> checkers -> classification."""
     rep = conditions.classify_metric(structure)
     try:
@@ -280,7 +278,7 @@ def run_report(structure: AlmostHermitianStructure, feasibility: bool = False,
     }
     feas = None
     if feasibility:
-        feas = conditions.symplectic_feasibility(structure, seed=feasibility_seed)
+        feas = conditions.symplectic_feasibility(structure)
         if feas.get("witness") is not None:
             feas = dict(feas)
             feas["witness"] = _form_dict(feas["witness"])
