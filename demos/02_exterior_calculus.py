@@ -6,7 +6,6 @@ The differential is the Chevalley-Eilenberg one (d a (X,Y) = -a([X,Y]) on
 from fractions import Fraction
 
 from lcak import KForm, LieAlgebra, AlmostHermitianStructure, form_inner_product, hodge_star
-from lcak.algebra import validate_lie_algebra
 
 alg = LieAlgebra(4, {(2, 4): {1: 1}, (3, 4): {2: 1}})
 
@@ -47,9 +46,9 @@ print("L_T F =", cartan_lhs, " (the Lee field preserves F)")
 # d . d = 0 encodes Jacobi: break it and watch d^2 fail.  The Jacobi
 # defect of these constants points along e3, so probe with e^3.
 bad = {(1, 2): {3: 1}, (2, 3): {1: 1}, (3, 1): {1: 1}}
-report = validate_lie_algebra(bad, 3)
+broken = LieAlgebra(3, bad)
+report = broken.validate()
 print("\nnon-Jacobi constants: ok =", report.ok,
       " residual =", report.jacobi_residual)
-broken = LieAlgebra(3, bad)
 omega = KForm.basis_one_form(broken, 2)
 print("on that algebra, d(d e^3) =", omega.d().d(), " (nonzero!)")

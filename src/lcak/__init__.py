@@ -11,7 +11,7 @@ search for compatible (co)closed forms.
 
 __version__ = "0.1.0"
 
-from .algebra import LieAlgebra, abelian_algebra, validate_lie_algebra
+from .algebra import LieAlgebra, abelian_algebra
 from .almostabelian import (AlmostAbelianParams, ClassLabel, build_almost_abelian,
                             classify_4d, lee_form_aa, pluricanonical_conditions_aa)
 from .catalogs import CATALOG_NAMES, catalog, catalog_entry
@@ -33,7 +33,7 @@ from .specfile import Report, load_spec, run_report
 
 __all__ = [
     "__version__", "CONVENTIONS", "CATALOG_NAMES", "FAMILIES",
-    "LieAlgebra", "abelian_algebra", "validate_lie_algebra",
+    "LieAlgebra", "abelian_algebra",
     "KForm", "form_inner_product", "form_norm_sq", "hodge_star",
     "AlmostHermitianStructure", "LeeData", "validate_structure",
     "ConnectionTable", "CurvatureTensor", "RicciForms", "levi_civita",

@@ -1,13 +1,13 @@
 """Real Lie algebras given by structure constants in a fixed basis.
 
-A ``LieAlgebra`` stores the constants c^k_{ij} of ``[e_i, e_j] = sum_k c^k_{ij} e_k``
-sparsely on pairs i < j (indices are 1-based in the public API, 0-based
-internally).  Everything downstream -- forms, connections, curvature -- is
-driven by the dense bracket tensor this class exposes: brackets, ad, the
-unimodularity traces and the Jacobi residual are contractions of
-``structure_tensor``, the matrices of d on forms (``d_matrix``) are scattered
-from it, and each table is computed once per algebra.  The same
-contractions serve exact arithmetic (the tensor is an
+A ``LieAlgebra`` is its structure tensor: the dense, read-only
+``structure_tensor`` C with ``C[k, i, j] = c^k_{ij}`` in ``[e_i, e_j] = sum_k
+c^k_{ij} e_k`` (indices 1-based in the public API, 0-based in C), built once
+under one bracket rule.  Everything downstream -- forms, connections,
+curvature -- is driven by it: brackets, ad, the unimodularity traces and the
+Jacobi residual are contractions of C, the matrices of d on forms
+(``d_matrix``) are scattered from it, and each table is computed once per
+algebra.  The same contractions serve exact arithmetic (C is an
 :class:`~lcak.arith.QArray`, integers over one denominator) and float
 arithmetic; the algebra's :class:`~lcak.arith.Field` says which, and
 structures, forms and tensors built on the algebra use the same field.
@@ -44,8 +44,11 @@ class LieAlgebra:
         Dimension (>= 1; almost-Hermitian structures will demand it even).
     brackets : mapping
         ``{(i, j): {k: value}}`` with 1-based indices meaning
-        ``[e_i, e_j] = sum_k value * e_k``.  Pairs may be given in either
-        order; the antisymmetric extension is applied.  Values may be ints,
+        ``[e_i, e_j] = sum_k value * e_k``.  A pair may be listed in one
+        order or in both; in both it counts once, ``c_ij = (b_ij - b_ji) / 2``,
+        and ``antisymmetry_ok`` records whether ``b_ji = -b_ij`` (within the
+        field's bound, relative to the largest constant).  A nonzero
+        ``[e_i, e_i]`` raises ``IndexOutOfRange``.  Values may be ints,
         Fractions, fraction strings or floats.
     exact : force exact (Fraction) or float arithmetic; inferred from the
         values when omitted.
@@ -55,39 +58,46 @@ class LieAlgebra:
     def __init__(self, dim, brackets=None, exact=None, tol=DEFAULT_TOL):
         if dim < 1:
             raise IndexOutOfRange(f"dim must be positive, got {dim}")
-        self.dim = int(dim)
-        brackets = brackets or {}
-        values = []
-        for pair, comps in brackets.items():
-            for k, v in comps.items():
-                values.append(arith.parse_scalar(v) if isinstance(v, str) else v)
-        if exact is None:
-            exact = arith.all_exact(values)
-        self.field = arith.Field(bool(exact), float(tol))
-
-        self._d = {}  # degree -> d_matrix
-        # sparse storage: {(i, j, k) 0-based, i < j: scalar}
-        self._c = {}
-        for (i, j), comps in brackets.items():
+        dim = int(dim)
+        given = {}  # (i, j) 0-based -> {k: value as given}
+        for (i, j), comps in (brackets or {}).items():
             if not (1 <= i <= dim and 1 <= j <= dim):
                 raise IndexOutOfRange(f"bracket pair ({i},{j}) outside 1..{dim}")
-            if i == j:
-                if any(self._coerce(v) != 0 for v in comps.values()):
-                    raise IndexOutOfRange(f"[e_{i}, e_{i}] must vanish")
-                continue
-            sign = 1 if i < j else -1
-            a, b = (i, j) if i < j else (j, i)
+            row = given[(i - 1, j - 1)] = {}
             for k, v in comps.items():
                 if not 1 <= k <= dim:
                     raise IndexOutOfRange(f"target index {k} outside 1..{dim}")
-                val = self._coerce(v) * sign
-                key = (a - 1, b - 1, k - 1)
-                cur = self._c.get(key, 0)
-                new = cur + val
-                if new == 0:
-                    self._c.pop(key, None)
-                else:
-                    self._c[key] = new
+                row[k - 1] = arith.parse_scalar(v) if isinstance(v, str) else v
+            if i == j and any(v != 0 for v in row.values()):
+                raise IndexOutOfRange(f"[e_{i}, e_{i}] must vanish")
+        values = [v for row in given.values() for v in row.values()]
+        if exact is None:
+            exact = arith.all_exact(values)
+        f = arith.Field(bool(exact), float(tol))
+        index, scattered = [], []
+        for (i, j), row in given.items():
+            for k, v in row.items():
+                v = f.scalar(1, 2) * v if (j, i) in given else v
+                index += [(k, i, j), (k, j, i)]
+                scattered += [v, -v]
+        c = f.scatter((dim,) * 3, tuple(np.array(index, dtype=int).reshape(-1, 3).T),
+                      f.array(scattered))
+        anti = [v + given[(j, i)].get(k, 0) for (i, j), row in given.items()
+                if i != j and (j, i) in given for k, v in row.items()]
+        self._set_tensor(c, f, f.is_zero(anti, max(map(abs, values), default=0)))
+
+    @classmethod
+    def _of(cls, c, field):
+        """The algebra whose structure tensor is the antisymmetric ``c``, in ``field``."""
+        alg = cls.__new__(cls)
+        alg._set_tensor(c, field, True)
+        return alg
+
+    def _set_tensor(self, c, field, antisymmetry_ok):
+        c.flags.writeable = False
+        self.dim, self.field, self.structure_tensor = len(c), field, c
+        self.antisymmetry_ok = antisymmetry_ok
+        self._d = {}  # degree -> d_matrix
 
     # -- scalars ------------------------------------------------------------
 
@@ -99,25 +109,14 @@ class LieAlgebra:
     def tol(self):
         return self.field.tol
 
-    def _coerce(self, v):
-        return self.field.scalar(arith.parse_scalar(v) if isinstance(v, str) else v)
-
     # -- structure tensor ---------------------------------------------------
 
-    @cached_property
-    def structure_tensor(self):
-        """Dense C with C[k][i][j] = c^k_{ij} (0-based); read-only."""
-        c = np.zeros((self.dim,) * 3, dtype=object)
-        for (i, j, k), v in self._c.items():
-            c[k, i, j] = v
-            c[k, j, i] = -v
-        c = self.field.array(c)
-        c.flags.writeable = False
-        return c
-
     def sparse_constants(self):
-        """The stored (i, j, k) -> value map, 1-based, i < j."""
-        return {(i + 1, j + 1, k + 1): v for (i, j, k), v in sorted(self._c.items())}
+        """The nonzero constants (i, j, k) -> c^k_{ij}, 1-based, i < j, in that order."""
+        c = np.asarray(self.structure_tensor).tolist()
+        n = self.dim
+        return {(i + 1, j + 1, k + 1): c[k][i][j] for i in range(n)
+                for j in range(i + 1, n) for k in range(n) if c[k][i][j] != 0}
 
     def bracket(self, x, y):
         """[x, y] for coefficient vectors x, y."""
@@ -162,8 +161,9 @@ class LieAlgebra:
 
     def validate(self) -> AlgebraValidationReport:
         res = self.jacobi_residual()
-        return AlgebraValidationReport(antisymmetry_ok=True, jacobi_residual=res,
-                                       ok=self.field.is_zero(res))
+        return AlgebraValidationReport(antisymmetry_ok=self.antisymmetry_ok,
+                                       jacobi_residual=res,
+                                       ok=self.antisymmetry_ok and self.field.is_zero(res))
 
     def is_unimodular(self):
         """(flag, traces): trace of ad(e_i) for every basis vector."""
@@ -181,59 +181,22 @@ class LieAlgebra:
         base = self if exact else self.as_float()
         p = base.field.array(p)
         pinv = arith.invert(p, base.field)
-        new = {}
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                comps = pinv @ base.bracket(p[:, i], p[:, j])
-                entry = {k + 1: comps[k] for k in range(self.dim)
-                         if comps[k] != 0}
-                if entry:
-                    new[(i + 1, j + 1)] = entry
-        return LieAlgebra(self.dim, new, exact=exact, tol=self.tol)
+        i, j = np.triu_indices(self.dim, 1)
+        b = base.field.array([pinv @ base.bracket(p[:, r], p[:, s]) for r, s in zip(i, j)]).T
+        c = base.field.zeros(self.dim, self.dim, self.dim)
+        c[:, i, j], c[:, j, i] = b, -b
+        return LieAlgebra._of(c, base.field)
 
     def as_float(self):
-        """The same algebra with float structure constants."""
+        """The same algebra with float structure constants (each correctly rounded)."""
         if not self.exact:
             return self
-        new = {}
-        for (i, j, k), v in self.sparse_constants().items():
-            new.setdefault((i, j), {})[k] = float(v)
-        return LieAlgebra(self.dim, new, exact=False, tol=self.tol)
+        return LieAlgebra._of(np.asarray(self.structure_tensor, dtype=float),
+                              arith.Field(False, self.tol))
 
     def __repr__(self):
-        return f"LieAlgebra(dim={self.dim}, brackets={len(self._c)} terms, exact={self.exact})"
-
-
-def validate_lie_algebra(constants, dim) -> AlgebraValidationReport:
-    """Check raw constants ``{(i, j): {k: value}}`` for antisymmetry and Jacobi.
-
-    Unlike the ``LieAlgebra`` constructor (which antisymmetrizes), this sees
-    the constants as given: if both (i, j) and (j, i) appear their values must
-    be exact negatives.
-    """
-    seen = {}  # (i, j, k) -> value, as given
-    for (i, j), comps in constants.items():
-        if not (1 <= i <= dim and 1 <= j <= dim):
-            raise IndexOutOfRange(f"bracket pair ({i},{j}) outside 1..{dim}")
-        for k, v in comps.items():
-            if not 1 <= k <= dim:
-                raise IndexOutOfRange(f"target index {k} outside 1..{dim}")
-            seen[(i, j, k)] = arith.parse_scalar(v) if isinstance(v, str) else v
-    field = arith.Field(arith.all_exact(list(seen.values())))
-    anti_ok = all((i != j or field.is_zero(v))
-                  and ((j, i, k) not in seen or field.is_zero(v + seen[(j, i, k)]))
-                  for (i, j, k), v in seen.items())
-    # Jacobi on the antisymmetrized algebra: the constructor adds the two
-    # orders of a pair with opposite signs, so a pair listed twice counts half
-    listed = {(i, j) for i, j, _ in seen}
-    half = field.scalar(1, 2)
-    brackets = {}
-    for (i, j, k), v in seen.items():
-        if i != j:
-            brackets.setdefault((i, j), {})[k] = half * v if (j, i) in listed else v
-    res = LieAlgebra(dim, brackets, exact=field.exact).jacobi_residual()
-    return AlgebraValidationReport(antisymmetry_ok=anti_ok, jacobi_residual=res,
-                                   ok=anti_ok and field.is_zero(res))
+        return (f"LieAlgebra(dim={self.dim}, brackets={len(self.sparse_constants())} terms, "
+                f"exact={self.exact})")
 
 
 def abelian_algebra(dim) -> LieAlgebra:

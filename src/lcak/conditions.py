@@ -60,7 +60,7 @@ def check_lcs(structure: AlmostHermitianStructure) -> dict:
     """dF = theta ^ F with d theta = 0, on a valid almost Hermitian pair."""
     val = structure.validation
     lee = structure.lee_form()
-    scale, dtheta_residual = max(1.0, lee.theta.max_abs()), lee.dtheta.max_abs()
+    scale, dtheta_residual = lee.theta.max_abs(), lee.dtheta.max_abs()
     is_lcs = (val.ok
               and lee.solve_residual <= structure.field.bound()
               and dtheta_residual <= structure.field.bound(scale))
@@ -79,7 +79,7 @@ def automorphism_algebra(structure: AlmostHermitianStructure) -> AutomorphismAlg
     basis = list(structure.automorphisms)
     theta_vec = structure.lee_form().theta.vector()
     lee_values = [x @ theta_vec for x in basis]
-    scale = max(1.0, arith.max_abs(theta_vec))
+    scale = arith.max_abs(theta_vec)
     onto = not structure.field.is_zero(lee_values, scale)
     return AutomorphismAlgebra(basis=basis, lee_values=lee_values,
                                kind="first" if onto else "second")
@@ -181,7 +181,7 @@ def _adapted(s) -> dict:
     res["deta_metric_symmetric"] = arith.max_abs(gram - gram.T)
     pd = arith.is_positive_definite(f.scalar(1, 2) * (gram + gram.T), f) if k else True
     res["deta_metric_positive"] = 0.0 if pd else 1.0
-    bound = f.bound(max(1.0, float(c * s.F.max_abs()), 1.0 + float(c)))
+    bound = f.bound(max(1.0 + float(c), float(c * s.F.max_abs())))
     adapted = (pd and res["h_dimension_defect"] == 0
                and all(r <= bound for key, r in res.items()
                        if key not in ("deta_metric_positive", "h_dimension_defect")))
@@ -228,12 +228,12 @@ def classify_metric(structure: AlmostHermitianStructure) -> ConditionReport:
     orth = max(arith.max_abs(s.field.einsum('k,kij->ij', s.g @ lee.T, nij)),
                arith.max_abs(s.field.einsum('k,kij->ij', s.g @ lee.JT, nij)))
     residuals["imN_span_T_JT"] = orth
-    n_scale = max(1.0, arith.max_abs(nij) * max(1.0, arith.max_abs(lee.T)))
+    n_scale = arith.max_abs(nij) * max(1.0, arith.max_abs(lee.T))
     flags["T_orthogonal_to_imN"] = orth <= s.field.bound(n_scale)
 
     dth = s.Dtheta
     parts = s.split_tensor(dth)
-    dth_scale = max(1.0, arith.max_abs(dth))
+    dth_scale = arith.max_abs(dth)
     residuals["dtheta_j_plus"] = float(arith.max_abs(parts["j_plus"]))
     residuals["dtheta_j_minus"] = float(arith.max_abs(parts["j_minus"]))
     residuals["dtheta_full"] = float(arith.max_abs(dth))
@@ -337,7 +337,7 @@ def verify_equivalences(structure: AlmostHermitianStructure, strict: bool = True
         raise NotLCS("equivalences need an LCS structure")
     lee = s.lee_form()
     out = {}
-    bound = s.field.bound(max(1.0, float(abs(lee.norm_sq)) ** 1.5))
+    bound = s.field.bound(float(abs(lee.norm_sq)) ** 1.5)
 
     pluri = rep.flags["pluricanonical"]
     nondegenerate_theta = not rep.flags["is_gcs"]
@@ -353,7 +353,7 @@ def verify_equivalences(structure: AlmostHermitianStructure, strict: bool = True
 
     bk = s.alg.bracket(lee.T, lee.JT)
     g_bk = bk @ s.g @ lee.JT
-    scale_b = max(1.0, arith.max_abs(bk) * max(1.0, arith.max_abs(lee.JT)))
+    scale_b = arith.max_abs(bk) * max(1.0, arith.max_abs(lee.JT))
     rhs_b = abs(float(g_bk)) <= s.field.bound(scale_b)
     applicable_b = bool(rep.flags["is_lcs"] and rep.flags["unimodular"]
                         and rep.flags["T_orthogonal_to_imN"])

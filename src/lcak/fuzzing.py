@@ -87,31 +87,22 @@ def random_unimodular_4d(rng) -> LieAlgebra:
     """Sparse random constants, traces projected to zero, Jacobi by rejection
     (at most 200 draws)."""
     for _ in range(200):
-        entries = {}
+        br = {}
         for _ in range(int(rng.integers(2, 5))):
             i, j = sorted(rng.choice(4, size=2, replace=False) + 1)
             k = int(rng.integers(1, 5))
-            entries[(int(i), int(j), k)] = float(rng.integers(-2, 3))
-        alg = _algebra_from_entries(entries)
+            br.setdefault((int(i), int(j)), {})[k] = float(rng.integers(-2, 3))
+        alg = LieAlgebra(4, br, exact=False)
         for i in range(1, 5):
             tr = float(sum(alg.ad_basis(i - 1)[k, k] for k in range(4)))
             if abs(tr) > 1e-13:
                 k0 = 1 if i != 1 else 2
-                a, b = min(i, k0), max(i, k0)
-                sgn = 1 if i < k0 else -1
-                entries[(a, b, k0)] = entries.get((a, b, k0), 0.0) - sgn * tr
-        alg = _algebra_from_entries(entries)
+                comps = br.setdefault((min(i, k0), max(i, k0)), {})
+                comps[k0] = comps.get(k0, 0.0) - (1 if i < k0 else -1) * tr
+        alg = LieAlgebra(4, br, exact=False)
         if alg.jacobi_residual() <= 1e-12 and alg.is_unimodular()[0]:
             return alg
     raise RuntimeError("could not sample a unimodular algebra")
-
-
-def _algebra_from_entries(entries):
-    br = {}
-    for (i, j, k), val in entries.items():
-        if val:
-            br.setdefault((i, j), {})[k] = val
-    return LieAlgebra(4, br, exact=False)
 
 
 def random_nilpotent(rng, dim) -> LieAlgebra:
@@ -120,13 +111,8 @@ def random_nilpotent(rng, dim) -> LieAlgebra:
     br = {}
     for i in range(1, dim - central + 1):
         for j in range(i + 1, dim - central + 1):
-            comps = {}
-            for k in range(dim - central + 1, dim + 1):
-                val = int(rng.integers(-2, 3))
-                if val:
-                    comps[k] = float(val)
-            if comps:
-                br[(i, j)] = comps
+            br[(i, j)] = {k: float(rng.integers(-2, 3))
+                          for k in range(dim - central + 1, dim + 1)}
     return LieAlgebra(dim, br, exact=False)
 
 

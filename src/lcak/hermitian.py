@@ -89,29 +89,11 @@ class LeeData:
 
 
 def validate_structure(J, g, alg=None) -> StructureValidationReport:
-    """Check J^2 = -id, g symmetric positive definite and J-invariant."""
-    J = np.asarray(J)
-    g = np.asarray(g)
-    if J.shape != g.shape or J.shape[0] != J.shape[1]:
-        raise DimensionMismatch("J and g must be square of equal size")
-    if alg is not None and J.shape[0] != alg.dim:
-        raise DimensionMismatch("matrix size != algebra dimension")
-    field = arith.Field(arith.all_exact(J) and arith.all_exact(g))
-    return _validation(field, field.array(J), field.array(g))
-
-
-def _validation(field, J, g):
-    """The checks of ``validate_structure`` on J and g."""
-    g_sym = field.is_zero(g - g.T)
-    compat = arith.max_abs(J.T @ g @ J - g)
-    return StructureValidationReport(
-        j_squared_ok=field.is_zero(J @ J + field.eye(len(g))),
-        g_symmetric=g_sym,
-        g_positive_definite=g_sym and arith.is_positive_definite(g, field),
-        g_j_invariant=field.is_zero(compat, arith.max_abs(g)),
-        f_nondegenerate=field.is_nondegenerate(J.T @ g),
-        compatibility_residual=float(compat),
-    )
+    """Check J^2 = -id, g symmetric positive definite and J-invariant, in the
+    field of ``alg`` (an abelian algebra in the mode of J and g when omitted)."""
+    if alg is None:
+        alg = LieAlgebra(len(J), exact=arith.all_exact(J) and arith.all_exact(g))
+    return AlmostHermitianStructure(alg, J, g, validate=False).validation
 
 
 class AlmostHermitianStructure:
@@ -129,14 +111,23 @@ class AlmostHermitianStructure:
     """
 
     def __init__(self, alg: LieAlgebra, J, g=None, validate=True, name=None):
-        self.alg, self.field = alg, alg.field
-        self.J = self.field.array(J)
-        self.g = self.field.eye(alg.dim) if g is None else self.field.array(g)
-        self.name = name
+        field = self.field = alg.field
+        self.alg, self.name = alg, name
+        J = self.J = field.array(J)
+        g = self.g = field.eye(alg.dim) if g is None else field.array(g)
         self._compounds = {}  # degree -> compound of g^-1
-        if self.J.shape != self.g.shape or self.J.shape != (alg.dim, alg.dim):
+        if J.shape != g.shape or J.shape != (alg.dim, alg.dim):
             raise DimensionMismatch("J and g must be square of the algebra's dimension")
-        self.validation = _validation(self.field, self.J, self.g)
+        g_sym = field.is_zero(g - g.T)
+        compat = arith.max_abs(J.T @ g @ J - g)
+        self.validation = StructureValidationReport(
+            j_squared_ok=field.is_zero(J @ J + field.eye(len(g))),
+            g_symmetric=g_sym,
+            g_positive_definite=g_sym and arith.is_positive_definite(g, field),
+            g_j_invariant=field.is_zero(compat, arith.max_abs(g)),
+            f_nondegenerate=field.is_nondegenerate(J.T @ g),
+            compatibility_residual=float(compat),
+        )
         if validate and not self.validation.ok:
             code = "J_NOT_ACS" if not self.validation.j_squared_ok else (
                 "G_NOT_SYMMETRIC" if not self.validation.g_symmetric else (

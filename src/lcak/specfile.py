@@ -10,8 +10,16 @@ A structure file is UTF-8 JSON:
       "options": {"tolerance": 1e-9, "arithmetic_mode": "exact" | "float" | "auto"}
     }
 
+Each bracket entry gives ``[e_i, e_j] = sum_k coefficients[k] e_k``, under
+the rule of :class:`~lcak.algebra.LieAlgebra`: a pair may be listed in one
+order or in both, and in both its two brackets must be negatives of each
+other (else ``BAD_FIELD`` on ``brackets``) and count once.  A pair listed
+twice in the same order is ``BAD_FIELD`` and a nonzero ``[e_i, e_i]`` is
+``BAD_INDEX``, each at its ``brackets[pos]``.
+
 Scalar strings like "1/4" parse exactly; bare numbers are taken as given
-(ints exact, decimals float).  The arithmetic mode is decided here, once,
+(ints exact, decimals float); a value that is not finite (``1e400`` reads as
+infinity) is ``BAD_FIELD``.  The arithmetic mode is decided here, once,
 over every bracket, J and g value: "auto" (default) is exact iff every value
 is exact, and "exact" with a decimal anywhere is a ``BAD_FIELD`` error.  The
 algebra is built in that mode with the file's tolerance (or ``tol``), and
@@ -23,6 +31,7 @@ byte-identical golden files are meaningful.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,8 +48,12 @@ J_PRESETS = ("split", "mirror")
 
 
 def _parse_value(raw, field_name):
+    """A finite scalar; anything else (1e400 parses as inf) is ``BAD_FIELD``."""
     try:
-        return arith.parse_scalar(raw)
+        value = arith.parse_scalar(raw)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError("not finite")
+        return value
     except (ValueError, ZeroDivisionError) as e:
         raise ParseError(f"bad scalar {raw!r} in {field_name}", code="BAD_FIELD",
                          field=field_name) from e
@@ -97,20 +110,24 @@ def load_spec(source, tol=None) -> AlmostHermitianStructure:
 
     brackets = {}
     for pos, item in enumerate(data.get("brackets") or []):
+        where = f"brackets[{pos}]"
         try:
             i, j = int(item["i"]), int(item["j"])
-            comps = {int(k): _parse_value(v, f"brackets[{pos}]")
-                     for k, v in item["coefficients"].items()}
-        except (KeyError, TypeError, ValueError) as e:
-            raise ParseError(f"brackets[{pos}] must be {{i, j, coefficients}}",
-                             code="BAD_FIELD", field=f"brackets[{pos}]") from e
+            comps = {int(k): _parse_value(v, where) for k, v in item["coefficients"].items()}
+        except (KeyError, TypeError, ValueError, AttributeError) as e:
+            raise ParseError(f"{where} must be {{i, j, coefficients}}",
+                             code="BAD_FIELD", field=where) from e
         if not (1 <= i <= dim and 1 <= j <= dim and
                 all(1 <= k <= dim for k in comps)):
-            raise ValidationError(f"brackets[{pos}] indices outside 1..{dim}",
-                                  code="BAD_INDEX", field=f"brackets[{pos}]")
-        cur = brackets.setdefault((i, j), {})
-        for k, v in comps.items():
-            cur[k] = cur.get(k, 0) + v
+            raise ValidationError(f"{where} indices outside 1..{dim}",
+                                  code="BAD_INDEX", field=where)
+        if i == j and any(v != 0 for v in comps.values()):
+            raise ValidationError(f"{where}: [e_{i}, e_{i}] must vanish",
+                                  code="BAD_INDEX", field=where)
+        if (i, j) in brackets:
+            raise ParseError(f"{where} repeats the pair ({i}, {j})",
+                             code="BAD_FIELD", field=where)
+        brackets[(i, j)] = comps
 
     jraw = data.get("J", "split")
     if isinstance(jraw, str):
@@ -133,6 +150,9 @@ def load_spec(source, tol=None) -> AlmostHermitianStructure:
         raise ParseError("arithmetic_mode \"exact\" needs exact values, found a decimal",
                          code="BAD_FIELD", field="options.arithmetic_mode")
     alg = LieAlgebra(dim, brackets, exact=all_exact and mode != "float", tol=tol)
+    if not alg.antisymmetry_ok:
+        raise ValidationError("a pair listed in both orders has brackets that are not "
+                              "negatives of each other", code="BAD_FIELD", field="brackets")
     algrep = alg.validate()
     if not algrep.ok:
         raise ValidationError(

@@ -114,6 +114,71 @@ def test_load_spec_float_mode():
     assert not s.exact and s.tol == 1e-8
 
 
+def _a41_with(**fields):
+    data = json.loads(A41_SPEC)
+    data.update(fields)
+    return data
+
+
+def test_load_spec_a_pair_listed_consistently_in_both_orders_counts_once():
+    once = load_spec(A41_SPEC)
+    data = _a41_with()
+    data["brackets"].append({"i": 4, "j": 2, "coefficients": {"1": "-1"}})
+    twice = load_spec(json.dumps(data))
+    assert twice.alg.sparse_constants() == once.alg.sparse_constants()
+    assert run_report(twice).to_json() == run_report(once).to_json()
+
+
+# brackets -> the (code, field) of the input error each file raises
+BAD_BRACKETS = {
+    "reverse_pair_disagrees": ([{"i": 2, "j": 4, "coefficients": {"1": "1"}},
+                                {"i": 4, "j": 2, "coefficients": {"1": "1"}}],
+                               "BAD_FIELD", "brackets"),
+    "same_pair_twice": ([{"i": 2, "j": 4, "coefficients": {"1": "1"}},
+                         {"i": 2, "j": 4, "coefficients": {"1": "1"}}],
+                        "BAD_FIELD", "brackets[1]"),
+    "nonzero_self_bracket": ([{"i": 3, "j": 4, "coefficients": {"2": "1"}},
+                              {"i": 2, "j": 2, "coefficients": {"1": "1"}}],
+                             "BAD_INDEX", "brackets[1]"),
+    "coefficients_not_a_map": ([{"i": 2, "j": 4, "coefficients": [1]}],
+                               "BAD_FIELD", "brackets[0]"),
+}
+
+
+def _assert_rejected(tmp_path, capsys, text, code, field):
+    with pytest.raises((ParseError, ValidationError)) as err:
+        load_spec(text)
+    assert (err.value.code, err.value.field) == (code, field)
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["check", str(path)], out=io.StringIO()) == 2
+    assert capsys.readouterr().err.startswith(f"input error [{code}]")
+
+
+@pytest.mark.parametrize("name", sorted(BAD_BRACKETS))
+def test_load_spec_rejects_bad_brackets(tmp_path, capsys, name):
+    brackets, code, field = BAD_BRACKETS[name]
+    _assert_rejected(tmp_path, capsys, json.dumps(_a41_with(brackets=brackets)), code, field)
+
+
+@pytest.mark.parametrize("raw", ["1e400", '"1e400"', '"-1e400"', "NaN"])
+@pytest.mark.parametrize("where", ["brackets", "J", "g"])
+def test_load_spec_rejects_a_value_that_is_not_finite(tmp_path, capsys, where, raw):
+    """1e400 parses as infinity, as a JSON number or as a string; it is an
+    input error at its field, not a failed Jacobi or positivity check."""
+    split = [[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]]
+    eye = [[int(a == b) for b in range(4)] for a in range(4)]
+    data = _a41_with(J=split, g=eye)
+    if where == "brackets":
+        data["brackets"][1]["coefficients"]["2"] = "BIG"
+        field = "brackets[1]"
+    else:
+        data[where][0][0] = "BIG"
+        field = where
+    _assert_rejected(tmp_path, capsys, json.dumps(data).replace('"BIG"', raw),
+                     "BAD_FIELD", field)
+
+
 BAD_TOLERANCES = (-1, -1e-12, 1, 2.5, math.nan, math.inf, -math.inf, "1e-9", "abc", None, True,
                   [1e-9])
 

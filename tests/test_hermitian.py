@@ -35,6 +35,22 @@ def test_validate_structure_degenerate_metric():
     assert not report.g_positive_definite and not report.ok
 
 
+def test_validate_structure_decides_in_the_algebras_field():
+    """A float algebra with tol=1e-6 accepts a 1e-7 asymmetry of g; without an
+    algebra, J and g are checked on an abelian algebra in their own mode."""
+    g = np.eye(4)
+    g[0, 1] += 1e-7
+    loose = LieAlgebra(4, {(2, 4): {1: 1.0}}, tol=1e-6)
+    assert validate_structure(split_j(), g, loose).ok
+    assert not validate_structure(split_j(), g).ok
+    default = abelian_algebra(4).as_float()
+    assert validate_structure(split_j(), g) == validate_structure(split_j(), g, default)
+    exact = validate_structure(split_j(), np.eye(4, dtype=int))
+    assert exact.ok and exact.compatibility_residual == 0
+    with pytest.raises(DimensionMismatch):
+        validate_structure(split_j(), np.eye(2), loose)
+
+
 def test_fundamental_forms_match_catalog(a41, a48):
     assert a41.F == KForm.from_terms(a41.alg, {(1, 3): 1, (2, 4): 1})
     assert a48.F == KForm.from_terms(a48.alg, {(1, 4): 1, (2, 3): 1})
