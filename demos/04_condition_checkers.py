@@ -25,7 +25,7 @@ for name in ("A4_1", "A4_8", "abelian_kahler"):
     tags = [k for k in ("pluricanonical", "anti_pluricanonical", "vaisman",
                         "is_gauduchon", "lee_field_holomorphic") if rep.flags[k]]
     print("  flags set:", ", ".join(tags) or "(none)")
-    eq = verify_equivalences(s, strict=False, report=rep)
+    eq = verify_equivalences(s, report=rep)
     print("  equivalences consistent:", eq["all_consistent"])
     feas = symplectic_feasibility(s)
     print("  compatible closed form:", feas["status"],

@@ -174,6 +174,10 @@ class LieAlgebra:
 
     def change_basis(self, p):
         """Algebra in the basis e'_i = sum_k P[k,i] e_k (P columns = new basis)."""
+        return self._change_basis(p)[0]
+
+    def _change_basis(self, p):
+        """(algebra in the basis of P's columns, P, P^-1), both over its field."""
         p = np.asarray(p)
         if p.shape != (self.dim, self.dim):
             raise DimensionMismatch("change-of-basis matrix has wrong shape")
@@ -185,7 +189,7 @@ class LieAlgebra:
         b = base.field.array([pinv @ base.bracket(p[:, r], p[:, s]) for r, s in zip(i, j)]).T
         c = base.field.zeros(self.dim, self.dim, self.dim)
         c[:, i, j], c[:, j, i] = b, -b
-        return LieAlgebra._of(c, base.field)
+        return LieAlgebra._of(c, base.field), p, pinv
 
     def as_float(self):
         """The same algebra with float structure constants (each correctly rounded)."""

@@ -53,17 +53,22 @@ def _print_report_text(report: Report, out):
         print(f"WARNING: {w}", file=out)
 
 
+EXPECT_VALUES = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 def _parse_expectations(pairs):
     out = {}
     for item in pairs or []:
-        if "=" not in item:
-            raise ValueError(f"--expect needs flag=value, got {item!r}")
         key, _, val = item.partition("=")
-        out[key.strip()] = val.strip().lower() in ("1", "true", "yes")
+        val = val.strip().lower()
+        if val not in EXPECT_VALUES:
+            raise ValueError(f"--expect needs flag={'/'.join(EXPECT_VALUES)}, got {item!r}")
+        out[key.strip()] = EXPECT_VALUES[val]
     return out
 
 
 def cmd_check(args, out):
+    expectations = _parse_expectations(args.expect)
     structure = load_spec(args.file, tol=args.tol)
     if args.mode == "float":
         structure = structure.as_float()
@@ -76,7 +81,6 @@ def cmd_check(args, out):
     else:
         _print_report_text(report, out)
     ok = report.all_checks_pass
-    expectations = _parse_expectations(args.expect)
     flags = report.condition_report["flags"]
     for key, val in expectations.items():
         if key not in flags:

@@ -198,12 +198,56 @@ def _deta_gram(structure, d_eta: KForm, h):
 # the full report
 # ---------------------------------------------------------------------------
 
+# The paper's implications, one row each: (hypothesis flags, hypothesis,
+# conclusion, residual(s, lee)).  A residual above bound(10) where every
+# hypothesis flag holds is an implementation bug, not a property of the input.
+# The "T orth im N" statements are proved for LCS metrics only.
+_ORTH = ("is_lcs", "T_orthogonal_to_imN")
+IMPLIED = (
+    (("pluricanonical",), "pluricanonical", "Gauduchon",
+     lambda s, lee: abs(float(s.delta_theta))),
+    (("pluricanonical",), "pluricanonical", "L_T F = 0",
+     lambda s, lee: s.lie_derivative_F(lee.T).max_abs()),
+    (("pluricanonical",), "pluricanonical", "dJtheta = -|theta|^2 F + theta^Jtheta",
+     lambda s, lee: (lee.djtheta - (-1 * lee.norm_sq * s.F
+                                    + lee.theta.wedge(lee.jtheta))).max_abs()),
+    (_ORTH, "T orth im N", "dJtheta J-invariant",
+     lambda s, lee: arith.max_abs(s.split_tensor(lee.djtheta.matrix())["j_minus"])),
+    (_ORTH, "T orth im N", "N(T) symmetric",
+     lambda s, lee: arith.max_abs(s.split_tensor(s.nijenhuis_tensor(lee.T))["antisym"])),
+    (_ORTH, "T orth im N", "D_T J = 0",
+     lambda s, lee: arith.max_abs(lee.T.reshape(1, s.dim)
+                                  @ s.connection.DJ.reshape(s.dim, -1))),
+    (_ORTH, "T orth im N", "D_JT J = 0",
+     lambda s, lee: arith.max_abs(lee.JT.reshape(1, s.dim)
+                                  @ s.connection.DJ.reshape(s.dim, -1))),
+    (("unimodular", "pluricanonical"), "unimodular pluricanonical", "rho*(T,JT) = 0",
+     lambda s, lee: abs(float(connection.star_ricci(s)(lee.T, lee.JT)))),
+    (("unimodular", "pluricanonical"), "unimodular pluricanonical",
+     "|(Dtheta)^{J,+}|^2 + 2<D_JT theta, Jtheta> = 0",
+     lambda s, lee: abs(float(identities.unimodular_pluricanonical_defect(s)))),
+)
+
+# The equivalences (a)-(c): (key, applicability flags, (lhs key, lhs flags),
+# (rhs key, rhs flags)).  A side holds when all its flags do; theta_nonzero and
+# bracket_vanishes are derived in verify_equivalences.
+EQUIVALENT = (
+    ("first_kind_adapted", ("is_lcs", "theta_nonzero"),
+     ("lhs_first_kind_and_adapted", ("first_kind", "adapted")),
+     ("rhs_pluricanonical", ("pluricanonical",))),
+    ("unimodular_bracket", ("is_lcs", "unimodular", "T_orthogonal_to_imN"),
+     ("lhs_pluricanonical", ("pluricanonical",)),
+     ("rhs_bracket_vanishes", ("bracket_vanishes",))),
+    ("holomorphic_lee_field", ("is_lcs",),
+     ("lhs_anti_pluricanonical", ("anti_pluricanonical",)),
+     ("rhs_L_T_J_zero", ("lee_field_holomorphic",))),
+)
+
+
 def classify_metric(structure: AlmostHermitianStructure) -> ConditionReport:
     """Populate every structural flag with its residual, plus implication warnings."""
     s = structure
-    flags = {}
-    residuals = {}
-    warnings = []
+    flags, residuals, warnings = {}, {}, []
 
     val = s.validation
     residuals["jacobi"] = float(s.alg.jacobi_residual())
@@ -268,42 +312,14 @@ def classify_metric(structure: AlmostHermitianStructure) -> ConditionReport:
     uni, _traces = s.alg.is_unimodular()
     flags["unimodular"] = bool(uni)
 
-    # implication warnings: hypotheses proved in the source theory; a failure
-    # here indicates an implementation bug, not a property of the input.
-    def warn_if(hypothesis, conclusion, residual):
-        if residual > s.field.bound(10.0):
-            warnings.append(f"{hypothesis} should imply {conclusion}; "
-                            f"residual {float(residual):.3e}")
-
-    if flags["pluricanonical"]:
-        warn_if("pluricanonical", "Gauduchon", residuals["delta_theta"])
-        ltf = s.lie_derivative_F(lee.T).max_abs()
-        warn_if("pluricanonical", "L_T F = 0", ltf)
-        target = -1 * lee.norm_sq * s.F + theta.wedge(lee.jtheta)
-        warn_if("pluricanonical", "dJtheta = -|theta|^2 F + theta^Jtheta",
-                (lee.djtheta - target).max_abs())
-    if flags["is_lcs"] and flags["T_orthogonal_to_imN"]:
-        # proved for LCS metrics only (dF = theta ^ F, d theta = 0)
-        jminus = s.split_tensor(lee.djtheta.matrix())["j_minus"]
-        warn_if("T orth im N", "dJtheta J-invariant", arith.max_abs(jminus))
-        nt = s.nijenhuis_tensor(lee.T)
-        warn_if("T orth im N", "N(T) symmetric", arith.max_abs(s.split_tensor(nt)["antisym"]))
-        dj = s.connection.DJ.reshape(s.dim, -1)
-        warn_if("T orth im N", "D_T J = 0",
-                arith.max_abs(lee.T.reshape(1, s.dim) @ dj))
-        warn_if("T orth im N", "D_JT J = 0",
-                arith.max_abs(lee.JT.reshape(1, s.dim) @ dj))
-    if flags["vaisman"]:
-        if not (flags["pluricanonical"] and flags["anti_pluricanonical"]):
-            warnings.append("vaisman flag set but pluricanonical/anti-pluricanonical "
-                            "did not both follow")
-    if flags["unimodular"] and flags["pluricanonical"]:
-        rho = connection.star_ricci(s)
-        warn_if("unimodular pluricanonical", "rho*(T,JT) = 0",
-                abs(float(rho(lee.T, lee.JT))))
-        warn_if("unimodular pluricanonical",
-                "|(Dtheta)^{J,+}|^2 + 2<D_JT theta, Jtheta> = 0",
-                abs(float(identities.unimodular_pluricanonical_defect(s))))
+    for hyp, text, conclusion, residual in IMPLIED:
+        if all(flags[k] for k in hyp):
+            r = residual(s, lee)
+            if r > s.field.bound(10.0):
+                warnings.append(f"{text} should imply {conclusion}; residual {float(r):.3e}")
+    if flags["vaisman"] and not (flags["pluricanonical"] and flags["anti_pluricanonical"]):
+        warnings.append("vaisman flag set but pluricanonical/anti-pluricanonical "
+                        "did not both follow")
 
     metadata = {
         "arithmetic_mode": "exact" if s.exact else "float",
@@ -319,63 +335,38 @@ def classify_metric(structure: AlmostHermitianStructure) -> ConditionReport:
 # theorem-level equivalences
 # ---------------------------------------------------------------------------
 
-def verify_equivalences(structure: AlmostHermitianStructure, strict: bool = True,
+def verify_equivalences(structure: AlmostHermitianStructure,
                         report: ConditionReport = None) -> dict:
     """Evaluate both sides of each theorem-level equivalence independently.
 
-    (a) pluricanonical <=> first kind and adapted            (theta != 0)
-    (b) on unimodular with T orth im N:
-        pluricanonical <=> g([T,JT],JT) = 0                  (LCS)
-    (c) anti-pluricanonical <=> L_T J = 0                    (LCS, T orth im N)
+    (a)-(c) are the rows of :data:`EQUIVALENT`, applicable where the flags in
+    brackets hold and consistent unless they apply and their sides differ:
+    (a) pluricanonical <=> first kind and adapted     (LCS, theta != 0)
+    (b) pluricanonical <=> g([T,JT],JT) = 0           (LCS, unimodular, T orth im N)
+    (c) anti-pluricanonical <=> L_T J = 0             (LCS)
     (d) pluricanonical => D_T theta = D_JT theta = D_T Jtheta
         = D_JT Jtheta = [T,JT] = 0
     (e) dim 4 unimodular: the wedge-square integrand of dJtheta vanishes
     """
     s = structure
     rep = report or classify_metric(s)
-    if strict and not rep.flags["is_lcs"]:
-        raise NotLCS("equivalences need an LCS structure")
     lee = s.lee_form()
     out = {}
     bound = s.field.bound(float(abs(lee.norm_sq)) ** 1.5)
 
-    pluri = rep.flags["pluricanonical"]
-    nondegenerate_theta = not rep.flags["is_gcs"]
-    fk = rep.flags["first_kind"]
-    ad = rep.flags["adapted"]
-    out["first_kind_adapted"] = {
-        "applicable": bool(rep.flags["is_lcs"] and nondegenerate_theta),
-        "lhs_first_kind_and_adapted": bool(fk and ad),
-        "rhs_pluricanonical": bool(pluri),
-        "consistent": (not (rep.flags["is_lcs"] and nondegenerate_theta))
-                      or (bool(fk and ad) == bool(pluri)),
-    }
-
     bk = s.alg.bracket(lee.T, lee.JT)
     g_bk = bk @ s.g @ lee.JT
     scale_b = arith.max_abs(bk) * max(1.0, arith.max_abs(lee.JT))
-    rhs_b = abs(float(g_bk)) <= s.field.bound(scale_b)
-    applicable_b = bool(rep.flags["is_lcs"] and rep.flags["unimodular"]
-                        and rep.flags["T_orthogonal_to_imN"])
-    out["unimodular_bracket"] = {
-        "applicable": applicable_b,
-        "lhs_pluricanonical": bool(pluri),
-        "rhs_bracket_vanishes": bool(rhs_b),
-        "g_T_JT_JT": float(g_bk),
-        "consistent": (not applicable_b) or (bool(pluri) == bool(rhs_b)),
-    }
+    held = {**rep.flags, "theta_nonzero": not rep.flags["is_gcs"],
+            "bracket_vanishes": abs(float(g_bk)) <= s.field.bound(scale_b)}
+    for key, hyp, (lhs_key, lhs_flags), (rhs_key, rhs_flags) in EQUIVALENT:
+        applicable = all(held[k] for k in hyp)
+        lhs, rhs = all(held[k] for k in lhs_flags), all(held[k] for k in rhs_flags)
+        out[key] = {"applicable": applicable, lhs_key: lhs, rhs_key: rhs,
+                    "consistent": not applicable or lhs == rhs}
+    out["unimodular_bracket"]["g_T_JT_JT"] = float(g_bk)
 
-    holo = rep.flags["lee_field_holomorphic"]
-    anti = rep.flags["anti_pluricanonical"]
-    applicable_c = bool(rep.flags["is_lcs"])
-    out["holomorphic_lee_field"] = {
-        "applicable": applicable_c,
-        "lhs_anti_pluricanonical": bool(anti),
-        "rhs_L_T_J_zero": bool(holo),
-        "consistent": (not applicable_c) or (bool(anti) == bool(holo)),
-    }
-
-    if pluri:
+    if rep.flags["pluricanonical"]:
         dth = s.Dtheta
         djth = connection.covariant_one_form(s, lee.jtheta)
         vals = {
@@ -386,10 +377,8 @@ def verify_equivalences(structure: AlmostHermitianStructure, strict: bool = True
             "bracket_T_JT": arith.max_abs(bk),
         }
         out["pluricanonical_consequences"] = {
-            "applicable": True,
-            "residuals": {k: float(v) for k, v in vals.items()},
-            "consistent": all(v <= bound for v in vals.values()),
-        }
+            "applicable": True, "residuals": {k: float(v) for k, v in vals.items()},
+            "consistent": all(v <= bound for v in vals.values())}
     else:
         out["pluricanonical_consequences"] = {"applicable": False, "consistent": True}
 
@@ -397,10 +386,8 @@ def verify_equivalences(structure: AlmostHermitianStructure, strict: bool = True
         integrand = identities.dim4_integrand_value(s)
         scale_e = max(1.0, float(abs(lee.norm_sq)) ** 2)
         out["dim4_integrand"] = {
-            "applicable": True,
-            "value": float(integrand),
-            "consistent": abs(integrand) <= s.field.bound(10 * scale_e),
-        }
+            "applicable": True, "value": float(integrand),
+            "consistent": abs(integrand) <= s.field.bound(10 * scale_e)}
     else:
         out["dim4_integrand"] = {"applicable": False, "consistent": True}
 

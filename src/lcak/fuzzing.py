@@ -196,7 +196,7 @@ def fuzz(seed: int, count: int, family: str) -> dict:
             params = random_params_4d(rng, kind)
             s = build_almost_abelian(params)[1].as_float()
             rep = conditions.classify_metric(s)
-            eq = conditions.verify_equivalences(s, strict=False, report=rep)
+            eq = conditions.verify_equivalences(s, report=rep)
             if not eq["all_consistent"]:
                 failures.append({"check": "equivalences", "sample": idx,
                                  "residual": 1.0,

@@ -365,12 +365,9 @@ class AlmostHermitianStructure:
 
     def change_basis(self, p):
         """Transport the whole structure to the basis with columns of P."""
-        alg2 = self.alg.change_basis(p)
-        f = alg2.field
-        pm = f.array(p)
-        pinv = arith.invert(pm, f)
-        j2 = pinv @ f.array(self.J) @ pm
-        g2 = pm.T @ f.array(self.g) @ pm
+        alg2, pm, pinv = self.alg._change_basis(p)
+        j2 = pinv @ alg2.field.array(self.J) @ pm
+        g2 = pm.T @ alg2.field.array(self.g) @ pm
         return AlmostHermitianStructure(alg2, j2, g2, validate=False, name=self.name)
 
     def as_float(self):

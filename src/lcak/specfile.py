@@ -59,6 +59,13 @@ def _parse_value(raw, field_name):
                          field=field_name) from e
 
 
+def _index(raw):
+    """An integer index; a bool or a float with a fraction (2.7, inf) is a ValueError."""
+    if isinstance(raw, bool) or isinstance(raw, float) and not raw.is_integer():
+        raise ValueError(f"index {raw!r} is not an integer")
+    return int(raw)
+
+
 def _matrix(raw, name, dim):
     """A dim x dim matrix of parsed scalars from a list of rows."""
     if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
@@ -112,8 +119,8 @@ def load_spec(source, tol=None) -> AlmostHermitianStructure:
     for pos, item in enumerate(data.get("brackets") or []):
         where = f"brackets[{pos}]"
         try:
-            i, j = int(item["i"]), int(item["j"])
-            comps = {int(k): _parse_value(v, where) for k, v in item["coefficients"].items()}
+            i, j = _index(item["i"]), _index(item["j"])
+            comps = {_index(k): _parse_value(v, where) for k, v in item["coefficients"].items()}
         except (KeyError, TypeError, ValueError, AttributeError) as e:
             raise ParseError(f"{where} must be {{i, j, coefficients}}",
                              code="BAD_FIELD", field=where) from e
@@ -270,7 +277,7 @@ def run_report(structure: AlmostHermitianStructure, feasibility: bool = False) -
     """validation -> Lee form -> connection -> checkers -> classification."""
     rep = conditions.classify_metric(structure)
     try:
-        eq = conditions.verify_equivalences(structure, strict=False, report=rep)
+        eq = conditions.verify_equivalences(structure, report=rep)
     except LcakError as e:  # equivalences are reporting, never fatal
         eq = {"error": str(e), "all_consistent": False}
     classification = {"applicable": False}

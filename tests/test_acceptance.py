@@ -96,7 +96,7 @@ def test_criterion_3_first_kind_adapted_equivalence():
         kind = ("general", "lee_closed", "pluricanonical", "orth_not_pluri")[idx % 4]
         s = build_almost_abelian(random_params_4d(rng, kind))[1].as_float()
         rep = classify_metric(s)
-        eq = verify_equivalences(s, strict=False, report=rep)
+        eq = verify_equivalences(s, report=rep)
         entry = eq["first_kind_adapted"]
         if entry["applicable"] and not entry["consistent"]:
             disagreements += 1

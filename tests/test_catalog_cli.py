@@ -142,6 +142,13 @@ BAD_BRACKETS = {
                              "BAD_INDEX", "brackets[1]"),
     "coefficients_not_a_map": ([{"i": 2, "j": 4, "coefficients": [1]}],
                                "BAD_FIELD", "brackets[0]"),
+    "index_not_integral": ([{"i": 3, "j": 4, "coefficients": {"2": "1"}},
+                            {"i": 2.7, "j": 4, "coefficients": {"1": "1"}}],
+                           "BAD_FIELD", "brackets[1]"),
+    "index_a_boolean": ([{"i": True, "j": 4, "coefficients": {"1": "1"}}],
+                        "BAD_FIELD", "brackets[0]"),
+    "index_not_finite": ([{"i": 2, "j": float("inf"), "coefficients": {"1": "1"}}],
+                         "BAD_FIELD", "brackets[0]"),
 }
 
 
@@ -235,6 +242,24 @@ def test_cli_check_exit_codes(tmp_path):
     bad.write_text('{"dim": 4, "J": [[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]}',
                    encoding="utf-8")
     assert main(["check", str(bad)], out=io.StringIO()) == 2
+
+
+# A4_1 with a J for which the structure is not LCS, so not pluricanonical
+NON_PLURICANONICAL_J = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
+
+
+@pytest.mark.parametrize("value, code", [
+    ("false", 0), ("FALSE", 0), ("No", 0), ("0", 0), ("true", 1), ("Yes", 1), ("1", 1),
+    ("ture", 2), ("", 2), ("maybe", 2)])
+def test_cli_check_expect_takes_only_a_truth_value(tmp_path, capsys, value, code):
+    """--expect FLAG=VALUE reads 1/0/true/false/yes/no in any case; a typo is an
+    input error, not an expectation of False."""
+    path = tmp_path / "not_pluricanonical.json"
+    path.write_text(json.dumps(_a41_with(J=NON_PLURICANONICAL_J)), encoding="utf-8")
+    assert main(["check", str(path), "--expect", f"pluricanonical={value}"],
+                out=io.StringIO()) == code
+    if code == 2:
+        assert capsys.readouterr().err.startswith("input error: --expect")
 
 
 def test_cli_check_json_output(tmp_path):

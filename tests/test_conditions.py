@@ -7,6 +7,7 @@ import pytest
 
 from lcak import arith, conditions
 from lcak.algebra import LieAlgebra, abelian_algebra
+from lcak.almostabelian import AlmostAbelianParams
 from lcak.catalogs import CATALOG_NAMES, catalog_entry
 from lcak.conditions import (automorphism_algebra, check_adapted, check_first_kind,
                              check_lcs, classify_metric, symplectic_feasibility,
@@ -193,12 +194,126 @@ def test_verify_equivalences_abelian(abelian_kahler):
     assert not eq["first_kind_adapted"]["applicable"]  # theta = 0
 
 
-def test_verify_equivalences_requires_lcs():
+def test_verify_equivalences_non_lcs_not_applicable():
     alg = LieAlgebra(4, A41_BRACKETS)
     j = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
     s = AlmostHermitianStructure(alg, j)
-    with pytest.raises(NotLCS):
-        verify_equivalences(s)
+    eq = verify_equivalences(s)
+    assert not classify_metric(s).flags["is_lcs"]
+    for key in ("first_kind_adapted", "unimodular_bracket", "holomorphic_lee_field",
+                "pluricanonical_consequences"):
+        assert eq[key]["applicable"] is False, key
+    assert eq["dim4_integrand"]["applicable"] is True
+    assert eq["all_consistent"] is True
+
+
+# The hypotheses of the paper's statements, written out apart from
+# conditions.IMPLIED and conditions.EQUIVALENT: a row whose flags are narrowed,
+# broadened or wrong fails the gating tests below.
+PLURI, ORTH = ("pluricanonical",), ("is_lcs", "T_orthogonal_to_imN")
+UNI_PLURI = ("unimodular", "pluricanonical")
+IMPLIED_HYPOTHESES = {
+    "Gauduchon": PLURI,
+    "L_T F = 0": PLURI,
+    "dJtheta = -|theta|^2 F + theta^Jtheta": PLURI,
+    "dJtheta J-invariant": ORTH,
+    "N(T) symmetric": ORTH,
+    "D_T J = 0": ORTH,
+    "D_JT J = 0": ORTH,
+    "rho*(T,JT) = 0": UNI_PLURI,
+    "|(Dtheta)^{J,+}|^2 + 2<D_JT theta, Jtheta> = 0": UNI_PLURI,
+}
+# key: (lhs key, rhs key, (applicable, lhs, rhs) from the flags f and the
+# bracket test bv)
+EQUIVALENCE_SIDES = {
+    "first_kind_adapted": ("lhs_first_kind_and_adapted", "rhs_pluricanonical",
+                           lambda f, bv: (f["is_lcs"] and not f["is_gcs"],
+                                          f["first_kind"] and f["adapted"],
+                                          f["pluricanonical"])),
+    "unimodular_bracket": ("lhs_pluricanonical", "rhs_bracket_vanishes",
+                           lambda f, bv: (f["is_lcs"] and f["unimodular"]
+                                          and f["T_orthogonal_to_imN"],
+                                          f["pluricanonical"], bv)),
+    "holomorphic_lee_field": ("lhs_anti_pluricanonical", "rhs_L_T_J_zero",
+                              lambda f, bv: (f["is_lcs"], f["anti_pluricanonical"],
+                                             f["lee_field_holomorphic"])),
+}
+# exact dim-4 members (a, b, v, A) that separate the hypothesis flags, with
+# which of SEPARATED_FLAGS each one has
+SEPARATED_FLAGS = ("is_lcs", "T_orthogonal_to_imN", "unimodular", "pluricanonical", "is_gcs")
+SEPARATING_PARAMS = {
+    (0, (0, 0), (1, 0), ((1, 1), (-1, 1))): {"T_orthogonal_to_imN"},
+    (0, (0, 0), (1, -1), ((0, 1), (0, 0))): {"unimodular"},
+    (0, (0, 1), (-1, 1), ((1, 1), (-1, -1))): {"is_lcs", "unimodular"},
+    (-1, (-1, 0), (1, 0), ((0, 0), (0, 0))): {"is_lcs", "T_orthogonal_to_imN",
+                                              "pluricanonical"},
+    (1, (0, 0), (0, 0), ((0, 0), (-1, -1))): {"is_lcs", "T_orthogonal_to_imN",
+                                              "unimodular"},
+    (1, (0, -1), (0, 0), ((0, 1), (1, 0))): {"is_lcs", "T_orthogonal_to_imN",
+                                             "pluricanonical", "is_gcs"},
+}
+NON_PLURI_KINDS = ("general", "lee_closed", "orth_not_pluri")
+
+
+def _gating_structures():
+    """(label, structure): the catalog, the separating members and float
+    samples of every almost abelian fuzz kind."""
+    out = [(name, catalog_entry(name)) for name in CATALOG_NAMES]
+    out += [(f"params{p}", build_almost_abelian(AlmostAbelianParams(2, *p))[1])
+            for p in SEPARATING_PARAMS]
+    rng = np.random.default_rng(18)
+    for kind in (*NON_PLURI_KINDS, "pluricanonical"):
+        out += [(kind, build_almost_abelian(random_params_4d(rng, kind))[1].as_float())
+                for _ in range(3)]
+    return out
+
+
+def test_separating_members_have_their_flags():
+    for p, want in SEPARATING_PARAMS.items():
+        flags = classify_metric(build_almost_abelian(AlmostAbelianParams(2, *p))[1]).flags
+        assert {k for k in SEPARATED_FLAGS if flags[k]} == want, p
+
+
+def test_implied_rows_evaluated_exactly_where_hypotheses_hold(monkeypatch):
+    assert [row[2] for row in conditions.IMPLIED] == list(IMPLIED_HYPOTHESES)
+    seen = []
+
+    def recording(conclusion, residual):
+        def recorded(s, lee):
+            seen.append(conclusion)
+            return residual(s, lee)
+        return recorded
+
+    monkeypatch.setattr(conditions, "IMPLIED", tuple(
+        (hyp, text, concl, recording(concl, res))
+        for hyp, text, concl, res in conditions.IMPLIED))
+    for label, s in _gating_structures():
+        seen.clear()
+        flags = classify_metric(s).flags
+        want = [c for c, hyp in IMPLIED_HYPOTHESES.items() if all(flags[k] for k in hyp)]
+        assert seen == want, label
+        if label in CATALOG_NAMES:
+            assert seen == list(IMPLIED_HYPOTHESES), label
+        if label in NON_PLURI_KINDS:
+            assert not any("pluricanonical" in IMPLIED_HYPOTHESES[c] for c in seen), label
+
+
+def test_equivalent_rows_applicable_exactly_where_flags_hold():
+    assert [row[0] for row in conditions.EQUIVALENT] == list(EQUIVALENCE_SIDES)
+    for label, s in _gating_structures():
+        rep = classify_metric(s)
+        eq = verify_equivalences(s, report=rep)
+        lee = s.lee_form()
+        bk = s.alg.bracket(lee.T, lee.JT)
+        bv = abs(float(bk @ s.g @ lee.JT)) <= s.field.bound(
+            arith.max_abs(bk) * max(1.0, arith.max_abs(lee.JT)))
+        for key, (lhs_key, rhs_key, sides) in EQUIVALENCE_SIDES.items():
+            applicable, lhs, rhs = (bool(x) for x in sides(rep.flags, bv))
+            entry = eq[key]
+            assert (entry["applicable"], entry[lhs_key], entry[rhs_key]) == \
+                (applicable, lhs, rhs), (label, key)
+            assert entry["consistent"] == (not applicable or lhs == rhs), (label, key)
+        assert eq["all_consistent"], label
 
 
 def test_equivalences_fuzz_all_families(rng):
@@ -206,7 +321,7 @@ def test_equivalences_fuzz_all_families(rng):
         kind = ("general", "lee_closed", "pluricanonical", "orth_not_pluri")[trial % 4]
         s = build_almost_abelian(random_params_4d(rng, kind))[1].as_float()
         rep = classify_metric(s)
-        eq = verify_equivalences(s, strict=False, report=rep)
+        eq = verify_equivalences(s, report=rep)
         assert eq["all_consistent"], (kind, eq)
         assert rep.warnings == [], (kind, rep.warnings)
 

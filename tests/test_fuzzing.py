@@ -25,6 +25,13 @@ def test_fuzz_random_unimodular_200_samples_clean():
     assert summary["worst_residuals"]["dim4_integrand"] <= 1e-8
 
 
+def test_fuzz_almost_abelian_4d_200_samples_clean():
+    # every sample also goes through the implication and equivalence rows
+    summary = fuzz(3, 200, "almost_abelian_4d")
+    assert summary["identity_failures"] == []
+    assert summary["worst_residuals"]["lee_cross_oracle"] <= 1e-8
+
+
 def test_fuzz_rejects_unknown_family():
     with pytest.raises(ValueError):
         fuzz(0, 1, "no_such_family")

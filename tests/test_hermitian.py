@@ -311,3 +311,21 @@ def test_change_basis_transports_everything(a41):
     from lcak.conditions import classify_metric
     rep = classify_metric(moved)
     assert rep.flags["pluricanonical"] and not rep.flags["vaisman"]
+
+
+@pytest.mark.parametrize("float_p", [False, True])
+def test_change_basis_inverts_p_once(a41, monkeypatch, float_p):
+    p = np.array([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 2], [0, 0, 0, 1]],
+                 dtype=float if float_p else object)
+    calls, real = [], arith.invert
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(arith, "invert", counted)
+    moved = a41.change_basis(p)
+    assert len(calls) == 1
+    assert moved.exact is not float_p
+    assert arith.max_abs(moved.J @ moved.J + moved.field.eye(4)) == 0
+    assert arith.max_abs(moved.g - p.T @ moved.field.array(a41.g) @ p) == 0

@@ -542,7 +542,7 @@ def test_condition_products_match_plain_chains(structure):
         w = n_mat.T @ theta
         y = arith.solve_square(n_mat.T @ g @ n_mat, w, s.field)
         assert_same(fk["T_candidate"], n_mat @ (y * (s.field.scalar(1) / (w @ y))), exact)
-    eq = conditions.verify_equivalences(s, strict=False, report=rep)
+    eq = conditions.verify_equivalences(s, report=rep)
     bk = s.alg.bracket(lee.T, lee.JT)
     assert_same(eq["unimodular_bracket"]["g_T_JT_JT"], float(bk @ g @ lee.JT), exact)
     if eq["pluricanonical_consequences"]["applicable"]:
