@@ -24,7 +24,7 @@ from .connection import (ConnectionTable, CurvatureTensor, RicciForms,
                          first_canonical_connection, levi_civita, star_ricci)
 from .conventions import CONVENTIONS
 from .errors import (Degenerate, DegenerateMetric, DimensionMismatch, IndexOutOfRange,
-                     LcakError, NondegeneracyFailure, NotFirstKind, NotLCS, ParseError,
+                     LcakError, NondegeneracyFailure, ParseError,
                      PreconditionFailed, UnsupportedDimension, ValidationError)
 from .forms import KForm, form_inner_product, form_norm_sq, hodge_star
 from .fuzzing import FAMILIES, fuzz
@@ -47,6 +47,6 @@ __all__ = [
     "lee_form_aa", "pluricanonical_conditions_aa",
     "catalog", "catalog_entry", "Report", "load_spec", "run_report", "fuzz",
     "LcakError", "DimensionMismatch", "IndexOutOfRange", "DegenerateMetric",
-    "NondegeneracyFailure", "NotLCS", "NotFirstKind", "UnsupportedDimension",
+    "NondegeneracyFailure", "UnsupportedDimension",
     "PreconditionFailed", "Degenerate", "ParseError", "ValidationError",
 ]

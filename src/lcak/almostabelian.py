@@ -93,6 +93,11 @@ def lee_form_aa(params: AlmostAbelianParams, structure=None) -> KForm:
 def pluricanonical_conditions_aa(params: AlmostAbelianParams) -> dict:
     """Residual vectors of the three dim-4 condition systems.
 
+    The systems are derived on the unimodular locus a + tr A = 0, where they
+    all vanish exactly on the pluricanonical LCS members; off it they can
+    disagree with the flags (a = -1, b = (-1, 0), v = (1, 0), A = 0 is
+    pluricanonical, yet two of its residuals are nonzero).
+
     closed_lee:          A21 v1 = A11 v2,  A22 v1 = A12 v2
     lee_orthogonal_imN:  A11 v1 + A21 v2 = -a b1,  A12 v1 + A22 v2 = -a b2
     dtheta_anti_invariant: a = 0,  A22 v1 = A21 v2,  A12 v1 = A11 v2

@@ -425,14 +425,6 @@ def solve_least_squares(a, b, field: Field):
     return x, b - a @ x
 
 
-def solve_square(a, b, field: Field):
-    """Solve an invertible square system exactly or in floats."""
-    x, res = solve_least_squares(a, b, field)
-    if max_abs(res) > 0 and field.exact:
-        raise DegenerateMetric("singular square system")
-    return x
-
-
 def invert(a, field: Field):
     if not field.exact:
         return np.linalg.inv(np.asarray(a, dtype=float))

@@ -5,8 +5,8 @@ residual so a report can always be audited.  Exact-mode residuals must vanish
 identically; float-mode flags compare against ``tol`` scaled by the norms of
 the tensors involved.  :func:`classify_metric` decides each flag once: one
 :func:`check_lcs`, one :func:`automorphism_algebra` on LCS structures and one
-adapted test (:func:`_adapted`, which scales |theta| to 1 on its residuals,
-not by building a rescaled structure) on first-kind ones.
+adapted test (:func:`_adapted`, which decides only the conditions that are
+not identities) on first-kind ones.
 """
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ import numpy as np
 
 from . import arith, connection, identities
 from .conventions import CONVENTIONS
-from .errors import NotFirstKind, NotLCS
 from .forms import KForm, compound
 from .hermitian import AlmostHermitianStructure
 
@@ -85,108 +84,56 @@ def automorphism_algebra(structure: AlmostHermitianStructure) -> AutomorphismAlg
                                kind="first" if onto else "second")
 
 
-def _first_kind(structure, strict):
-    """(first kind?, automorphism algebra); NotLCS on a strict non-LCS input."""
-    is_lcs = check_lcs(structure)["is_lcs"]
-    if strict and not is_lcs:
-        raise NotLCS("structure is not locally conformally symplectic")
-    aut = automorphism_algebra(structure)
-    return is_lcs and aut.kind == "first", aut
+def check_first_kind(structure: AlmostHermitianStructure) -> dict:
+    """First kind: LCS with an infinitesimal automorphism U of F, theta(U) = 1.
 
-
-def check_first_kind(structure: AlmostHermitianStructure, strict: bool = True) -> dict:
-    """First kind: some infinitesimal automorphism T has theta(T) = 1.
-
-    When it exists, T is normalized to the minimal g-norm solution and the
-    reconstruction F = d eta - theta ^ eta with eta = -i_T F is verified.
+    Then F = d eta - theta ^ eta for eta = -i_U F by Cartan's formula, so
+    only the decision is returned: theta is nonzero on the automorphism
+    algebra of F, and the structure is LCS.
     """
-    first_kind, aut = _first_kind(structure, strict)
-    out = {
-        "first_kind": first_kind,
-        "kind": aut.kind,
-        "automorphism_dim": aut.dimension,
-        "T_candidate": None,
-        "theta_of_T": None,
-        "f_reconstruction_residual": None,
-    }
-    if not out["first_kind"]:
-        return out
-    lee = structure.lee_form()
-    f = structure.field
-    theta_vec = lee.theta.vector()
-    n_mat = f.array(aut.basis).T
-    gram = n_mat.T @ structure.g @ n_mat
-    w = n_mat.T @ theta_vec
-    y = arith.solve_square(gram, w, f)
-    lam = w @ y
-    coef = y * (f.scalar(1) / lam)
-    t_vec = n_mat @ coef
-    eta = -1 * structure.F.contract(t_vec)
-    recon = eta.d() - lee.theta.wedge(eta) - structure.F
-    out["T_candidate"] = t_vec
-    out["theta_of_T"] = t_vec @ theta_vec
-    scale = max(1.0, structure.F.max_abs())
-    out["f_reconstruction_residual"] = recon.max_abs() / scale
+    aut = automorphism_algebra(structure)
+    return {"first_kind": check_lcs(structure)["is_lcs"] and aut.kind == "first",
+            "kind": aut.kind, "automorphism_dim": aut.dimension}
+
+
+def check_adapted(structure: AlmostHermitianStructure) -> dict:
+    """Is J adapted to the first-kind structure?  See :func:`_adapted`;
+    ``residuals`` is empty and ``adapted`` false off the first kind, and
+    ``scale_normalized`` says that the test was stated for g scaled by
+    ``lee_norm_sq`` = |theta|^2 != 1."""
+    c = structure.lee_form().norm_sq
+    out = {"first_kind": check_first_kind(structure)["first_kind"], "adapted": False,
+           "residuals": {}, "lee_norm_sq": c}
+    if out["first_kind"]:
+        out.update(_adapted(structure))
+    out["scale_normalized"] = out["first_kind"] and c != 1
     return out
 
 
-def check_adapted(structure: AlmostHermitianStructure, strict: bool = True) -> dict:
-    """Is J adapted to the first-kind structure (after unit Lee-norm scaling)?
-
-    See :func:`_adapted` for the tests; ``residuals`` is empty when the
-    structure is not of the first kind.
-    """
-    first_kind, _ = _first_kind(structure, strict)
-    if strict and not first_kind:
-        raise NotFirstKind("LCS structure is not of the first kind")
-    if not first_kind:
-        return {"adapted": False, "lee_norm_sq": structure.lee_form().norm_sq,
-                "scale_normalized": False, "residuals": {}, "first_kind": False}
-    return {**_adapted(structure), "first_kind": True}
-
-
 def _adapted(s) -> dict:
-    """The adapted test on a first-kind structure, with g scaled to unit |theta|.
+    """The adapted test on a first-kind structure, stated for |theta| = 1.
 
-    Tests, with T = J V (forced by J theta = -eta):  L_T F = 0, theta(T) = 1,
-    J theta = -eta, J preserves H = ker theta  /\\  ker eta, the splitting
-    H + span(T, V) is g-orthogonal with T, V orthonormal, and d eta(., J.)
-    restricted to H is positive definite.
+    With T = theta sharp = J V and eta = -i_T F = -J theta (:class:`LeeData`)
+    the rest of the definition holds for every valid (J, g) with theta != 0:
+    theta(T) = |theta|^2, J preserves H = ker theta  /\\  ker eta, which has
+    dimension dim - 2, and H + span(T, V) is g-orthogonal with |T| = |V| =
+    |theta|.  Left to decide: L_T F = 0, and d eta(., J.) restricted to H
+    symmetric and positive definite.
 
-    The scaling g -> c g with c = |theta|^2 is applied to the residuals, not
-    to the structure: it leaves theta, eta = -i_T F, H, d eta and L_T F as
-    they are and divides T and V by c, so only theta(T), the Gram matrix of
-    (T, V) and the float scale carry c.
+    The scaling g -> c g with c = |theta|^2 leaves theta, eta, H, d eta and
+    L_T F as they are (T and V are divided by c), so it reaches only the
+    float bound.
     """
     lee, f = s.lee_form(), s.field
     c = lee.norm_sq
-    res, v_vec, theta_vec = {}, lee.V, lee.theta.vector()
-    t_vec = s.J @ v_vec
-    res["automorphism"] = s.lie_derivative_F(t_vec).max_abs()
-    res["theta_of_T"] = abs(float((t_vec @ theta_vec) / c - 1))
-    eta = -1 * s.F.contract(t_vec)
-    res["jtheta_plus_eta"] = (s.j_one_form(lee.theta) + eta).max_abs()
-    # H = ker theta  /\  ker eta
-    theta_eta = f.array([theta_vec, eta.vector()])
-    h_basis = arith.nullspace(theta_eta, f)
-    k = len(h_basis)
-    res["h_dimension_defect"] = abs(k - (s.dim - 2))
-    # the rows of h span H; (J h) . alpha = h J^T alpha
-    h = f.array(h_basis).reshape(k, s.dim)
-    res["j_preserves_h"] = arith.max_abs(h @ s.J.T @ theta_eta.T)
-    tv = f.array([t_vec, v_vec])
-    res["splitting_orthogonal"] = arith.max_abs(h @ s.g @ tv.T)
-    res["tv_orthonormal"] = arith.max_abs((tv @ s.g @ tv.T) * (f.scalar(1) / c) - f.eye(2))
-    gram = _deta_gram(s, eta.d(), h)
-    res["deta_metric_symmetric"] = arith.max_abs(gram - gram.T)
-    pd = arith.is_positive_definite(f.scalar(1, 2) * (gram + gram.T), f) if k else True
-    res["deta_metric_positive"] = 0.0 if pd else 1.0
+    h = f.array(arith.nullspace(f.array([lee.theta.vector(), lee.eta.vector()]), f))
+    gram = _deta_gram(s, lee.eta.d(), h)
+    pd = arith.is_positive_definite(f.scalar(1, 2) * (gram + gram.T), f)
+    res = {"automorphism": s.lie_derivative_F(lee.T).max_abs(),
+           "deta_metric_symmetric": arith.max_abs(gram - gram.T),
+           "deta_metric_positive": 0.0 if pd else 1.0}
     bound = f.bound(max(1.0 + float(c), float(c * s.F.max_abs())))
-    adapted = (pd and res["h_dimension_defect"] == 0
-               and all(r <= bound for key, r in res.items()
-                       if key not in ("deta_metric_positive", "h_dimension_defect")))
-    return {"adapted": adapted, "lee_norm_sq": c, "scale_normalized": c != 1,
-            "residuals": res}
+    return {"adapted": pd and all(r <= bound for r in res.values()), "residuals": res}
 
 
 def _deta_gram(structure, d_eta: KForm, h):
@@ -305,9 +252,8 @@ def classify_metric(structure: AlmostHermitianStructure) -> ConditionReport:
         kind = automorphism_algebra(s).kind
         flags["first_kind"] = kind == "first"
     if flags["first_kind"]:
-        ad = _adapted(s)
-        flags["adapted"] = ad["adapted"]
-        residuals["adapted_jtheta_plus_eta"] = float(ad["residuals"]["jtheta_plus_eta"])
+        flags["adapted"] = _adapted(s)["adapted"]
+        residuals["adapted_jtheta_plus_eta"] = float((lee.jtheta + lee.eta).max_abs())
 
     uni, _traces = s.alg.is_unimodular()
     flags["unimodular"] = bool(uni)

@@ -21,14 +21,6 @@ class NondegeneracyFailure(LcakError):
     """The fundamental 2-form is degenerate."""
 
 
-class NotLCS(LcakError):
-    """Operation requires a locally conformally symplectic structure."""
-
-
-class NotFirstKind(LcakError):
-    """Operation requires an LCS structure of the first kind."""
-
-
 class UnsupportedDimension(LcakError):
     """Operation is only implemented in the stated dimension."""
 

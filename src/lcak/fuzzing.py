@@ -23,7 +23,8 @@ import numpy as np
 
 from . import conditions, identities
 from .algebra import LieAlgebra
-from .almostabelian import AlmostAbelianParams, build_almost_abelian
+from .almostabelian import (AlmostAbelianParams, build_almost_abelian, lee_form_aa,
+                           pluricanonical_conditions_aa)
 from .forms import KForm
 from .hermitian import AlmostHermitianStructure, preset_j
 
@@ -202,16 +203,14 @@ def fuzz(seed: int, count: int, family: str) -> dict:
                                  "residual": 1.0,
                                  "context": {"kind": kind,
                                              "params": _params_context(params)}})
-            from .almostabelian import pluricanonical_conditions_aa
-            conds = pluricanonical_conditions_aa(params)
-            system_says = conds["max_residual"] <= 1e-9
-            flags_say = rep.flags["pluricanonical"]
-            if rep.flags["is_lcs"] and system_says != flags_say:
+            # the dim-4 systems are derived on the unimodular locus a + tr A = 0
+            system_says = pluricanonical_conditions_aa(params)["max_residual"] <= 1e-9
+            if (rep.flags["is_lcs"] and rep.flags["unimodular"]
+                    and system_says != rep.flags["pluricanonical"]):
                 failures.append({"check": "condition_system_oracle", "sample": idx,
                                  "residual": 1.0,
                                  "context": {"kind": kind,
                                              "params": _params_context(params)}})
-            from .almostabelian import lee_form_aa
             diff = lee_form_aa(params, s) - s.lee_form().theta
             record("lee_cross_oracle", idx, diff.max_abs())
             if rep.warnings:

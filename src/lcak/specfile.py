@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -205,7 +206,7 @@ class Report:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(_encode(self.as_dict()), sort_keys=True, indent=2) + "\n"
+        return json.dumps(self.as_dict(), sort_keys=True, indent=2, default=_json_value) + "\n"
 
     @property
     def all_checks_pass(self) -> bool:
@@ -228,25 +229,13 @@ class Report:
                    extras=data.get("extras", {}))
 
 
-def _encode(obj):
-    """JSON-encodable copy: exact scalars become fraction strings, numpy
-    values become plain Python, tuples become lists; any other object
-    raises ``TypeError``."""
-    from fractions import Fraction
-    if isinstance(obj, dict):
-        return {str(k): _encode(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_encode(v) for v in obj]
+def _json_value(obj):
+    """``json.dumps`` hook: an exact scalar becomes its fraction string, a
+    numpy scalar or array plain Python; any other object raises ``TypeError``."""
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_encode(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, int, float, str)) or obj is None:
-        return obj
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
     raise TypeError(f"cannot encode a {type(obj).__name__} in a report")
 
 
@@ -316,7 +305,7 @@ def run_report(structure: AlmostHermitianStructure, feasibility: bool = False) -
         algebra_validation=structure.alg.validate().as_dict(),
         structure_validation=structure.validation.as_dict(),
         condition_report=rep.as_dict(),
-        equivalences=_encode(eq),
+        equivalences=eq,
         classification=classification,
         feasibility=feas,
         extras=extras,

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from lcak.arith import Field, max_abs
+from lcak.arith import Field
 from lcak.errors import DegenerateMetric
 
 EXACT = Field(True)
@@ -94,13 +94,6 @@ def solve_least_squares(a, b):
             x[pc] = aug[r][m]
     x = EXACT.array(x)
     return x, b - a @ x
-
-
-def solve_square(a, b):
-    x, res = solve_least_squares(a, b)
-    if max_abs(res) > 0:
-        raise DegenerateMetric("singular square system")
-    return x
 
 
 def invert(a):

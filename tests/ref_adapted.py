@@ -4,20 +4,16 @@
 It builds the structure with g scaled by |theta|^2, so that |theta| = 1,
 and runs every test of the adapted condition on that second structure: its
 Lee data, Levi-Civita table and L_X F table are computed afresh.  The library
-applies the same scaling to the residuals instead.
+decides only the three conditions that are not identities of a valid (J, g)
+with theta != 0, on the structure as given.
 """
 from lcak import arith
 from lcak.conditions import automorphism_algebra, check_lcs
-from lcak.errors import NotFirstKind, NotLCS
 
 
-def ref_check_adapted(structure, strict=True):
+def ref_check_adapted(structure):
     lcs = check_lcs(structure)
-    if strict and not lcs["is_lcs"]:
-        raise NotLCS("structure is not locally conformally symplectic")
     first_kind = automorphism_algebra(structure).kind == "first" and lcs["is_lcs"]
-    if strict and not first_kind:
-        raise NotFirstKind("LCS structure is not of the first kind")
     norm_sq = structure.lee_form().norm_sq
     out = {"adapted": False, "lee_norm_sq": norm_sq, "scale_normalized": False,
            "residuals": {}, "first_kind": first_kind}

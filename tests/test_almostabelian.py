@@ -166,6 +166,44 @@ def test_dual_oracle_conditions_vs_tensors():
             assert orth_ok == rep.flags["T_orthogonal_to_imN"], kind
 
 
+def _unimodular_members(count, seed):
+    """Exact members on the unimodular locus a = -tr A, in four strata with a
+    closed Lee form: a = 0 and A = 0 (pluricanonical); A = v c^T; v = 0; and
+    T orthogonal to im N with a != 0 (b.v = |v|^2, A = -(a/|v|^2) v b^T)."""
+    rng = np.random.default_rng(seed)
+
+    def q():
+        return Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 3)))
+
+    for i in range(count):
+        b, v, c = [q(), q()], [q(), q()], [q(), q()]
+        if i % 4 == 0:
+            A = [[0, 0], [0, 0]]
+        elif i % 4 == 1:
+            A = [[vi * cj for cj in c] for vi in v]
+        elif i % 4 == 2:
+            v, A = [0, 0], [[q(), q()], [q(), q()]]
+        else:
+            v = v if any(v) else [1, 0]
+            t, a = q(), q() or 1
+            b = [v[0] - t * v[1], v[1] + t * v[0]]
+            A = [[-a / (v[0] ** 2 + v[1] ** 2) * vi * bj for bj in b] for vi in v]
+        yield AlmostAbelianParams(2, -(A[0][0] + A[1][1]), b, v, A)
+
+
+def test_condition_systems_match_the_flags_on_the_unimodular_locus():
+    lcs, pluricanonical = 0, 0
+    for params in _unimodular_members(240, seed=5):
+        rep = classify_metric(build_almost_abelian(params)[1])
+        assert rep.flags["unimodular"]
+        if rep.flags["is_lcs"]:
+            lcs += 1
+            pluricanonical += rep.flags["pluricanonical"]
+            system_says = pluricanonical_conditions_aa(params)["max_residual"] == 0
+            assert system_says == rep.flags["pluricanonical"], params
+    assert lcs >= 200 and 40 <= pluricanonical <= lcs - 40
+
+
 def test_lee_cross_oracle_fuzz(rng):
     for trial in range(30):
         kind = ("general", "lee_closed", "pluricanonical", "orth_not_pluri")[trial % 4]

@@ -3,8 +3,10 @@ import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lcak.arith import Field
@@ -12,7 +14,7 @@ from lcak.catalogs import CATALOG_NAMES, catalog, catalog_entry
 from lcak.cli import main
 from lcak.errors import ParseError, ValidationError
 from lcak.fuzzing import fuzz, summary_to_json
-from lcak.specfile import Report, _encode, load_spec, run_report
+from lcak.specfile import Report, load_spec, run_report
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -323,10 +325,10 @@ def test_report_all_checks_pass_flag():
 
 def test_equivalence_errors_are_reported_only_when_typed(monkeypatch):
     from lcak import conditions
-    from lcak.errors import NotLCS
+    from lcak.errors import PreconditionFailed
 
     def raise_typed(*args, **kwargs):
-        raise NotLCS("planted")
+        raise PreconditionFailed("planted")
 
     monkeypatch.setattr(conditions, "verify_equivalences", raise_typed)
     rep = run_report(catalog_entry("A4_1"))
@@ -342,8 +344,14 @@ def test_equivalence_errors_are_reported_only_when_typed(monkeypatch):
 
 
 def test_report_encoder_refuses_unknown_objects():
-    assert _encode({"x": (1, 2.5, None)}) == {"x": [1, 2.5, None]}
+    rep = Report(name="r", dim=4, arithmetic_mode="exact", algebra_validation={},
+                 structure_validation={}, condition_report={}, equivalences={},
+                 classification={})
+    rep.extras = {"x": (1, 2.5, None, Fraction(1, 2), np.int64(3), np.array([0.5, 1.0]))}
+    assert json.loads(rep.to_json())["extras"] == {"x": [1, 2.5, None, "1/2", 3, [0.5, 1.0]]}
+    rep.extras = {"x": object()}
     with pytest.raises(TypeError):
-        _encode({"x": object()})
+        rep.to_json()
+    rep.extras = {"x": [Field(True).array([1, "1/2"])]}
     with pytest.raises(TypeError):  # an exact array never reaches a report as its repr
-        _encode([Field(True).array([1, "1/2"])])
+        rep.to_json()

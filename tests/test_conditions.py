@@ -12,10 +12,9 @@ from lcak.catalogs import CATALOG_NAMES, catalog_entry
 from lcak.conditions import (automorphism_algebra, check_adapted, check_first_kind,
                              check_lcs, classify_metric, symplectic_feasibility,
                              verify_equivalences)
-from lcak.errors import NotFirstKind, NotLCS
 from lcak.forms import KForm
 from lcak.fuzzing import build_almost_abelian, random_params_4d
-from lcak.hermitian import AlmostHermitianStructure
+from lcak.hermitian import AlmostHermitianStructure, preset_j
 
 A41_BRACKETS = {(2, 4): {1: 1}, (3, 4): {2: 1}}
 SPLIT_J = [[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]]
@@ -73,12 +72,9 @@ def test_automorphisms_preserve_theta(a41):
 
 
 def test_check_first_kind_catalog(a41, a48):
-    for s, t_expected in [(a41, [0, 0, -1, 0]), (a48, [0, 0, 0, -1])]:
-        out = check_first_kind(s)
-        assert out["first_kind"]
-        assert all(a == b for a, b in zip(out["T_candidate"], t_expected))
-        assert out["theta_of_T"] == 1
-        assert out["f_reconstruction_residual"] == 0
+    for s, dim in ((a41, 2), (a48, 3)):
+        assert check_first_kind(s) == {"first_kind": True, "kind": "first",
+                                        "automorphism_dim": dim}
 
 
 def test_check_first_kind_abelian_is_second_kind(abelian_kahler):
@@ -87,12 +83,16 @@ def test_check_first_kind_abelian_is_second_kind(abelian_kahler):
     assert out["kind"] == "second"
 
 
-def test_check_first_kind_raises_not_lcs():
+def test_check_first_kind_is_false_off_lcs():
+    # the Lee form of this J is not closed, so no automorphism makes it first kind
     alg = LieAlgebra(4, A41_BRACKETS)
     j = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
     s = AlmostHermitianStructure(alg, j)
-    with pytest.raises(NotLCS):
-        check_first_kind(s)
+    assert not check_lcs(s)["is_lcs"]
+    assert not check_first_kind(s)["first_kind"]
+    assert check_adapted(s) == {"first_kind": False, "adapted": False, "residuals": {},
+                                "lee_norm_sq": s.lee_form().norm_sq,
+                                "scale_normalized": False}
 
 
 def test_check_adapted_a41(a41):
@@ -131,9 +131,9 @@ def test_flipped_j_breaks_characteristic_identity(a41):
     assert arith.is_positive_definite(-1 * metric, arith.Field(True))
 
 
-def test_check_adapted_raises_not_first_kind(abelian_kahler):
-    with pytest.raises(NotFirstKind):
-        check_adapted(abelian_kahler)
+def test_check_adapted_is_false_off_the_first_kind(abelian_kahler):
+    out = check_adapted(abelian_kahler)
+    assert not out["first_kind"] and not out["adapted"] and out["residuals"] == {}
 
 
 def test_check_adapted_scale_normalizes(a41):
@@ -365,6 +365,36 @@ def assert_exactly_isotropic(s, certificate):
 
 def test_feasibility_certificate_is_exact_isotropic(a41):
     assert_exactly_isotropic(a41, symplectic_feasibility(a41)["certificate"])
+
+
+# -- n = 3: the closed J-invariant forms of dim-6 algebras -----------------------
+
+def _aa_6d(a, lam):
+    """The almost abelian member with A = lam * id and b = v = 0, which is LCS."""
+    A = [[lam if i == j else 0 for j in range(4)] for i in range(4)]
+    return build_almost_abelian(AlmostAbelianParams(3, a, (0,) * 4, (0,) * 4, A))[1]
+
+
+def test_feasibility_dim6_abelian_witness_is_f():
+    s = AlmostHermitianStructure(abelian_algebra(6), preset_j("split", 6))
+    out = symplectic_feasibility(s)
+    assert out["search_space"] == "closed_j_invariant"
+    assert out["status"] == "feasible"
+    assert out["witness"] == KForm.from_terms(s.alg, {(1, 4): 1, (2, 5): 1, (3, 6): 1})
+
+
+@pytest.mark.parametrize("make", [
+    lambda: AlmostHermitianStructure(
+        LieAlgebra(6, {(2, 5): {4: -1}, (3, 6): {4: -1}}), preset_j("split", 6)),
+    lambda: _aa_6d(0, 1),
+    lambda: _aa_6d(-1, Fraction(1, 2)),
+], ids=["R+h5", "aa_a0_lam1", "aa_a-1_lam1/2"])
+def test_feasibility_dim6_infeasible_with_an_exact_certificate(make):
+    s = make()
+    assert s.dim == 6 and check_lcs(s)["is_lcs"]
+    out = symplectic_feasibility(s)
+    assert out["status"] == "infeasible"
+    assert_exactly_isotropic(s, out["certificate"])
 
 
 # -- the batched search against a per-restart loop ------------------------------

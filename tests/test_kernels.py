@@ -367,10 +367,10 @@ def ref_lee(s):
                     gram[p, q] = gram[q, p] = dict_forms.inner_product(
                         {three_keys[p]: field.scalar(1)}, {three_keys[q]: field.scalar(1)},
                         s.g_inv)
-            theta_vec = arith.solve_square(a.T @ gram @ a, a.T @ gram @ b, field)
+            theta_vec = arith.solve_least_squares(a.T @ gram @ a, a.T @ gram @ b, field)[0]
             res = b - a @ theta_vec
         solve_residual = arith.max_abs(res) / max(1.0, arith.max_abs(b))
-    V = arith.solve_square(s.f_matrix.T, theta_vec, field)
+    V = arith.solve_least_squares(s.f_matrix.T, theta_vec, field)[0]
     return theta_vec, V, float(solve_residual)
 
 
@@ -535,13 +535,6 @@ def test_condition_products_match_plain_chains(structure):
     want = max(arith.max_abs(np.einsum('k,kij->ij', g @ lee.T, s._nijenhuis)),
                arith.max_abs(np.einsum('k,kij->ij', g @ lee.JT, s._nijenhuis)))
     assert_same(rep.residuals["imN_span_T_JT"], want, exact)
-    fk = conditions.check_first_kind(s, strict=False)
-    if fk["first_kind"]:
-        n_mat = np.array(conditions.automorphism_algebra(s).basis).T
-        theta = lee.theta.vector()
-        w = n_mat.T @ theta
-        y = arith.solve_square(n_mat.T @ g @ n_mat, w, s.field)
-        assert_same(fk["T_candidate"], n_mat @ (y * (s.field.scalar(1) / (w @ y))), exact)
     eq = conditions.verify_equivalences(s, report=rep)
     bk = s.alg.bracket(lee.T, lee.JT)
     assert_same(eq["unimodular_bracket"]["g_T_JT_JT"], float(bk @ g @ lee.JT), exact)
@@ -575,31 +568,17 @@ def ref_feasibility_subspace(s):
 
 
 def ref_adapted_residuals(s):
-    """The H residuals of check_adapted, one basis vector of H at a time."""
-    if s.lee_form().norm_sq != 1:
-        s = s.rescaled(s.lee_form().norm_sq)
+    """The H residual of check_adapted, with d eta(h_a, J h_b) entry by entry."""
     lee = s.lee_form()
-    theta_vec, v_vec = lee.theta.vector(), lee.V
-    t_vec = s.J @ v_vec
-    eta = -1 * s.F.contract(t_vec)
-    eta_vec = eta.vector()
-    h_basis = arith.nullspace(np.array([theta_vec, eta_vec]), s.field)
-    j_pres, orth = 0.0, 0.0
-    for h in h_basis:
-        jh = s.J @ h
-        j_pres = max(j_pres, abs(float(jh @ theta_vec)), abs(float(jh @ eta_vec)))
-        orth = max(orth, abs(float(h @ s.g @ t_vec)), abs(float(h @ s.g @ v_vec)))
+    eta = -1 * s.F.contract(lee.T)
+    h_basis = arith.nullspace(np.array([lee.theta.vector(), eta.vector()]), s.field)
     gram = ref_deta_gram(s, eta.d(), h_basis)
-    return {"j_preserves_h": j_pres, "splitting_orthogonal": orth,
-            "tv_orthonormal": max(abs(float(t_vec @ s.g @ t_vec - 1)),
-                                  abs(float(v_vec @ s.g @ v_vec - 1)),
-                                  abs(float(t_vec @ s.g @ v_vec))),
-            "deta_metric_symmetric": arith.max_abs(gram - gram.T)}
+    return {"deta_metric_symmetric": arith.max_abs(gram - gram.T)}
 
 
 def test_adapted_residuals_match_loops(structure):
     s = structure
-    ad = conditions.check_adapted(s, strict=False)
+    ad = conditions.check_adapted(s)
     if not ad["residuals"]:
         return
     for key, want in ref_adapted_residuals(s).items():
