@@ -158,6 +158,16 @@ IMPLIED = (
     (("pluricanonical",), "pluricanonical", "dJtheta = -|theta|^2 F + theta^Jtheta",
      lambda s, lee: (lee.djtheta - (-1 * lee.norm_sq * s.F
                                     + lee.theta.wedge(lee.jtheta))).max_abs()),
+    (("pluricanonical",), "pluricanonical", "D_T theta = 0",
+     lambda s, lee: arith.max_abs(lee.T @ s.Dtheta)),
+    (("pluricanonical",), "pluricanonical", "D_JT theta = 0",
+     lambda s, lee: arith.max_abs(lee.JT @ s.Dtheta)),
+    (("pluricanonical",), "pluricanonical", "D_T Jtheta = 0",
+     lambda s, lee: arith.max_abs(lee.T @ connection.covariant_one_form(s, lee.jtheta))),
+    (("pluricanonical",), "pluricanonical", "D_JT Jtheta = 0",
+     lambda s, lee: arith.max_abs(lee.JT @ connection.covariant_one_form(s, lee.jtheta))),
+    (("pluricanonical",), "pluricanonical", "[T,JT] = 0",
+     lambda s, lee: arith.max_abs(s.alg.bracket(lee.T, lee.JT))),
     (_ORTH, "T orth im N", "dJtheta J-invariant",
      lambda s, lee: arith.max_abs(s.split_tensor(lee.djtheta.matrix())["j_minus"])),
     (_ORTH, "T orth im N", "N(T) symmetric",
@@ -253,7 +263,6 @@ def classify_metric(structure: AlmostHermitianStructure) -> ConditionReport:
         flags["first_kind"] = kind == "first"
     if flags["first_kind"]:
         flags["adapted"] = _adapted(s)["adapted"]
-        residuals["adapted_jtheta_plus_eta"] = float((lee.jtheta + lee.eta).max_abs())
 
     uni, _traces = s.alg.is_unimodular()
     flags["unimodular"] = bool(uni)
@@ -290,15 +299,11 @@ def verify_equivalences(structure: AlmostHermitianStructure,
     (a) pluricanonical <=> first kind and adapted     (LCS, theta != 0)
     (b) pluricanonical <=> g([T,JT],JT) = 0           (LCS, unimodular, T orth im N)
     (c) anti-pluricanonical <=> L_T J = 0             (LCS)
-    (d) pluricanonical => D_T theta = D_JT theta = D_T Jtheta
-        = D_JT Jtheta = [T,JT] = 0
-    (e) dim 4 unimodular: the wedge-square integrand of dJtheta vanishes
     """
     s = structure
     rep = report or classify_metric(s)
     lee = s.lee_form()
     out = {}
-    bound = s.field.bound(float(abs(lee.norm_sq)) ** 1.5)
 
     bk = s.alg.bracket(lee.T, lee.JT)
     g_bk = bk @ s.g @ lee.JT
@@ -311,34 +316,7 @@ def verify_equivalences(structure: AlmostHermitianStructure,
         out[key] = {"applicable": applicable, lhs_key: lhs, rhs_key: rhs,
                     "consistent": not applicable or lhs == rhs}
     out["unimodular_bracket"]["g_T_JT_JT"] = float(g_bk)
-
-    if rep.flags["pluricanonical"]:
-        dth = s.Dtheta
-        djth = connection.covariant_one_form(s, lee.jtheta)
-        vals = {
-            "D_T_theta": arith.max_abs(lee.T @ dth),
-            "D_JT_theta": arith.max_abs(lee.JT @ dth),
-            "D_T_Jtheta": arith.max_abs(lee.T @ djth),
-            "D_JT_Jtheta": arith.max_abs(lee.JT @ djth),
-            "bracket_T_JT": arith.max_abs(bk),
-        }
-        out["pluricanonical_consequences"] = {
-            "applicable": True, "residuals": {k: float(v) for k, v in vals.items()},
-            "consistent": all(v <= bound for v in vals.values())}
-    else:
-        out["pluricanonical_consequences"] = {"applicable": False, "consistent": True}
-
-    if s.dim == 4 and rep.flags["unimodular"]:
-        integrand = identities.dim4_integrand_value(s)
-        scale_e = max(1.0, float(abs(lee.norm_sq)) ** 2)
-        out["dim4_integrand"] = {
-            "applicable": True, "value": float(integrand),
-            "consistent": abs(integrand) <= s.field.bound(10 * scale_e)}
-    else:
-        out["dim4_integrand"] = {"applicable": False, "consistent": True}
-
-    out["all_consistent"] = all(v.get("consistent", True) for v in out.values()
-                                if isinstance(v, dict))
+    out["all_consistent"] = all(v["consistent"] for v in out.values())
     return out
 
 

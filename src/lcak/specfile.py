@@ -46,6 +46,7 @@ from .errors import (Degenerate, LcakError, ParseError, PreconditionFailed,
 from .hermitian import AlmostHermitianStructure, preset_j
 
 J_PRESETS = ("split", "mirror")
+SCHEMA = 2  # the report layout; schema 1 had no "schema" key
 
 
 def _parse_value(raw, field_name):
@@ -190,6 +191,7 @@ class Report:
 
     def as_dict(self):
         out = {
+            "schema": SCHEMA,
             "name": self.name,
             "dim": self.dim,
             "arithmetic_mode": self.arithmetic_mode,
@@ -218,6 +220,8 @@ class Report:
     @classmethod
     def from_json(cls, text: str) -> "Report":
         data = json.loads(text)
+        if data.get("schema") != SCHEMA:
+            raise ParseError(f"report schema must be {SCHEMA}", code="BAD_FIELD", field="schema")
         return cls(name=data.get("name"), dim=data["dim"],
                    arithmetic_mode=data["arithmetic_mode"],
                    algebra_validation=data["algebra_validation"],
@@ -286,11 +290,9 @@ def run_report(structure: AlmostHermitianStructure, feasibility: bool = False) -
         except (PreconditionFailed, Degenerate, UnsupportedDimension) as e:
             classification["label"] = None
             classification["reason"] = str(e)
-    lee = structure.lee_form()
     extras = {
-        "theta": _form_dict(lee.theta),
+        "theta": _form_dict(structure.lee_form().theta),
         "fundamental_form": _form_dict(structure.F),
-        "lee_norm_sq": arith.format_scalar(lee.norm_sq),
     }
     feas = None
     if feasibility:

@@ -1,3 +1,11 @@
+"""Catalog, spec files, reports and the command line.
+
+The six golden reports in ``golden/`` are the ``lcak catalog NAME --json``
+output of each catalog entry; one command regenerates each of them, from the
+root of the repository:
+
+    PYTHONPATH=src python -m lcak.cli catalog NAME --json > tests/golden/NAME.json
+"""
 import io
 import json
 import math
@@ -67,6 +75,21 @@ def test_report_round_trip(name):
     again = Report.from_json(text)
     assert again.to_json() == text
     assert json.loads(text) == json.loads(again.to_json())
+
+
+@pytest.mark.parametrize("schema", [None, 1, 3, "2"])
+def test_report_from_json_reads_only_schema_2(schema):
+    """A schema-1 report has no "schema" key and still holds entries that the
+    schema-2 layout dropped; it is refused, like any other schema."""
+    data = json.loads(run_report(catalog_entry("A4_1")).to_json())
+    assert data["schema"] == 2
+    if schema is None:
+        del data["schema"]
+    else:
+        data["schema"] = schema
+    with pytest.raises(ParseError) as err:
+        Report.from_json(json.dumps(data))
+    assert (err.value.code, err.value.field) == ("BAD_FIELD", "schema")
 
 
 def test_load_spec_a41_text():

@@ -181,11 +181,11 @@ def test_verify_equivalences_a41(a41):
     assert eq["all_consistent"]
     assert eq["unimodular_bracket"]["applicable"]
     assert eq["unimodular_bracket"]["g_T_JT_JT"] == 0
-    assert eq["pluricanonical_consequences"]["applicable"]
-    assert all(v == 0 for v in
-               eq["pluricanonical_consequences"]["residuals"].values())
-    assert eq["dim4_integrand"]["applicable"]
-    assert eq["dim4_integrand"]["value"] == 0
+    # only the equivalences: the one-way statements are IMPLIED rows, and the
+    # dim-4 integrand is an identity checked in test_connection and the fuzzer
+    assert set(eq) == {*EQUIVALENCE_SIDES, "all_consistent"}
+    lee = a41.lee_form()
+    assert all(res(a41, lee) == 0 for hyp, _, _, res in conditions.IMPLIED if hyp == PLURI)
 
 
 def test_verify_equivalences_abelian(abelian_kahler):
@@ -200,10 +200,8 @@ def test_verify_equivalences_non_lcs_not_applicable():
     s = AlmostHermitianStructure(alg, j)
     eq = verify_equivalences(s)
     assert not classify_metric(s).flags["is_lcs"]
-    for key in ("first_kind_adapted", "unimodular_bracket", "holomorphic_lee_field",
-                "pluricanonical_consequences"):
+    for key in ("first_kind_adapted", "unimodular_bracket", "holomorphic_lee_field"):
         assert eq[key]["applicable"] is False, key
-    assert eq["dim4_integrand"]["applicable"] is True
     assert eq["all_consistent"] is True
 
 
@@ -216,6 +214,11 @@ IMPLIED_HYPOTHESES = {
     "Gauduchon": PLURI,
     "L_T F = 0": PLURI,
     "dJtheta = -|theta|^2 F + theta^Jtheta": PLURI,
+    "D_T theta = 0": PLURI,
+    "D_JT theta = 0": PLURI,
+    "D_T Jtheta = 0": PLURI,
+    "D_JT Jtheta = 0": PLURI,
+    "[T,JT] = 0": PLURI,
     "dJtheta J-invariant": ORTH,
     "N(T) symmetric": ORTH,
     "D_T J = 0": ORTH,
