@@ -169,19 +169,19 @@ def ad_jordan_type(alg: LieAlgebra) -> str:
 def classify_4d(params: AlmostAbelianParams, tol=DEFAULT_TOL) -> ClassLabel:
     """Classify a unimodular dim-4 pluricanonical family member by sign(b.v).
 
-    Preconditions, decided in the field of the built algebra: the condition
-    systems vanish (hence a = 0 and A = 0), v != 0, unimodular.
+    Preconditions, decided in the field of the built algebra: unimodular,
+    then the condition systems vanish (they are derived on that locus; hence
+    a = 0 and A = 0), v != 0.
     Cross-validated against the Jordan type of the built ad_{e_4}.
     """
     if params.n != 2:
         raise UnsupportedDimension("classification is for dim 4")
     alg, _ = build_almost_abelian(params, tol=tol)
     field = alg.field
-    conds = pluricanonical_conditions_aa(params)
-    if not field.is_zero(conds["max_residual"]):
-        raise PreconditionFailed("pluricanonical condition systems do not vanish")
     if not alg.is_unimodular()[0]:
         raise PreconditionFailed("parameters are not unimodular")
+    if not field.is_zero(pluricanonical_conditions_aa(params)["max_residual"]):
+        raise PreconditionFailed("pluricanonical condition systems do not vanish")
     b_zero = field.is_zero(params.b)
     v_zero = field.is_zero(params.v)
     if v_zero and b_zero:
