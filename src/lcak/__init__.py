@@ -26,7 +26,7 @@ from .conventions import CONVENTIONS
 from .errors import (Degenerate, DegenerateMetric, DimensionMismatch, IndexOutOfRange,
                      LcakError, NondegeneracyFailure, ParseError,
                      PreconditionFailed, UnsupportedDimension, ValidationError)
-from .forms import KForm, form_inner_product, form_norm_sq, hodge_star
+from .forms import KForm, form_inner_product, hodge_star
 from .fuzzing import FAMILIES, fuzz
 from .hermitian import AlmostHermitianStructure, LeeData, validate_structure
 from .specfile import Report, load_spec, run_report
@@ -34,7 +34,7 @@ from .specfile import Report, load_spec, run_report
 __all__ = [
     "__version__", "CONVENTIONS", "CATALOG_NAMES", "FAMILIES",
     "LieAlgebra", "abelian_algebra",
-    "KForm", "form_inner_product", "form_norm_sq", "hodge_star",
+    "KForm", "form_inner_product", "hodge_star",
     "AlmostHermitianStructure", "LeeData", "validate_structure",
     "ConnectionTable", "CurvatureTensor", "RicciForms", "levi_civita",
     "curvature", "star_ricci", "canonical_connection_forms",

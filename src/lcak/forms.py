@@ -280,10 +280,6 @@ def form_inner_product(a: KForm, b: KForm, g_inv):
     return pairing(a, b, compound(a.alg.field, g_inv, a.degree))
 
 
-def form_norm_sq(a: KForm, g_inv):
-    return form_inner_product(a, a, g_inv)
-
-
 def hodge_star(a: KForm, g_inv, volume: KForm):
     """Star operator fixed by alpha ^ star(beta) = <alpha, beta> vol.
 

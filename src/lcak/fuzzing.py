@@ -156,17 +156,6 @@ def _random_lcs_6d(rng) -> AlmostHermitianStructure:
     return s.change_basis(_well_conditioned(rng, 6))
 
 
-def unimodular_lcs_orthogonal_sample(rng) -> AlmostHermitianStructure:
-    """Unimodular LCS dim-4 sample with T orthogonal to im N, stratified so
-    both pluricanonical and non-pluricanonical members appear."""
-    kind = "pluricanonical" if rng.random() < 0.5 else "orth_not_pluri"
-    params = random_params_4d(rng, kind)
-    s = build_almost_abelian(params)[1].as_float()
-    if rng.random() < 0.5:
-        s = s.change_basis(_well_conditioned(rng, 4))
-    return s
-
-
 # ---------------------------------------------------------------------------
 # harness
 # ---------------------------------------------------------------------------

@@ -212,10 +212,6 @@ class AlmostHermitianStructure:
         """Frobenius norm squared w.r.t. g: sum g^ik g^jl phi_ij phi_kl."""
         return (self.g_inv @ phi @ self.g_inv @ phi.T).trace()
 
-    def endo_inner(self, a, b):
-        """<A, B>_g = tr(g^-1 A^T g B) for endomorphisms."""
-        return (self.g_inv @ self.field.array(a).T @ self.g @ b).trace()
-
     def sharp(self, a):
         """Vector dual of a 1-form."""
         return self.g_inv @ (a.vector() if isinstance(a, KForm) else a)

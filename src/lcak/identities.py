@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from . import arith, connection
 from .errors import UnsupportedDimension
-from .forms import KForm, hodge_star
+from .forms import KForm
 from .hermitian import AlmostHermitianStructure
 
 
@@ -111,50 +111,9 @@ def nijenhuis_cyclic_residual(structure) -> float:
     return arith.max_abs(ng + ng.transpose(2, 0, 1) + ng.transpose(1, 2, 0))
 
 
-def lee_codifferential_residual(structure) -> float:
-    """J delta^g F = (n - 1) theta (the adopted Lee normalization)."""
-    s = structure
-    lee = s.lee_form()
-    delta_f = s.codifferential(s.F)
-    lhs = s.j_one_form(delta_f)
-    return _relative(lhs, (s.n - 1) * lee.theta)
-
-
-def lie_derivative_nijenhuis_residual(structure) -> float:
-    """L_{JT} J - J (L_T J) = 4 N(T, .) as endomorphisms."""
-    s = structure
-    lee = s.lee_form()
-    lhs = s.lie_derivative_J(lee.JT) - s.J @ s.lie_derivative_J(lee.T)
-    rhs = s.field.array([4 * s.nijenhuis(lee.T, s.basis_vector(j)) for j in range(s.dim)]).T
-    return _relative(lhs, rhs)
-
-
 # ---------------------------------------------------------------------------
 # dimension 4
 # ---------------------------------------------------------------------------
-
-def self_dual_split_residual(structure) -> float:
-    """The stated self-dual / anti-self-dual pieces of d J theta against the
-    hodge-star eigenspace projections (dim 4 only)."""
-    s = structure
-    if s.dim != 4:
-        raise UnsupportedDimension("self-dual split needs dim 4")
-    lee = s.lee_form()
-    theta, djt, delta_theta = lee.theta, lee.djtheta, s.delta_theta
-    dth = s.Dtheta
-    half = s.field.scalar(1, 2)
-    sd_claim = ((-(delta_theta + lee.norm_sq)) * half * s.F
-                + 2 * s.nijenhuis_form(lee.JT)
-                + dtheta_anti_invariant_twist(s, lee.dtheta))
-    asd_claim = (2 * sym_j_plus_twisted(s, dth)
-                 + theta.wedge(lee.jtheta)
-                 + (delta_theta - lee.norm_sq) * half * s.F)
-    star = hodge_star(djt, s.g_inv, s.volume)
-    sd = half * (djt + star)
-    asd = half * (djt - star)
-    scale = max(1.0, djt.max_abs(), sd_claim.max_abs(), asd_claim.max_abs())
-    return max((sd - sd_claim).max_abs(), (asd - asd_claim).max_abs()) / scale
-
 
 def dim4_integrand_value(structure) -> float:
     """(delta theta)^2 - 2 |theta|^2 delta theta + |2 N_{JT} + J(d theta)^{J,-}|^2
@@ -189,12 +148,3 @@ def unimodular_pluricanonical_defect(structure):
     d_jt_theta = lee.JT @ dth  # (D_{JT} theta)(e_j) row vector
     inner = d_jt_theta @ s.g_inv @ lee.jtheta.vector()
     return s.tensor_norm_sq(jplus) + 2 * inner
-
-
-def cartan_formula_residual(structure, form: KForm, x) -> float:
-    """L_X = i_X d + d i_X on invariant forms."""
-    lhs = form.lie_derivative(x)
-    rhs = form.d().contract(x)
-    if form.degree >= 1:
-        rhs = rhs + form.contract(x).d()
-    return _relative(lhs, rhs)

@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from identity_helpers import unimodular_lcs_orthogonal_sample
 from lcak import arith, connection, identities
 from lcak.catalogs import catalog_entry
 from lcak.conditions import classify_metric, symplectic_feasibility, verify_equivalences
@@ -17,7 +18,7 @@ from lcak.forms import KForm
 from lcak.fuzzing import (_conjugated_lcs_4d, _random_j_invariant_pair,
                           build_almost_abelian, random_compatible_pair,
                           random_hermitian_structure, random_params_4d,
-                          random_unimodular_4d, unimodular_lcs_orthogonal_sample)
+                          random_unimodular_4d)
 from lcak.hermitian import AlmostHermitianStructure
 
 TOL = 1e-9

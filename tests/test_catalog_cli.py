@@ -77,7 +77,7 @@ def test_report_round_trip(name):
     assert json.loads(text) == json.loads(again.to_json())
 
 
-@pytest.mark.parametrize("schema", [None, 1, 3, "2"])
+@pytest.mark.parametrize("schema", [None, 1, 3, "2"], ids=repr)
 def test_report_from_json_reads_only_schema_2(schema):
     """A schema-1 report has no "schema" key and still holds entries that the
     schema-2 layout dropped; it is refused, like any other schema."""

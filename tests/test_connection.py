@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from identity_helpers import self_dual_split_residual
 from lcak import arith, connection, identities
 from lcak.algebra import abelian_algebra
 from lcak.forms import KForm
@@ -183,10 +184,10 @@ def test_bochner_formula_fuzz(rng):
 
 
 def test_self_dual_split_matches_hodge(rng, a41):
-    assert identities.self_dual_split_residual(a41) == 0
+    assert self_dual_split_residual(a41) == 0
     for _ in range(6):
         s = random_hermitian_structure(rng, dim=4)
-        assert identities.self_dual_split_residual(s) <= 1e-9
+        assert self_dual_split_residual(s) <= 1e-9
 
 
 def test_dim4_unimodular_integrand(rng, a41, a48):

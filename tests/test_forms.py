@@ -6,6 +6,7 @@ import pytest
 
 import dict_forms
 from dict_forms import merge_sign
+from identity_helpers import cartan_formula_residual
 from lcak import identities
 from lcak.algebra import LieAlgebra, abelian_algebra
 from lcak.almostabelian import AlmostAbelianParams, build_almost_abelian
@@ -131,7 +132,7 @@ def test_cartan_formula_matches_direct_lie_derivative(rng):
         s = random_hermitian_structure(rng, dim=4)
         x = rng.standard_normal(4)
         for form in (s.F, s.lee_form().theta, s.F.wedge(s.lee_form().theta)):
-            assert identities.cartan_formula_residual(s, form, x) <= 1e-9
+            assert cartan_formula_residual(s, form, x) <= 1e-9
 
 
 def test_inner_product_orthonormal(a41):

@@ -471,7 +471,7 @@ def test_hermitian_products_match_plain_chains(structure):
     J, g, ginv, exact = s.J, s.g, s.g_inv, s.exact
     half = Fraction(1, 2) if exact else 0.5
     rng = np.random.default_rng(s.dim + 1)
-    x, m, b = _vec(s, rng), _mat(s, rng), _mat(s, rng)
+    x, m = _vec(s, rng), _mat(s, rng)
     assert s.validation.compatibility_residual == float(arith.max_abs(J.T @ g @ J - g))
     assert_same(s.f_matrix, J.T @ g, exact)
     assert_same(s.j_one_form(x), -(J.T @ x), exact)
@@ -482,7 +482,6 @@ def test_hermitian_products_match_plain_chains(structure):
                       ("sym", half * (m + m.T)), ("antisym", half * (m - m.T))):
         assert_same(parts[key], want, exact)
     assert_same(s.tensor_norm_sq(m), np.trace(ginv @ m @ ginv @ m.T), exact)
-    assert_same(s.endo_inner(m, b), np.trace(ginv @ m.T @ g @ b), exact)
     assert_same(s.sharp(x), ginv @ x, exact)
     assert_same(s.flat(x).vector(), g @ x, exact)
     ad = s.alg.ad(x)

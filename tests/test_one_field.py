@@ -11,14 +11,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from identity_helpers import unimodular_lcs_orthogonal_sample
 from lcak.algebra import LieAlgebra
 from lcak.almostabelian import AlmostAbelianParams, build_almost_abelian
 from lcak.catalogs import CATALOG_NAMES, catalog_entry
 from lcak.cli import main
 from lcak.errors import ParseError, ValidationError
 from lcak.fuzzing import (random_compatible_pair, random_hermitian_structure,
-                          random_params_4d, random_unimodular_4d,
-                          unimodular_lcs_orthogonal_sample)
+                          random_params_4d, random_unimodular_4d)
 from lcak.hermitian import AlmostHermitianStructure, preset_j
 from lcak.specfile import load_spec, run_report
 
