@@ -1,8 +1,5 @@
-"""Identity residuals and a fuzz sample that only the tests use.
-
-They were part of ``lcak.identities`` and ``lcak.fuzzing``; no library code,
-demo or benchmark calls them, so they live with the tests that do.
-"""
+"""Identity residuals and a fuzz sample that only the tests use: no library
+code, demo or benchmark calls them."""
 from lcak.almostabelian import build_almost_abelian
 from lcak.errors import UnsupportedDimension
 from lcak.forms import KForm, hodge_star
