@@ -49,7 +49,8 @@ class LieAlgebra:
         and ``antisymmetry_ok`` records whether ``b_ji = -b_ij`` (within the
         field's bound, relative to the largest constant).  A nonzero
         ``[e_i, e_i]`` raises ``IndexOutOfRange``.  Values may be ints,
-        Fractions, fraction strings or floats.
+        Fractions, floats or strings; a string is the rational it is written
+        as ("1/4", "0.25", "1e-3"), by :func:`~lcak.arith.parse_scalar`.
     exact : force exact (Fraction) or float arithmetic; inferred from the
         values when omitted.
     tol : comparison tolerance for float mode.

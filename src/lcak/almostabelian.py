@@ -112,9 +112,9 @@ def pluricanonical_conditions_aa(params: AlmostAbelianParams) -> dict:
     orth = [a11 * v1 + a21 * v2 + a * b1, a12 * v1 + a22 * v2 + a * b2]
     anti = [a, a22 * v1 - a21 * v2, a12 * v1 - a11 * v2]
     out = {
-        "closed_lee": [float(x) for x in closed],
-        "lee_orthogonal_imN": [float(x) for x in orth],
-        "dtheta_anti_invariant": [float(x) for x in anti],
+        "closed_lee": [arith.to_float(x) for x in closed],
+        "lee_orthogonal_imN": [arith.to_float(x) for x in orth],
+        "dtheta_anti_invariant": [arith.to_float(x) for x in anti],
     }
     out["max_residual"] = max(abs(x) for vals in
                               (out["closed_lee"], out["lee_orthogonal_imN"],
@@ -158,7 +158,7 @@ def ad_jordan_type(alg: LieAlgebra) -> str:
     if not (field.is_zero(tr, scale) and field.is_zero(det, scale)):
         return "general"
     if not field.is_zero(sigma2, scale):
-        return "semisimple_real" if float(sigma2) < 0 else "rotation"
+        return "semisimple_real" if sigma2 < 0 else "rotation"
     if arith.rank(m, field) == 0:
         return "zero"
     if arith.rank(m @ m, field) == 0:
@@ -191,7 +191,7 @@ def classify_4d(params: AlmostAbelianParams, tol=DEFAULT_TOL) -> ClassLabel:
     jordan = ad_jordan_type(alg)
     bv = sum(x * y for x, y in zip(params.b, params.v))
     invariants = {
-        "b_dot_v": float(bv),
+        "b_dot_v": arith.to_float(bv),
         "jordan_type": jordan,
         "unimodular": True,
     }
@@ -199,7 +199,7 @@ def classify_4d(params: AlmostAbelianParams, tol=DEFAULT_TOL) -> ClassLabel:
         name = "A4_1" if not b_zero else "other"
         if b_zero:
             invariants["note"] = "two-step nilpotent (heisenberg3 + line)"
-    elif float(bv) > 0:
+    elif bv > 0:
         name = "A3_4_plus_A1"
     else:
         name = "A3_6_plus_A1"

@@ -289,16 +289,14 @@ def all_exact(values) -> bool:
         for v in np.asarray(values, dtype=object).ravel().tolist())
 
 
-def parse_scalar(text):
-    """Parse "3", "-1/4" as Fractions and "0.25" as float."""
-    if isinstance(text, (int, Fraction)):
-        return Fraction(text)
-    if isinstance(text, float):
-        return text
-    s = str(text).strip()
-    if "/" in s or ("." not in s and "e" not in s.lower()):
-        return Fraction(s)
-    return float(s)
+def parse_scalar(x) -> Fraction:
+    """The rational ``x`` is written as: a string as written ("3", "-1/4",
+    "0.25", "1e-3", "1e400"), an int or a Fraction as it is, and a float (how
+    JSON numbers arrive) as the shortest decimal that prints it, so 0.1 is
+    1/10.  A bool, NaN or an infinity raises ``ValueError``."""
+    if isinstance(x, bool):
+        raise ValueError(f"{x!r} is not a number")
+    return Fraction(repr(float(x)) if isinstance(x, float) else x)
 
 
 def format_scalar(x) -> str:
@@ -306,11 +304,27 @@ def format_scalar(x) -> str:
     return str(x) if isinstance(x, (int, Fraction)) else repr(float(x))
 
 
+def to_float(x) -> float:
+    """``float(x)``, correctly rounded, for an exact residual to be reported:
+    +-inf past the float range, and never 0.0 when ``x`` is not 0."""
+    try:
+        y = float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+    return y if y or not x else math.copysign(math.ulp(0.0), y)
+
+
 def max_abs(a) -> float:
     """Largest absolute entry, as a float (exact values embed faithfully: a
-    QArray gives ``max |num| / den`` in int true division, correctly rounded)."""
+    QArray gives ``max |num| / den`` in int true division, correctly rounded,
+    and, as :func:`to_float`, inf past the float range and never 0.0 when nonzero)."""
     if isinstance(a, QArray):
-        return max(map(abs, a.num.ravel().tolist()), default=0) / a.den
+        top = max(map(abs, a.num.ravel().tolist()), default=0)
+        try:
+            y = top / a.den
+        except OverflowError:
+            return math.inf
+        return y if y or not top else math.ulp(0.0)
     a = np.asarray(a, dtype=float)
     return float(np.max(np.abs(a))) if a.size else 0.0
 
@@ -356,8 +370,8 @@ def _eliminate(num):
     return np.array(rows[:r], dtype=object).reshape(r, ncols), pivots, values, swaps
 
 
-def _svd_rank(s, tol):
-    return int(np.sum(s > tol * max(1.0, (s[0] if s.size else 0.0))))
+def _svd_rank(s, field):
+    return int(np.sum(s > field.bound(s[0] if s.size else 0.0)))
 
 
 def nullspace(a, field: Field):
@@ -374,7 +388,7 @@ def nullspace(a, field: Field):
             basis.append(QArray(v, values[-1]))
         return basis
     u, s, vt = np.linalg.svd(np.asarray(a, dtype=float))
-    return list(vt[_svd_rank(s, field.tol):])
+    return list(vt[_svd_rank(s, field):])
 
 
 def row_space(a, field: Field):
@@ -386,7 +400,7 @@ def row_space(a, field: Field):
         rows, _, values, _ = _eliminate(as_qarray(a).num)
         return [QArray(row, values[-1]) for row in rows]
     u, s, vt = np.linalg.svd(np.asarray(a, dtype=float))
-    return list(vt[:_svd_rank(s, field.tol)])
+    return list(vt[:_svd_rank(s, field)])
 
 
 def rank(a, field: Field) -> int:
@@ -457,8 +471,7 @@ def is_positive_definite(a, field: Field) -> bool:
     w = np.linalg.eigvalsh(np.asarray(a, dtype=float))
     if w.size == 0:
         return True
-    scale = max(1.0, float(np.max(np.abs(w))))
-    return bool(np.min(w) > field.tol * scale)
+    return bool(np.min(w) > field.bound(np.max(np.abs(w))))
 
 
 def rationalize(x, max_denominator=64):

@@ -73,7 +73,7 @@ def cmd_check(args, out):
     if args.mode == "float":
         structure = structure.as_float()
     elif args.mode == "exact" and not structure.exact:
-        raise ValidationError("structure has non-exact values, cannot run --exact",
+        raise ValidationError('the file asks for arithmetic_mode "float", cannot run --exact',
                               code="BAD_FIELD")
     report = run_report(structure, feasibility=args.feasibility)
     if args.json:
@@ -119,7 +119,8 @@ def cmd_classify_aa(args, out):
     params = AlmostAbelianParams(2, parse_scalar(args.a),
                                  _parse_vector(args.b), _parse_vector(args.v),
                                  _parse_matrix(args.A))
-    conds = pluricanonical_conditions_aa(params)
+    # the condition systems are derived on the unimodular locus a + tr A = 0
+    conds = pluricanonical_conditions_aa(params) if params.a + params.trace_a() == 0 else None
     result = {"conditions": conds}
     try:
         label = classify_4d(params)
@@ -137,7 +138,8 @@ def cmd_classify_aa(args, out):
             print(f"invariants: {result['label']['invariants']}", file=out)
         else:
             print(f"not classifiable: {result['reason']}", file=out)
-        print(f"condition residual: {conds['max_residual']:.3e}", file=out)
+        if conds is not None:
+            print(f"condition residual: {conds['max_residual']:.3e}", file=out)
     return code
 
 

@@ -125,14 +125,14 @@ def _adapted(s) -> dict:
     float bound.
     """
     lee, f = s.lee_form(), s.field
-    c = lee.norm_sq
+    c = arith.to_float(lee.norm_sq)
     h = f.array(arith.nullspace(f.array([lee.theta.vector(), lee.eta.vector()]), f))
     gram = _deta_gram(s, lee.eta.d(), h)
     pd = arith.is_positive_definite(f.scalar(1, 2) * (gram + gram.T), f)
     res = {"automorphism": s.lie_derivative_F(lee.T).max_abs(),
            "deta_metric_symmetric": arith.max_abs(gram - gram.T),
            "deta_metric_positive": 0.0 if pd else 1.0}
-    bound = f.bound(max(1.0 + float(c), float(c * s.F.max_abs())))
+    bound = f.bound(max(1.0 + c, c * s.F.max_abs()))
     return {"adapted": pd and all(r <= bound for r in res.values()), "residuals": res}
 
 
@@ -152,7 +152,7 @@ def _deta_gram(structure, d_eta: KForm, h):
 _ORTH = ("is_lcs", "T_orthogonal_to_imN")
 IMPLIED = (
     (("pluricanonical",), "pluricanonical", "Gauduchon",
-     lambda s, lee: abs(float(s.delta_theta))),
+     lambda s, lee: abs(arith.to_float(s.delta_theta))),
     (("pluricanonical",), "pluricanonical", "L_T F = 0",
      lambda s, lee: s.lie_derivative_F(lee.T).max_abs()),
     (("pluricanonical",), "pluricanonical", "dJtheta = -|theta|^2 F + theta^Jtheta",
@@ -179,10 +179,10 @@ IMPLIED = (
      lambda s, lee: arith.max_abs(lee.JT.reshape(1, s.dim)
                                   @ s.connection.DJ.reshape(s.dim, -1))),
     (("unimodular", "pluricanonical"), "unimodular pluricanonical", "rho*(T,JT) = 0",
-     lambda s, lee: abs(float(connection.star_ricci(s)(lee.T, lee.JT)))),
+     lambda s, lee: abs(arith.to_float(connection.star_ricci(s)(lee.T, lee.JT)))),
     (("unimodular", "pluricanonical"), "unimodular pluricanonical",
      "|(Dtheta)^{J,+}|^2 + 2<D_JT theta, Jtheta> = 0",
-     lambda s, lee: abs(float(identities.unimodular_pluricanonical_defect(s)))),
+     lambda s, lee: abs(arith.to_float(identities.unimodular_pluricanonical_defect(s)))),
 )
 
 # The equivalences (a)-(c): (key, applicability flags, (lhs key, lhs flags),
@@ -221,7 +221,7 @@ def classify_metric(structure: AlmostHermitianStructure) -> ConditionReport:
     residuals["theta_norm"] = float(theta.max_abs())
     flags["is_gcs"] = residuals["theta_norm"] <= s.field.bound()
 
-    residuals["delta_theta"] = abs(float(s.delta_theta))
+    residuals["delta_theta"] = abs(arith.to_float(s.delta_theta))
     flags["is_gauduchon"] = residuals["delta_theta"] <= s.field.bound(theta.max_abs())
 
     # orthogonality of im N to span(T, JT)
@@ -309,13 +309,13 @@ def verify_equivalences(structure: AlmostHermitianStructure,
     g_bk = bk @ s.g @ lee.JT
     scale_b = arith.max_abs(bk) * max(1.0, arith.max_abs(lee.JT))
     held = {**rep.flags, "theta_nonzero": not rep.flags["is_gcs"],
-            "bracket_vanishes": abs(float(g_bk)) <= s.field.bound(scale_b)}
+            "bracket_vanishes": abs(arith.to_float(g_bk)) <= s.field.bound(scale_b)}
     for key, hyp, (lhs_key, lhs_flags), (rhs_key, rhs_flags) in EQUIVALENT:
         applicable = all(held[k] for k in hyp)
         lhs, rhs = all(held[k] for k in lhs_flags), all(held[k] for k in rhs_flags)
         out[key] = {"applicable": applicable, lhs_key: lhs, rhs_key: rhs,
                     "consistent": not applicable or lhs == rhs}
-    out["unimodular_bracket"]["g_T_JT_JT"] = float(g_bk)
+    out["unimodular_bracket"]["g_T_JT_JT"] = arith.to_float(g_bk)
     out["all_consistent"] = all(v["consistent"] for v in out.values())
     return out
 

@@ -17,13 +17,13 @@ other (else ``BAD_FIELD`` on ``brackets``) and count once.  A pair listed
 twice in the same order is ``BAD_FIELD`` and a nonzero ``[e_i, e_i]`` is
 ``BAD_INDEX``, each at its ``brackets[pos]``.
 
-Scalar strings like "1/4" parse exactly; bare numbers are taken as given
-(ints exact, decimals float); a value that is not finite (``1e400`` reads as
-infinity) is ``BAD_FIELD``.  The arithmetic mode is decided here, once,
-over every bracket, J and g value: "auto" (default) is exact iff every value
-is exact, and "exact" with a decimal anywhere is a ``BAD_FIELD`` error.  The
-algebra is built in that mode with the file's tolerance (or ``tol``), and
-the structure uses the algebra's field.
+Every bracket, J and g value is the rational it is written as
+(:func:`~lcak.arith.parse_scalar`): "1/4", "0.25" and the JSON number 0.25
+are all 1/4, and the string "1e400" is 10**400.  A boolean, or a JSON number
+that is not finite (1e400 parses as infinity), is ``BAD_FIELD`` at its field.
+The algebra is built exact unless the file asks for "float" ("auto", the
+default, and "exact" mean the same), with the file's tolerance (or ``tol``),
+and the structure uses the algebra's field.
 
 Reports serialize with sorted keys and exact values as fraction strings, so
 byte-identical golden files are meaningful.
@@ -31,7 +31,6 @@ byte-identical golden files are meaningful.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -50,13 +49,10 @@ SCHEMA = 2  # the report layout; schema 1 had no "schema" key
 
 
 def _parse_value(raw, field_name):
-    """A finite scalar; anything else (1e400 parses as inf) is ``BAD_FIELD``."""
+    """The rational ``raw`` is written as; anything else is ``BAD_FIELD``."""
     try:
-        value = arith.parse_scalar(raw)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError("not finite")
-        return value
-    except (ValueError, ZeroDivisionError) as e:
+        return arith.parse_scalar(raw)
+    except (ValueError, TypeError, ZeroDivisionError) as e:
         raise ParseError(f"bad scalar {raw!r} in {field_name}", code="BAD_FIELD",
                          field=field_name) from e
 
@@ -152,13 +148,7 @@ def load_spec(source, tol=None) -> AlmostHermitianStructure:
     else:
         gmat = _matrix(graw, "g", dim)
 
-    values = [v for comps in brackets.values() for v in comps.values()]
-    values += [v for row in jmat + gmat for v in row]
-    all_exact = arith.all_exact(values)
-    if mode == "exact" and not all_exact:
-        raise ParseError("arithmetic_mode \"exact\" needs exact values, found a decimal",
-                         code="BAD_FIELD", field="options.arithmetic_mode")
-    alg = LieAlgebra(dim, brackets, exact=all_exact and mode != "float", tol=tol)
+    alg = LieAlgebra(dim, brackets, exact=mode != "float", tol=tol)
     if not alg.antisymmetry_ok:
         raise ValidationError("a pair listed in both orders has brackets that are not "
                               "negatives of each other", code="BAD_FIELD", field="brackets")

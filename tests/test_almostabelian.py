@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -121,13 +122,18 @@ def test_classification_preconditions():
 def test_off_locus_pluricanonical_member_is_refused_as_not_unimodular(capsys):
     """(-1, (-1, 0), (1, 0), 0) is pluricanonical with a + tr A = -1; the
     condition systems do not hold off that locus, so the reason given is
-    unimodularity, not the systems, which would contradict the flag."""
+    unimodularity, and the systems, which would contradict the flag, are not
+    evaluated: no residual line, and ``"conditions": null``."""
     s = build_almost_abelian(AlmostAbelianParams(2, -1, (-1, 0), (1, 0), zero_a()))[1]
     report = run_report(s)
     assert report.condition_report["flags"]["pluricanonical"] is True
     assert report.classification["reason"] == "parameters are not unimodular"
-    assert main(["classify-aa", "--a=-1", "--b=-1,0", "--v=1,0", "--A=0,0;0,0"]) == 1
-    assert capsys.readouterr().out.startswith("not classifiable: parameters are not unimodular\n")
+    args = ["classify-aa", "--a=-1", "--b=-1,0", "--v=1,0", "--A=0,0;0,0"]
+    assert main(args) == 1
+    assert capsys.readouterr().out == "not classifiable: parameters are not unimodular\n"
+    assert main([*args, "--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "conditions": None, "label": None, "reason": "parameters are not unimodular"}
 
 
 def test_classification_scale_and_rotation_invariance(rng):

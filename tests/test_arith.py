@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lcak.arith import Field, QArray, as_qarray, max_abs
+from lcak.arith import Field, QArray, as_qarray, max_abs, parse_scalar, to_float
 
 EXACT, FLOAT = Field(True), Field(False, 1e-9)
 
@@ -36,6 +36,35 @@ def test_is_zero_exact_and_relative():
     assert EXACT.is_zero(EXACT.zeros(3)) and not EXACT.is_zero(EXACT.array([0, "1/7"]))
     assert FLOAT.is_zero(5e-10) and not FLOAT.is_zero(5e-9)
     assert FLOAT.is_zero(5e-9, scale=10.0)
+
+
+@pytest.mark.parametrize("raw, value", [
+    ("3", 3), (" -1/4 ", Fraction(-1, 4)), ("0.25", Fraction(1, 4)), ("1e-3", Fraction(1, 1000)),
+    ("1e400", 10 ** 400), ("-1E-400", Fraction(-1, 10 ** 400)), (7, 7),
+    (Fraction(2, 3), Fraction(2, 3)), (0.1, Fraction(1, 10)), (2.5e-8, Fraction(1, 4 * 10 ** 7)),
+    (np.float64(0.1), Fraction(1, 10)), (np.int64(-2), -2)], ids=repr)
+def test_parse_scalar_reads_the_rational_as_written(raw, value):
+    """A string is read as written, a float as the decimal it prints as."""
+    parsed = parse_scalar(raw)
+    assert type(parsed) is Fraction and parsed == value
+
+
+@pytest.mark.parametrize("raw", [True, False, math.nan, math.inf, -math.inf, "nan", "inf",
+                                 "0.25.1", "1/0", "", None, [1]], ids=repr)
+def test_parse_scalar_refuses_what_is_not_a_rational(raw):
+    with pytest.raises((ValueError, TypeError, ZeroDivisionError)):
+        parse_scalar(raw)
+
+
+def test_an_exact_value_reads_as_inf_past_the_float_range_and_never_as_zero():
+    big, tiny = Fraction(10 ** 400), Fraction(1, 10 ** 400)
+    assert (to_float(big), to_float(-big)) == (math.inf, -math.inf)
+    assert (to_float(tiny), to_float(-tiny)) == (math.ulp(0.0), -math.ulp(0.0))
+    assert to_float(Fraction(1, 3)) == 1 / 3 and to_float(0) == 0.0 and to_float(-0.0) == 0.0
+    assert math.isnan(to_float(math.nan)) and to_float(np.float64(2.5)) == 2.5
+    assert max_abs(EXACT.array(["-1e400", 1])) == math.inf
+    assert max_abs(EXACT.array(["1e-400", 0])) == math.ulp(0.0)
+    assert max_abs(EXACT.zeros(3)) == 0.0 and type(max_abs(EXACT.zeros(3))) is float
 
 
 def test_float_max_abs_keeps_a_nan_wherever_it_sits():

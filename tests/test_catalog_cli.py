@@ -9,6 +9,7 @@ root of the repository:
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -193,11 +194,13 @@ def test_load_spec_rejects_bad_brackets(tmp_path, capsys, name):
     _assert_rejected(tmp_path, capsys, json.dumps(_a41_with(brackets=brackets)), code, field)
 
 
-@pytest.mark.parametrize("raw", ["1e400", '"1e400"', '"-1e400"', "NaN"])
+@pytest.mark.parametrize("raw", ["1e400", '"1e400"', '"-1e400"', "NaN", "true"])
 @pytest.mark.parametrize("where", ["brackets", "J", "g"])
 def test_load_spec_rejects_a_value_that_is_not_finite(tmp_path, capsys, where, raw):
-    """1e400 parses as infinity, as a JSON number or as a string; it is an
-    input error at its field, not a failed Jacobi or positivity check."""
+    """The JSON number 1e400 parses as infinity; it, NaN and a boolean are no
+    rational number, so each is an input error at its field, not a failed
+    Jacobi or positivity check.  The string "1e400" is the finite 10**400: it
+    loads exactly, and in J or g the structure checks judge it, by their codes."""
     split = [[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]]
     eye = [[int(a == b) for b in range(4)] for a in range(4)]
     data = _a41_with(J=split, g=eye)
@@ -207,8 +210,19 @@ def test_load_spec_rejects_a_value_that_is_not_finite(tmp_path, capsys, where, r
     else:
         data[where][0][0] = "BIG"
         field = where
-    _assert_rejected(tmp_path, capsys, json.dumps(data).replace('"BIG"', raw),
-                     "BAD_FIELD", field)
+    text = json.dumps(data).replace('"BIG"', raw)
+    if not raw.startswith('"'):
+        _assert_rejected(tmp_path, capsys, text, "BAD_FIELD", field)
+    elif where == "brackets":
+        s = load_spec(text)
+        big = -10 ** 400 if "-" in raw else 10 ** 400
+        assert s.exact and s.alg.sparse_constants()[(3, 4, 2)] == big
+        as_int = load_spec(json.dumps(data).replace('"BIG"', str(big)))
+        assert run_report(s).to_json() == run_report(as_int).to_json()
+    else:
+        code = {"J": "J_NOT_ACS", "g": "G_NOT_POSITIVE_DEFINITE" if "-" in raw
+                else "G_NOT_J_INVARIANT"}[where]
+        _assert_rejected(tmp_path, capsys, text, code, None)
 
 
 BAD_TOLERANCES = (-1, -1e-12, 1, 2.5, math.nan, math.inf, -math.inf, "1e-9", "abc", None, True,
@@ -316,6 +330,24 @@ def test_cli_classify_aa():
     # precondition failure exits 1
     assert main(["classify-aa", "--a", "1", "--b", "1,0", "--v", "0,1",
                  "--A", "0,0;0,0"], out=io.StringIO()) == 1
+    # decimals are the rationals they are written as: b.v = 0.21 - 0.21 is 0,
+    # where binary64 leaves -2.8e-17
+    out = io.StringIO()
+    assert main(["classify-aa", "--a", "0.0", "--b", "0.7,0.1", "--v", "0.3,-2.1",
+                 "--A", "0,0.0;0,0", "--json"], out=out) == 0
+    label = json.loads(out.getvalue())["label"]
+    assert label["name"] == "A4_1" and label["invariants"]["b_dot_v"] == 0.0
+
+
+def test_readme_structure_files_load_and_report():
+    """Every ```json block of README.md with a "dim" key is a structure file
+    that load_spec reads and run_report reports on."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = [b for b in re.findall(r"```json\n(.*?)```", readme, re.S) if "dim" in json.loads(b)]
+    assert blocks
+    for block in blocks:
+        report = run_report(load_spec(block))
+        assert report.algebra_validation["ok"] and report.structure_validation["ok"]
 
 
 def test_cli_fuzz_deterministic():
