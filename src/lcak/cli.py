@@ -46,9 +46,11 @@ def _print_report_text(report: Report, out):
     if cls.get("applicable"):
         print(f"class     : {cls['label']['name']}", file=out)
     if report.feasibility is not None:
-        f = d["feasibility"]
-        print(f"compatible-form search: {f['status']} "
-              f"(optimum {f['optimum']})", file=out)
+        f, cert = d["feasibility"], d["feasibility"]["certificate"]
+        how = (f"optimum {f['optimum']}" if f["optimum"] is not None
+               else "witness" if f["witness"] else "isotropic vector"
+               if isinstance(cert, list) else cert)
+        print(f"compatible-form search: {f['status']} ({how})", file=out)
     for w in d["condition_report"]["warnings"]:
         print(f"WARNING: {w}", file=out)
 

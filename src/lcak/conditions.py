@@ -347,14 +347,15 @@ FEASIBILITY_SEED, FEASIBILITY_RESTARTS, FEASIBILITY_ITERATIONS = 0, 64, 250
 def symplectic_feasibility(structure: AlmostHermitianStructure) -> dict:
     """Search invariant J-compatible forms with d omega^{n-1} = 0.
 
-    Maximizes the minimal eigenvalue of omega(., J.) over the unit sphere of
-    the constraint subspace by projected subgradient ascent from
+    n = 2 is decided exactly by :func:`_wedge_square_test`.  For n >= 3 the
+    least eigenvalue of omega(., J.) is maximized over the unit sphere of the
+    constraint subspace by projected subgradient ascent from
     ``FEASIBILITY_RESTARTS`` seeded starting points.  Outcomes:
 
-    * ``feasible`` with a witness when the optimum exceeds tol;
-    * ``infeasible`` when the optimum is <= -tol, or when an exact isotropic
-      certificate u with omega(u, Ju) = 0 for the whole subspace exists
-      (then no compatible metric can be positive definite);
+    * ``feasible`` with a witness, scaled so that <omega, F> = n;
+    * ``infeasible`` when the optimum is <= -tol, or with a certificate: an
+      empty subspace, a negative definite wedge square (n = 2) or u with
+      omega(u, Ju) = 0 on the whole subspace (no compatible form is positive);
     * ``inconclusive`` otherwise.
     """
     s = structure
@@ -366,11 +367,14 @@ def symplectic_feasibility(structure: AlmostHermitianStructure) -> dict:
         "optimum": None,
         "witness": None,
         "certificate": None,
-        "restarts": FEASIBILITY_RESTARTS,
+        "restarts": FEASIBILITY_RESTARTS if s.n > 2 else 0,
     }
     if not basis_forms:
         out["status"] = "infeasible"
         out["certificate"] = "empty_subspace"
+        return out
+    if s.n == 2:
+        out.update(_wedge_square_test(s, basis_forms))
         return out
     W = np.stack([np.asarray(w.matrix(), dtype=float) for w in basis_forms])
     G = np.stack([w @ np.asarray(s.J, dtype=float) for w in W])
@@ -390,6 +394,60 @@ def symplectic_feasibility(structure: AlmostHermitianStructure) -> dict:
         out["status"] = "infeasible"
         out["certificate"] = cert
     return out
+
+
+def _wedge_square_test(s, forms):
+    """n = 2: F if closed, else the sign of q(omega) = omega ^ omega / F ^ F on
+    ``forms``.  omega(., J.) has g-eigenvalues (l1, l1, l2, l2), q = l1 l2 and
+    <omega, F> ~ l1 + l2, so +-omega is positive iff q > 0 (S. K. Donaldson,
+    "Two-forms on four-manifolds and elliptic equations", 2006).  If q <= 0
+    vanishes at omega_0, omega_0(., J.) has a kernel K of dimension 2, and
+    q(omega_0 + t omega_a) = t^2 q(omega_a): by first-order perturbation of the
+    double eigenvalue 0, every omega_a(u, Ju) = 0 on K."""
+    f, omega = s.field, s.F
+    if not f.is_zero(s.F.d().vec, s.F.max_abs()):
+        vol = s.F.wedge(s.F).vec[0]
+        q = f.array([[a.wedge(b).vec[0] / vol for b in forms] for a in forms])
+        x = _wedge_sign(q, f)
+        if x is None:
+            kernel = arith.nullspace(q, f)
+            if not kernel:
+                return {"status": "infeasible", "certificate": "wedge_square_negative_definite"}
+            u = arith.nullspace(sum(c * w.matrix() for c, w in zip(kernel[0], forms)) @ s.J, f)
+            fmt = arith.format_scalar if s.exact else float
+            return {"status": "infeasible", "certificate": [fmt(c) for c in u[0]]} if u else {}
+        omega = KForm._of(s.alg, 2, sum(c * w.vec for c, w in zip(x, forms)))
+    omega = (f.scalar(s.n) / s.form_inner(omega, s.F)) * omega
+    gw = omega.matrix() @ s.J
+    if arith.is_positive_definite(f.scalar(1, 2) * (gw + gw.T), f):
+        return {"status": "feasible", "witness": omega}
+    return {}
+
+
+def _wedge_sign(q, field):
+    """x with x^T q x > 0, or None when ``q`` is negative semidefinite (0 within
+    ``field.bound``), by symmetric elimination with diagonal pivots, q written
+    in the basis ``dirs``: a zero pivot q_ii with q_ij = e != 0 gives the value
+    e^2 (2 - q_jj) > 0 at (1 - q_jj) d_i + e d_j; a negative one is eliminated."""
+    k = len(q)
+    m = [[q[i, j] for j in range(k)] for i in range(k)]
+    dirs = [[field.scalar(int(i == j)) for j in range(k)] for i in range(k)]
+    eps, live = field.bound(arith.max_abs(q)), list(range(k))
+    while live:
+        i = max(live, key=lambda r: m[r][r])
+        j = max(live, key=lambda c: abs(m[i][c]))
+        if m[i][i] > eps:
+            return dirs[i]
+        if m[i][i] >= -eps and abs(m[i][j]) > eps:
+            return [(1 - m[j][j]) * a + m[i][j] * b for a, b in zip(dirs[i], dirs[j])]
+        if m[i][i] < -eps:  # every pivot is negative: eliminate the largest
+            i = min(live, key=lambda r: m[r][r])
+            for r in set(live) - {i}:
+                t = m[r][i] / m[i][i]
+                dirs[r] = [a - t * b for a, b in zip(dirs[r], dirs[i])]
+                m[r] = [a - t * b for a, b in zip(m[r], m[i])]
+        live.remove(i)
+    return None
 
 
 def _ascent(G, seed, restarts, iterations):

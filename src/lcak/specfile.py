@@ -198,7 +198,8 @@ class Report:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, indent=2, default=_json_value) + "\n"
+        return json.dumps(_finite(self.as_dict()), sort_keys=True, indent=2,
+                          allow_nan=False, default=_json_value) + "\n"
 
     @property
     def all_checks_pass(self) -> bool:
@@ -229,8 +230,17 @@ def _json_value(obj):
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, (np.generic, np.ndarray)):
-        return obj.tolist()
+        return _finite(obj.tolist())
     raise TypeError(f"cannot encode a {type(obj).__name__} in a report")
+
+
+def _finite(obj):
+    """``obj`` with each float that is not finite as "inf", "-inf" or "nan"."""
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return repr(float(obj)) if isinstance(obj, float) and not abs(obj) < float("inf") else obj
 
 
 def _form_dict(form):
@@ -239,7 +249,7 @@ def _form_dict(form):
 
 
 def _detect_aa_params(structure):
-    """Recover (a, b, v, A) when the structure uses the standard mirror frame."""
+    """Recover (a, b, v, A) in the standard mirror frame, g a multiple of 1."""
     s = structure
     if s.dim != 4:
         return None
@@ -248,8 +258,8 @@ def _detect_aa_params(structure):
     if not all(zero(alg.basis_bracket(i, j)) for i, j in ((0, 1), (0, 2), (1, 2))):
         return None
     ad = alg.ad_basis(3)
-    if not (zero(s.J - preset_j("mirror", 4)) and zero(s.g - s.field.eye(4))
-            and zero(ad[3])):
+    if not (zero(s.J - preset_j("mirror", 4)) and s.g[0, 0] > 0
+            and zero(s.g - s.g[0, 0] * s.field.eye(4)) and zero(ad[3])):
         return None
     return AlmostAbelianParams(
         2, ad[0, 0], (ad[0, 1], ad[0, 2]), (ad[1, 0], ad[2, 0]),

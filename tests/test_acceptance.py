@@ -13,7 +13,8 @@ import pytest
 from identity_helpers import unimodular_lcs_orthogonal_sample
 from lcak import arith, connection, identities
 from lcak.catalogs import catalog_entry
-from lcak.conditions import classify_metric, symplectic_feasibility, verify_equivalences
+from lcak.conditions import (_feasibility_subspace, classify_metric, symplectic_feasibility,
+                             verify_equivalences)
 from lcak.forms import KForm
 from lcak.fuzzing import (_conjugated_lcs_4d, _random_j_invariant_pair,
                           build_almost_abelian, random_compatible_pair,
@@ -227,9 +228,14 @@ def test_criterion_8_symplectic_feasibility():
     for name in ("A4_1", "A4_8"):
         out = symplectic_feasibility(catalog_entry(name))
         assert out["status"] == "infeasible", (name, out)
-        # the true optimum here is exactly 0 (degenerate PSD rays exist), so
+        # the wedge square is negative semidefinite and singular there, so
         # infeasibility is certified by an exact isotropic vector
-        assert out["optimum"] <= -TOL or out["certificate"] is not None, name
+        assert out["optimum"] is None, name
+        s = catalog_entry(name)
+        u = np.array([Fraction(c) for c in out["certificate"]], dtype=object)
+        assert any(c != 0 for c in u), name
+        for w in _feasibility_subspace(s):
+            assert u @ w.matrix() @ (s.J @ u) == 0, name
     out = symplectic_feasibility(catalog_entry("abelian_kahler"))
     assert out["status"] == "feasible"
     assert out["witness"] == catalog_entry("abelian_kahler").F

@@ -301,6 +301,18 @@ def test_cli_check_expect_takes_only_a_truth_value(tmp_path, capsys, value, code
         assert capsys.readouterr().err.startswith("input error: --expect")
 
 
+@pytest.mark.parametrize("name, line", [
+    ("A4_1", "compatible-form search: infeasible (isotropic vector)"),
+    ("abelian_kahler", "compatible-form search: feasible (witness)"),
+])
+def test_cli_feasibility_names_its_evidence(name, line):
+    """Dim 4 has no optimum to print: the text names the witness or the kind of
+    certificate."""
+    out = io.StringIO()
+    main(["catalog", name, "--feasibility"], out=out)
+    assert line in out.getvalue().splitlines()
+
+
 def test_cli_check_json_output(tmp_path):
     path = tmp_path / "a41.json"
     path.write_text(A41_SPEC, encoding="utf-8")
@@ -396,6 +408,36 @@ def test_equivalence_errors_are_reported_only_when_typed(monkeypatch):
     monkeypatch.setattr(conditions, "verify_equivalences", raise_untyped)
     with pytest.raises(ZeroDivisionError):
         run_report(catalog_entry("A4_1"))
+
+
+def test_report_past_the_float_range_is_strict_json():
+    """Residuals past the float range are written as "inf" strings, not as the
+    bare Infinity that strict JSON parsers refuse."""
+    data = _a41_with(brackets=[{"i": 2, "j": 4, "coefficients": {"1": "1e400"}},
+                               {"i": 3, "j": 4, "coefficients": {"2": "1e400"}}])
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    text = run_report(load_spec(json.dumps(data))).to_json()
+    residuals = json.loads(text, parse_constant=refuse)["condition_report"]["residuals"]
+    assert "inf" in residuals.values()
+    rep = Report(name="r", dim=4, arithmetic_mode="float", algebra_validation={},
+                 structure_validation={}, condition_report={}, equivalences={},
+                 classification={}, extras={"x": (math.inf, -math.inf, math.nan, 1.5),
+                                             "y": np.array([math.inf, 0.5])})
+    assert json.loads(rep.to_json(), parse_constant=refuse)["extras"] == {
+        "x": ["inf", "-inf", "nan", 1.5], "y": ["inf", 0.5]}
+
+
+@pytest.mark.parametrize("scale", [1, Fraction(1, 10 ** 6), 9], ids=["1", "1e-6", "9"])
+@pytest.mark.parametrize("name", ["A4_1_aa", "A3_4_plus_A1", "A3_6_plus_A1"])
+def test_almost_abelian_label_does_not_depend_on_the_metric_scale(name, scale):
+    s = catalog_entry(name)
+    want = run_report(s).classification
+    got = run_report(s.rescaled(scale)).classification
+    assert got["applicable"] and got["label"] == want["label"]
+    assert got["params"] == want["params"]
 
 
 def test_report_encoder_refuses_unknown_objects():
