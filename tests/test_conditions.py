@@ -498,9 +498,12 @@ def test_every_dim4_decision_carries_an_exact_check():
     assert set(kinds) == {"feasible", "isotropic", "wedge_square_negative_definite"}, kinds
 
 
-def test_float_dim4_decisions_match_exact():
+@pytest.mark.parametrize("scale", [Fraction(1, 10 ** 6), 1, 10 ** 6], ids=["1e-6", "1", "1e6"])
+def test_float_dim4_decisions_match_exact(scale):
+    # the float decision does not depend on the metric's units
     for s in [*map(catalog_entry, CATALOG_NAMES), *random_j_structures(4, seed=6)]:
-        got, want = symplectic_feasibility(s.as_float()), symplectic_feasibility(s)
+        want = symplectic_feasibility(s)
+        got = symplectic_feasibility(s.rescaled(scale).as_float())
         assert got["status"] == want["status"]
         if isinstance(want["certificate"], str):
             assert got["certificate"] == want["certificate"]
