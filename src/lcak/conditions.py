@@ -367,7 +367,7 @@ def symplectic_feasibility(structure: AlmostHermitianStructure) -> dict:
         "optimum": None,
         "witness": None,
         "certificate": None,
-        "restarts": FEASIBILITY_RESTARTS if s.n > 2 else 0,
+        "restarts": 0 if s.n == 2 else FEASIBILITY_RESTARTS,
     }
     if not basis_forms:
         out["status"] = "infeasible"
@@ -398,15 +398,17 @@ def symplectic_feasibility(structure: AlmostHermitianStructure) -> dict:
 
 def _wedge_square_test(s, forms):
     """n = 2: F if closed, else the sign of q(omega) = omega ^ omega / F ^ F on
-    ``forms`` (the matrix q below is q_ab up to the positive factor |F ^ F|).  omega(., J.) has g-eigenvalues (l1, l1, l2, l2), q = l1 l2 and
+    ``forms``.  omega(., J.) has g-eigenvalues (l1, l1, l2, l2), q = l1 l2 and
     <omega, F> ~ l1 + l2, so +-omega is positive iff q > 0 (S. K. Donaldson,
     "Two-forms on four-manifolds and elliptic equations", 2006).  If q <= 0
     vanishes at omega_0, omega_0(., J.) has a kernel K of dimension 2, and
     q(omega_0 + t omega_a) = t^2 q(omega_a): by first-order perturbation of the
-    double eigenvalue 0, every omega_a(u, Ju) = 0 on K."""
+    double eigenvalue 0, every omega_a(u, Ju) = 0 on K.  The matrix of q is
+    taken up to the factor |F ^ F| and a witness checked before it is scaled:
+    both scale with g, and the float bound is absolute below 1."""
     f, omega = s.field, s.F
     if not f.is_zero(s.F.d().vec, s.F.max_abs()):
-        sign = 1 if s.F.wedge(s.F).vec[0] > 0 else -1  # so that q(F) > 0, free of g's scale
+        sign = 1 if s.F.wedge(s.F).vec[0] > 0 else -1
         q = f.array([[sign * a.wedge(b).vec[0] for b in forms] for a in forms])
         x = _wedge_sign(q, f)
         if x is None:
@@ -418,7 +420,7 @@ def _wedge_square_test(s, forms):
             return {"status": "infeasible", "certificate": [fmt(c) for c in u[0]]} if u else {}
         omega = KForm._of(s.alg, 2, sum(c * w.vec for c, w in zip(x, forms)))
     pairing = s.form_inner(omega, s.F)
-    gw = (1 if pairing > 0 else -1) * (omega.matrix() @ s.J)  # checked before g's scale
+    gw = (1 if pairing > 0 else -1) * (omega.matrix() @ s.J)
     if arith.is_positive_definite(f.scalar(1, 2) * (gw + gw.T), f):
         return {"status": "feasible", "witness": (f.scalar(s.n) / pairing) * omega}
     return {}

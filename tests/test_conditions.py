@@ -493,8 +493,8 @@ def test_every_dim4_decision_carries_an_exact_check():
     structures = [catalog_entry(name) for name in CATALOG_NAMES]
     structures += [*aa_4d_members(40), *random_j_structures()]
     kinds = Counter(assert_certified(s, symplectic_feasibility(s)) for s in structures)
-    # the ascent decided infeasible, with no certificate, on some d4,2 members
-    # with a witness; every kind of decision occurs
+    # the ascent decided one d4,2 member with a witness infeasible, with no
+    # certificate; every kind of decision occurs
     assert set(kinds) == {"feasible", "isotropic", "wedge_square_negative_definite"}, kinds
 
 

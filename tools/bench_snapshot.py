@@ -3,10 +3,11 @@
     python3 tools/bench_snapshot.py --out BENCH_2.json
     python3 tools/bench_snapshot.py --out BENCH_1.json --checkout ../parent --trace 1
 
-For every workload of the checkout and every seed (0, 1, 2 by default) this
-runs ``python3 perfbench/run.py --workload W --seed S`` from the checkout's
-root, in a new process.  The last line a run prints is its JSON result (see
-``perfbench/README.md``); the ``# env`` line before it is the environment.
+For every workload in the checkout's ``BENCHMARK.json`` and every seed (0, 1,
+2 by default) this runs ``python3 perfbench/run.py --workload W --seed S``
+from the checkout's root, in a new process, for perfbench's default 15 s.
+The last line a run prints is its JSON result (see ``perfbench/README.md``);
+the ``# env`` line before it is the environment.
 The snapshot holds the environment, the attempted and failed item counts,
 the median of each end-to-end metric over the seeds with every run's value,
 and, with ``--trace 1``, the median of each per-layer metric from one more
@@ -22,6 +23,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+SECONDS = 15  # the run length perfbench/run.py takes by default
 
 
 def parse_run(stdout):
@@ -38,10 +40,10 @@ def parse_run(stdout):
     return env, result
 
 
-def run_once(checkout, workload, seed, seconds, trace):
+def run_once(checkout, workload, seed, trace):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace)],
+         "--seconds", str(SECONDS), "--trace", str(trace)],
         cwd=checkout, text=True, capture_output=True, check=False)
     if proc.returncode:
         raise RuntimeError(f"{workload} seed {seed} exited {proc.returncode}: "
@@ -58,12 +60,12 @@ def medians(results):
             for name in names}
 
 
-def snapshot(checkout, workloads, seeds, seconds, trace):
-    out = {"checkout_env": None, "seeds": seeds, "seconds": seconds, "workloads": {}}
+def snapshot(checkout, workloads, seeds, trace):
+    out = {"checkout_env": None, "seeds": seeds, "seconds": SECONDS, "workloads": {}}
     for workload in workloads:
         runs = []
         for seed in seeds:
-            env, result = run_once(checkout, workload, seed, seconds, 0)
+            env, result = run_once(checkout, workload, seed, 0)
             out["checkout_env"] = out["checkout_env"] or {k: v for k, v in env.items()
                                                           if k != "seed"}
             runs.append(result)
@@ -75,7 +77,7 @@ def snapshot(checkout, workloads, seeds, seconds, trace):
                  "end_to_end": medians(runs)}
         if trace:
             entry["per_layer"] = {name: m["median"] for name, m in medians(
-                [run_once(checkout, workload, seed, seconds, 1)[1] for seed in seeds]).items()}
+                [run_once(checkout, workload, seed, 1)[1] for seed in seeds]).items()}
         out["workloads"][workload] = entry
     return out
 
@@ -85,15 +87,13 @@ def main(argv=None):
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--checkout", type=Path, default=ROOT)
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
-    parser.add_argument("--workloads", nargs="+", default=None)
-    parser.add_argument("--seconds", type=float, default=15)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     if len(args.seeds) < 3:
         parser.error("a snapshot needs at least 3 seeds per workload")
-    workloads = args.workloads or [w["name"] for w in json.loads(
+    workloads = [w["name"] for w in json.loads(
         (args.checkout / "BENCHMARK.json").read_text())["workloads"]]
-    data = snapshot(args.checkout.resolve(), workloads, args.seeds, args.seconds, args.trace)
+    data = snapshot(args.checkout.resolve(), workloads, args.seeds, args.trace)
     args.out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     return 0 if all(w["correct"] for w in data["workloads"].values()) else 1
 
