@@ -347,16 +347,14 @@ FEASIBILITY_SEED, FEASIBILITY_RESTARTS, FEASIBILITY_ITERATIONS = 0, 64, 250
 def symplectic_feasibility(structure: AlmostHermitianStructure) -> dict:
     """Search invariant J-compatible forms with d omega^{n-1} = 0.
 
-    n = 2 is decided exactly by :func:`_wedge_square_test`.  For n >= 3 the
-    least eigenvalue of omega(., J.) is maximized over the unit sphere of the
-    constraint subspace by projected subgradient ascent from
-    ``FEASIBILITY_RESTARTS`` seeded starting points.  Outcomes:
+    n = 2 is decided by :func:`_wedge_square_test`; for n >= 3 projected
+    subgradient ascent from ``FEASIBILITY_RESTARTS`` seeded starts maximizes the
+    least eigenvalue of omega(., J.) on the subspace's unit sphere.  Outcomes:
 
     * ``feasible`` with a witness, scaled so that <omega, F> = n;
     * ``infeasible`` when the optimum is <= -tol, or with a certificate: an
       empty subspace, a negative definite wedge square (n = 2) or u with
-      omega(u, Ju) = 0 on the whole subspace (no compatible form is positive);
-    * ``inconclusive`` otherwise.
+      omega(u, Ju) = 0 on the whole subspace; else ``inconclusive``.
     """
     s = structure
     basis_forms = _feasibility_subspace(s)
@@ -370,12 +368,9 @@ def symplectic_feasibility(structure: AlmostHermitianStructure) -> dict:
         "restarts": 0 if s.n == 2 else FEASIBILITY_RESTARTS,
     }
     if not basis_forms:
-        out["status"] = "infeasible"
-        out["certificate"] = "empty_subspace"
-        return out
+        return {**out, "status": "infeasible", "certificate": "empty_subspace"}
     if s.n == 2:
-        out.update(_wedge_square_test(s, basis_forms))
-        return out
+        return {**out, **_wedge_square_test(s, basis_forms)}
     W = np.stack([np.asarray(w.matrix(), dtype=float) for w in basis_forms])
     G = np.stack([w @ np.asarray(s.J, dtype=float) for w in W])
     G = 0.5 * (G + G.transpose(0, 2, 1))
@@ -383,35 +378,22 @@ def symplectic_feasibility(structure: AlmostHermitianStructure) -> dict:
                                FEASIBILITY_ITERATIONS)
     out["optimum"] = best_val
     if best_val > s.tol:
-        out["status"] = "feasible"
-        out["witness"] = _normalize_witness(s, W, basis_forms, best_x)
-        return out
-    if best_val <= -s.tol:
-        out["status"] = "infeasible"
-        return out
-    cert = _isotropic_certificate(s, basis_forms, G, best_x)
-    if cert is not None:
-        out["status"] = "infeasible"
-        out["certificate"] = cert
+        return {**out, "status": "feasible",
+                "witness": _normalize_witness(s, W, basis_forms, best_x)}
+    cert = None if best_val <= -s.tol else _isotropic_certificate(s, basis_forms, G, best_x)
+    if best_val <= -s.tol or cert is not None:
+        out.update(status="infeasible", certificate=cert)
     return out
 
 
 def _wedge_square_test(s, forms):
-    """n = 2: F if closed, else the sign of q(omega) = omega ^ omega / F ^ F on
-    ``forms``.  omega(., J.) has g-eigenvalues (l1, l1, l2, l2), q = l1 l2 and
-    <omega, F> ~ l1 + l2, so +-omega is positive iff q > 0 (S. K. Donaldson,
-    "Two-forms on four-manifolds and elliptic equations", 2006).  If q <= 0
-    vanishes at omega_0, omega_0(., J.) has a kernel K of dimension 2, and
-    q(omega_0 + t omega_a) = t^2 q(omega_a): by first-order perturbation of the
-    double eigenvalue 0, every omega_a(u, Ju) = 0 on K.  The matrix of q is
-    taken up to the factor |F ^ F| and a witness checked before it is scaled:
-    both scale with g, and the float bound is absolute below 1."""
+    """n = 2: F if closed, else the sign of omega ^ omega / F ^ F on ``forms``
+    (S. K. Donaldson, 2006; the argument is in the README's scope note)."""
     f, omega = s.field, s.F
     if not f.is_zero(s.F.d().vec, s.F.max_abs()):
-        sign = 1 if s.F.wedge(s.F).vec[0] > 0 else -1
-        q = f.array([[sign * a.wedge(b).vec[0] for b in forms] for a in forms])
-        x = _wedge_sign(q, f)
-        if x is None:
+        q = f.array([[a.wedge(b).vec[0] for b in forms] for a in forms])
+        x = _wedge_sign(q if s.F.wedge(s.F).vec[0] > 0 else -q, f)
+        if x is None:  # q singular: omega_a(u, Ju) = 0 for u in ker omega_0(., J.)
             kernel = arith.nullspace(q, f)
             if not kernel:
                 return {"status": "infeasible", "certificate": "wedge_square_negative_definite"}
@@ -419,36 +401,31 @@ def _wedge_square_test(s, forms):
             fmt = arith.format_scalar if s.exact else float
             return {"status": "infeasible", "certificate": [fmt(c) for c in u[0]]} if u else {}
         omega = KForm._of(s.alg, 2, sum(c * w.vec for c, w in zip(x, forms)))
-    pairing = s.form_inner(omega, s.F)
-    gw = (1 if pairing > 0 else -1) * (omega.matrix() @ s.J)
-    if arith.is_positive_definite(f.scalar(1, 2) * (gw + gw.T), f):
-        return {"status": "feasible", "witness": (f.scalar(s.n) / pairing) * omega}
-    return {}
+    witness = _scaled_witness(s, omega)
+    return {} if witness is None else {"status": "feasible", "witness": witness}
 
 
 def _wedge_sign(q, field):
     """x with x^T q x > 0, or None when ``q`` is negative semidefinite (0 within
-    ``field.bound``), by symmetric elimination with diagonal pivots, q written
-    in the basis ``dirs``: a zero pivot q_ii with q_ij = e != 0 gives the value
-    e^2 (2 - q_jj) > 0 at (1 - q_jj) d_i + e d_j; a negative one is eliminated."""
-    k = len(q)
-    m = [[q[i, j] for j in range(k)] for i in range(k)]
-    dirs = [[field.scalar(int(i == j)) for j in range(k)] for i in range(k)]
-    eps, live = field.bound(arith.max_abs(q)), list(range(k))
+    ``field.bound``), by symmetric elimination with diagonal pivots."""
+    m, dirs = [list(r) for r in q], [list(r) for r in field.eye(len(q))]
+    eps, live = field.bound(arith.max_abs(q)), list(range(len(q)))
     while live:
         i = max(live, key=lambda r: m[r][r])
-        j = max(live, key=lambda c: abs(m[i][c]))
         if m[i][i] > eps:
             return dirs[i]
-        if m[i][i] >= -eps and abs(m[i][j]) > eps:
-            return [(1 - m[j][j]) * a + m[i][j] * b for a, b in zip(dirs[i], dirs[j])]
-        if m[i][i] < -eps:  # every pivot is negative: eliminate the largest
-            i = min(live, key=lambda r: m[r][r])
-            for r in set(live) - {i}:
-                t = m[r][i] / m[i][i]
-                dirs[r] = [a - t * b for a, b in zip(dirs[r], dirs[i])]
-                m[r] = [a - t * b for a, b in zip(m[r], m[i])]
-        live.remove(i)
+        # a zero pivot next to e = m_ij != 0: the value e^2 (2|e| - m_jj) at a d_i + e d_j
+        j = max(live, key=lambda c: (c != i, abs(m[i][c])))
+        a, e = abs(m[i][j]) - m[j][j], m[i][j]
+        if a * a * m[i][i] + e * e * (2 * a + m[j][j]) > eps * (a * a + e * e):
+            return [a * x + e * y for x, y in zip(dirs[i], dirs[j])]
+        p = min(live, key=lambda r: m[r][r])
+        if m[p][p] < -eps:  # eliminate the most negative pivot
+            for r in set(live) - {p}:
+                t = m[r][p] / m[p][p]
+                dirs[r] = [x - t * y for x, y in zip(dirs[r], dirs[p])]
+                m[r] = [x - t * y for x, y in zip(m[r], m[p])]
+        live.remove(p if m[p][p] < -eps else i)  # else every pivot and row i are 0
     return None
 
 
@@ -491,17 +468,9 @@ def _normalize_witness(structure, W, basis_forms, x):
         # snap to small rationals first: drops optimizer noise in flat
         # directions and recovers canonical witnesses like F itself
         for max_den in (12, 64, 4096, 10 ** 6):
-            coeffs = [arith.rationalize(c, max_den) for c in x]
-            cand = KForm(s.alg, 2)
-            for a, w in enumerate(basis_forms):
-                cand = cand + coeffs[a] * w
-            pairing = s.form_inner(cand, s.F)
-            if pairing <= 0:
-                continue
-            cand = (s.field.scalar(s.n) / pairing) * cand
-            gw = cand.matrix() @ s.J
-            sym = s.field.scalar(1, 2) * (gw + gw.T)
-            if arith.is_positive_definite(sym, s.field):
+            cand = _scaled_witness(s, KForm._of(s.alg, 2, sum(
+                arith.rationalize(c, max_den) * w.vec for c, w in zip(x, basis_forms))))
+            if cand is not None:
                 return cand
     s = s.as_float()
     witness = KForm.from_matrix(s.alg, np.tensordot(x, W, 1))
@@ -509,6 +478,14 @@ def _normalize_witness(structure, W, basis_forms, x):
     if abs(pairing) > 1e-12:
         witness = (s.n / pairing) * witness
     return witness
+
+
+def _scaled_witness(s, omega):
+    """+-omega scaled so that <omega, F> = n if it is positive (checked unscaled), else None."""
+    pairing = s.form_inner(omega, s.F)
+    gw = (1 if pairing > 0 else -1) * (omega.matrix() @ s.J)
+    if arith.is_positive_definite(s.field.scalar(1, 2) * (gw + gw.T), s.field):
+        return (s.field.scalar(s.n) / pairing) * omega
 
 
 def _isotropic_certificate(structure, basis_forms, G, best_x):

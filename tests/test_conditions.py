@@ -395,6 +395,26 @@ def test_wedge_sign(q, positive, singular, exact):
     assert bool(arith.nullspace(q, f)) == singular
 
 
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("q, positive", [
+    # in float the pivot -1e-5 is 0 within the bound 1e-5, but its direction
+    # (1 - q_jj) d_i + e d_j next to e = 1/10 has the value -900: the
+    # elimination of q_jj decides instead
+    ([[Fraction(-1, 10 ** 5), Fraction(1, 10)], [Fraction(1, 10), -10 ** 4]], False),
+    ([[Fraction(-1, 10 ** 13), Fraction(2, 10 ** 9)], [Fraction(2, 10 ** 9), -10 ** 6]], False),
+    # zero pivots next to an entry above the bound 1e-9 and below its square root
+    ([[0, Fraction(1, 10 ** 6)], [Fraction(1, 10 ** 6), 0]], True),
+], ids=["negative_pivot_within_the_bound", "tiny_pivot_tiny_entry", "zero_pivots_small_entry"])
+def test_wedge_sign_near_zero_pivots(q, positive, exact):
+    f = arith.Field(exact)
+    q = f.array(q)
+    x = conditions._wedge_sign(q, f)
+    assert (x is not None) == positive
+    if positive:
+        x = f.array(x)
+        assert x @ q @ x > 0
+
+
 def ref_wedge_square(s, forms):
     """q(omega_a, omega_b) = omega_a ^ omega_b / F ^ F from the dict-backed wedge."""
     top = (0, 1, 2, 3)
@@ -634,22 +654,23 @@ HALF = Fraction(1, 2)
 
 
 @pytest.mark.parametrize("name, p", [
-    # certificate (1, -4/17, 5/34, -13/34)
-    ("A4_1", [[-1, 0, -2, 1], [HALF, HALF, 0, 1], [2, -HALF, -HALF, 1], [0, -2, 2, 2]]),
-    # no near-kernel eigenvector is isotropic: the certificate (1, -2/7, -3/7, 0)
-    # is a vector of the kernel's rational basis
-    ("A4_1", [[0, HALF, -2, HALF], [-1, -HALF, -2, -HALF], [-HALF, 0, -1, 0],
-              [-1, -2, -1, -HALF]]),
-    # certificate (1, 0, 5/8, -1/4)
-    ("A4_8", [[-2, 2, 0, -2], [-1, 2, 2, 1], [-HALF, -HALF, 0, -2], [0, 1, 2, -HALF]]),
-    # certificate (1042/3961, -1720/3961, 1, -1356/3961), beyond denominator 64
-    ("A4_8", [[-2, 1, HALF, -HALF], [-2, -2, 0, 1], [-HALF, 2, 1, 0], [0, -HALF, 1, -HALF]]),
+    # certificate (1, 3/5, 0, 1/5, 0, 0)
+    ("A4_1", [[HALF, -HALF, -1, 2], [HALF, -HALF, -1, -1], [HALF, HALF, 2, HALF],
+              [-1, 2, 0, -1]]),
+    # certificate (-1/8, 1/2, 1, 0, 0, 0)
+    ("A4_1", [[-1, -2, -1, HALF], [0, 2, -1, -1], [0, -HALF, -HALF, 1], [2, HALF, 0, 0]]),
+    # certificate (1, 0, 1/4, -5/8, 0, 0)
+    ("A4_8", [[1, -2, 2, -1], [HALF, HALF, -2, 0], [-1, -HALF, -1, -2], [-2, 2, -1, -2]]),
+    # certificate (-2/3, 1, -1/3, 0, 0, 0)
+    ("A4_8", [[-HALF, HALF, 0, 0], [2, 2, 2, HALF], [2, 1, -1, 2], [0, 1, 0, -1]]),
 ])
 def test_certificate_lifted_in_a_rational_basis(name, p):
-    # these changes of basis once left the search inconclusive: the
-    # near-kernel eigenvectors, normalized to unit length and rounded to
-    # denominator 64, were not isotropic
-    s = catalog_entry(name).change_basis(np.array(p, dtype=object))
+    # the entry in a changed basis plus an abelian plane (_plus_plane), where
+    # the search runs: the optimum's near-kernel has dimension 2, and none of
+    # its eigenvectors, normalized to unit length and rounded to denominator
+    # 64 or 4096, is isotropic; without the kernel's rational basis the
+    # search would be inconclusive on each of these
+    s = _plus_plane(catalog_entry(name).change_basis(np.array(p, dtype=object)))
     out = symplectic_feasibility(s)
     assert out["status"] == "infeasible"
     assert_exactly_isotropic(s, out["certificate"])
