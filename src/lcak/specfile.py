@@ -198,8 +198,8 @@ class Report:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(_finite(self.as_dict()), sort_keys=True, indent=2,
-                          allow_nan=False, default=_json_value) + "\n"
+        return json.dumps(_json_value(self.as_dict()), sort_keys=True, indent=2,
+                          allow_nan=False) + "\n"
 
     @property
     def all_checks_pass(self) -> bool:
@@ -225,22 +225,18 @@ class Report:
 
 
 def _json_value(obj):
-    """``json.dumps`` hook: an exact scalar becomes its fraction string, a
-    numpy scalar or array plain Python; any other object raises ``TypeError``."""
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, (np.generic, np.ndarray)):
-        return _finite(obj.tolist())
-    raise TypeError(f"cannot encode a {type(obj).__name__} in a report")
-
-
-def _finite(obj):
-    """``obj`` with each float that is not finite as "inf", "-inf" or "nan"."""
+    """``obj`` in plain JSON values: an exact scalar as its fraction string, numpy
+    as plain Python, a float that is not finite as "inf", "-inf" or "nan"."""
     if isinstance(obj, dict):
-        return {k: _finite(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_finite(v) for v in obj]
-    return repr(float(obj)) if isinstance(obj, float) and not abs(obj) < float("inf") else obj
+        return {k: _json_value(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_json_value(v) for v in obj]
+    obj = obj.item() if isinstance(obj, np.generic) else obj
+    if isinstance(obj, (str, int)) or obj is None or isinstance(obj, float) and abs(obj) < np.inf:
+        return obj
+    if isinstance(obj, (Fraction, float)):
+        return str(obj)
+    raise TypeError(f"cannot encode a {type(obj).__name__} in a report")
 
 
 def _form_dict(form):
