@@ -1,6 +1,7 @@
 """The snapshot writer reads a perfbench run's output and takes medians."""
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -45,3 +46,22 @@ def test_medians_over_the_seeds():
         "items_per_s": {"median": 300.0, "unit": "1/s", "values": [300.0, 330.0, 100.0]},
         "item_ms_p50": {"median": 3.0, "unit": "ms", "values": [3.0, 2.0, 9.0]},
     }
+
+
+def test_snapshot_runs_each_seed_plain_and_traced(monkeypatch):
+    calls = []
+
+    def fake_run(argv, **kwargs):
+        calls.append(argv)
+        return subprocess.CompletedProcess(argv, 0, RUN_OUTPUT, "")
+
+    monkeypatch.setattr(bench_snapshot.subprocess, "run", fake_run)
+    data = bench_snapshot.snapshot(Path("."), ["feasibility_exact"])
+    # run.py's own default run length holds: no --seconds is passed
+    assert not any("--seconds" in argv for argv in calls)
+    assert [(argv[argv.index("--seed") + 1], argv[argv.index("--trace") + 1])
+            for argv in calls] == [("0", "0"), ("1", "0"), ("2", "0"),
+                                   ("0", "1"), ("1", "1"), ("2", "1")]
+    entry = data["workloads"]["feasibility_exact"]
+    assert data["seeds"] == [0, 1, 2] and entry["attempted"] == 135
+    assert entry["per_layer"] == {"items_per_s": 310.5, "item_ms_p50": 2.9}

@@ -1,17 +1,17 @@
 """Write a benchmark snapshot: the medians of perfbench runs, each in a fresh process.
 
     python3 tools/bench_snapshot.py --out BENCH_2.json
-    python3 tools/bench_snapshot.py --out BENCH_1.json --checkout ../parent --trace 1
+    python3 tools/bench_snapshot.py --out BENCH_1.json --checkout ../parent
 
-For every workload in the checkout's ``BENCHMARK.json`` and every seed (0, 1,
-2 by default) this runs ``python3 perfbench/run.py --workload W --seed S``
-from the checkout's root, in a new process, for perfbench's default 15 s.
+For every workload in the checkout's ``BENCHMARK.json`` and each of the seeds
+0, 1 and 2 this runs ``python3 perfbench/run.py --workload W --seed S`` from
+the checkout's root, in a new process, for run.py's default run length.
 The last line a run prints is its JSON result (see ``perfbench/README.md``);
 the ``# env`` line before it is the environment.
 The snapshot holds the environment, the attempted and failed item counts,
 the median of each end-to-end metric over the seeds with every run's value,
-and, with ``--trace 1``, the median of each per-layer metric from one more
-traced run per seed.  Runs are made one after the other, never in parallel.
+and the median of each per-layer metric from one more run per seed with
+``--trace 1``.  Runs are made one after the other, never in parallel.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SECONDS = 15  # the run length perfbench/run.py takes by default
+SEEDS = (0, 1, 2)
 
 
 def parse_run(stdout):
@@ -43,7 +43,7 @@ def parse_run(stdout):
 def run_once(checkout, workload, seed, trace):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(SECONDS), "--trace", str(trace)],
+         "--trace", str(trace)],
         cwd=checkout, text=True, capture_output=True, check=False)
     if proc.returncode:
         raise RuntimeError(f"{workload} seed {seed} exited {proc.returncode}: "
@@ -60,11 +60,11 @@ def medians(results):
             for name in names}
 
 
-def snapshot(checkout, workloads, seeds, trace):
-    out = {"checkout_env": None, "seeds": seeds, "seconds": SECONDS, "workloads": {}}
+def snapshot(checkout, workloads):
+    out = {"checkout_env": None, "seeds": list(SEEDS), "workloads": {}}
     for workload in workloads:
         runs = []
-        for seed in seeds:
+        for seed in SEEDS:
             env, result = run_once(checkout, workload, seed, 0)
             out["checkout_env"] = out["checkout_env"] or {k: v for k, v in env.items()
                                                           if k != "seed"}
@@ -75,9 +75,8 @@ def snapshot(checkout, workloads, seeds, trace):
                  "failed": sum(r["failed"] for r in runs),
                  "correct": all(r["correct"] for r in runs),
                  "end_to_end": medians(runs)}
-        if trace:
-            entry["per_layer"] = {name: m["median"] for name, m in medians(
-                [run_once(checkout, workload, seed, 1)[1] for seed in seeds]).items()}
+        entry["per_layer"] = {name: m["median"] for name, m in medians(
+            [run_once(checkout, workload, seed, 1)[1] for seed in SEEDS]).items()}
         out["workloads"][workload] = entry
     return out
 
@@ -86,14 +85,10 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--checkout", type=Path, default=ROOT)
-    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
-    if len(args.seeds) < 3:
-        parser.error("a snapshot needs at least 3 seeds per workload")
     workloads = [w["name"] for w in json.loads(
         (args.checkout / "BENCHMARK.json").read_text())["workloads"]]
-    data = snapshot(args.checkout.resolve(), workloads, args.seeds, args.trace)
+    data = snapshot(args.checkout.resolve(), workloads)
     args.out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     return 0 if all(w["correct"] for w in data["workloads"].values()) else 1
 
