@@ -204,68 +204,40 @@ EQUIVALENT = (
 def classify_metric(structure: AlmostHermitianStructure) -> ConditionReport:
     """Populate every structural flag with its residual, plus implication warnings."""
     s = structure
-    flags, residuals, warnings = {}, {}, []
+    lcs, lee = check_lcs(s), s.lee_form()
+    flags, warnings = {"is_lcs": lcs["is_lcs"]}, []
+    residuals = {"compatibility": float(s.validation.compatibility_residual),
+                 "lee_solve": float(lcs["lee_residual"])}
 
-    val = s.validation
-    residuals["jacobi"] = float(s.alg.jacobi_residual())
-    residuals["compatibility"] = float(val.compatibility_residual)
-    flags["structure_valid"] = bool(val.ok and residuals["jacobi"] <= s.field.bound())
+    nij, parts = s._nijenhuis, s.split_tensor(s.Dtheta)
+    th, dth, t_max = lee.theta.max_abs(), arith.max_abs(s.Dtheta), arith.max_abs(lee.T)
+    orth = max(arith.max_abs(s.field.einsum('k,kij->ij', s.g @ x, nij)) for x in (lee.T, lee.JT))
+    # the flags a residual decides, next to IMPLIED and EQUIVALENT: (flag, residual
+    # key, residual, scale, *needs); it holds iff all needs and residual <= bound(scale)
+    rows = (
+        ("structure_valid", "jacobi", s.alg.jacobi_residual(), 1.0, s.validation.ok),
+        ("lee_closed", "dtheta", lcs["dtheta_residual"], th),
+        ("is_gcs", "theta_norm", th, 1.0),
+        ("is_gauduchon", "delta_theta", abs(arith.to_float(s.delta_theta)), th),
+        ("T_orthogonal_to_imN", "imN_span_T_JT", orth, arith.max_abs(nij) * max(1.0, t_max)),
+        ("Dtheta_J_anti_invariant", "dtheta_j_plus", arith.max_abs(parts["j_plus"]), dth),
+        ("Dtheta_J_invariant", "dtheta_j_minus", arith.max_abs(parts["j_minus"]), dth),
+        ("vaisman", "dtheta_full", dth, th, lcs["is_lcs"]),
+        ("lee_field_holomorphic", "lie_T_J", arith.max_abs(s.lie_derivative_J(lee.T)), t_max),
+        ("JT_killing", "lie_JT_g", arith.max_abs(s.lie_derivative_g(lee.JT)),
+         arith.max_abs(lee.JT)),
+    )
+    for flag, key, residual, scale, *needs in rows:
+        residuals[key] = float(residual)
+        flags[flag] = all(needs) and residuals[key] <= s.field.bound(scale)
 
-    lcs = check_lcs(s)
-    lee = s.lee_form()
-    theta = lee.theta
-    residuals["lee_solve"] = float(lcs["lee_residual"])
-    residuals["dtheta"] = float(lcs["dtheta_residual"])
-    flags["is_lcs"] = lcs["is_lcs"]
-    flags["lee_closed"] = residuals["dtheta"] <= s.field.bound(theta.max_abs())
-    residuals["theta_norm"] = float(theta.max_abs())
-    flags["is_gcs"] = residuals["theta_norm"] <= s.field.bound()
-
-    residuals["delta_theta"] = abs(arith.to_float(s.delta_theta))
-    flags["is_gauduchon"] = residuals["delta_theta"] <= s.field.bound(theta.max_abs())
-
-    # orthogonality of im N to span(T, JT)
-    nij = s._nijenhuis
-    orth = max(arith.max_abs(s.field.einsum('k,kij->ij', s.g @ lee.T, nij)),
-               arith.max_abs(s.field.einsum('k,kij->ij', s.g @ lee.JT, nij)))
-    residuals["imN_span_T_JT"] = orth
-    n_scale = arith.max_abs(nij) * max(1.0, arith.max_abs(lee.T))
-    flags["T_orthogonal_to_imN"] = orth <= s.field.bound(n_scale)
-
-    dth = s.Dtheta
-    parts = s.split_tensor(dth)
-    dth_scale = arith.max_abs(dth)
-    residuals["dtheta_j_plus"] = float(arith.max_abs(parts["j_plus"]))
-    residuals["dtheta_j_minus"] = float(arith.max_abs(parts["j_minus"]))
-    residuals["dtheta_full"] = float(arith.max_abs(dth))
-    flags["Dtheta_J_anti_invariant"] = residuals["dtheta_j_plus"] <= s.field.bound(dth_scale)
-    flags["Dtheta_J_invariant"] = residuals["dtheta_j_minus"] <= s.field.bound(dth_scale)
-    flags["vaisman"] = (flags["is_lcs"]
-                        and residuals["dtheta_full"] <= s.field.bound(theta.max_abs()))
-
-    flags["pluricanonical"] = (flags["is_lcs"] and flags["T_orthogonal_to_imN"]
-                               and flags["Dtheta_J_anti_invariant"])
-    flags["anti_pluricanonical"] = (flags["is_lcs"] and flags["T_orthogonal_to_imN"]
-                                    and flags["Dtheta_J_invariant"])
-
-    ltj = s.lie_derivative_J(lee.T)
-    residuals["lie_T_J"] = float(arith.max_abs(ltj))
-    flags["lee_field_holomorphic"] = (residuals["lie_T_J"]
-                                      <= s.field.bound(arith.max_abs(lee.T)))
-    ljt_g = s.lie_derivative_g(lee.JT)
-    residuals["lie_JT_g"] = float(arith.max_abs(ljt_g))
-    flags["JT_killing"] = residuals["lie_JT_g"] <= s.field.bound(arith.max_abs(lee.JT))
-
-    kind = "second"
-    flags["first_kind"] = flags["adapted"] = False
-    if flags["is_lcs"]:
-        kind = automorphism_algebra(s).kind
-        flags["first_kind"] = kind == "first"
-    if flags["first_kind"]:
-        flags["adapted"] = _adapted(s)["adapted"]
-
-    uni, _traces = s.alg.is_unimodular()
-    flags["unimodular"] = bool(uni)
+    lcs_orth = flags["is_lcs"] and flags["T_orthogonal_to_imN"]
+    flags["pluricanonical"] = lcs_orth and flags["Dtheta_J_anti_invariant"]
+    flags["anti_pluricanonical"] = lcs_orth and flags["Dtheta_J_invariant"]
+    kind = automorphism_algebra(s).kind if flags["is_lcs"] else "second"
+    flags["first_kind"] = kind == "first"
+    flags["adapted"] = flags["first_kind"] and _adapted(s)["adapted"]
+    flags["unimodular"] = bool(s.alg.is_unimodular()[0])
 
     for hyp, text, conclusion, residual in IMPLIED:
         if all(flags[k] for k in hyp):
@@ -352,9 +324,9 @@ def symplectic_feasibility(structure: AlmostHermitianStructure) -> dict:
     least eigenvalue of omega(., J.) on the subspace's unit sphere.  Outcomes:
 
     * ``feasible`` with a witness, scaled so that <omega, F> = n;
-    * ``infeasible`` when the optimum is <= -tol, or with a certificate: an
-      empty subspace, a negative definite wedge square (n = 2) or u with
-      omega(u, Ju) = 0 on the whole subspace; else ``inconclusive``.
+    * ``infeasible`` only with a certificate: an empty subspace, a negative
+      definite wedge square (n = 2) or u with omega(u, Ju) = 0 on the whole
+      subspace (exactly, in exact mode); else ``inconclusive``.
     """
     s = structure
     basis_forms = _feasibility_subspace(s)
@@ -380,10 +352,8 @@ def symplectic_feasibility(structure: AlmostHermitianStructure) -> dict:
     if best_val > s.tol:
         return {**out, "status": "feasible",
                 "witness": _normalize_witness(s, W, basis_forms, best_x)}
-    cert = None if best_val <= -s.tol else _isotropic_certificate(s, basis_forms, G, best_x)
-    if best_val <= -s.tol or cert is not None:
-        out.update(status="infeasible", certificate=cert)
-    return out
+    cert = _isotropic_certificate(s, basis_forms, G, best_x)
+    return out if cert is None else {**out, "status": "infeasible", "certificate": cert}
 
 
 def _wedge_square_test(s, forms):

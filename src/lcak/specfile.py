@@ -31,7 +31,7 @@ byte-identical golden files are meaningful.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
@@ -180,21 +180,13 @@ class Report:
     extras: dict = field(default_factory=dict)
 
     def as_dict(self):
-        out = {
-            "schema": SCHEMA,
-            "name": self.name,
-            "dim": self.dim,
-            "arithmetic_mode": self.arithmetic_mode,
-            "algebra_validation": self.algebra_validation,
-            "structure_validation": self.structure_validation,
-            "condition_report": self.condition_report,
-            "equivalences": self.equivalences,
-            "classification": self.classification,
-        }
-        if self.feasibility is not None:
-            out["feasibility"] = self.feasibility
-        if self.extras:
-            out["extras"] = self.extras
+        """The schema, then every field but one that holds its default."""
+        out = {"schema": SCHEMA}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            default = f.default if f.default_factory is MISSING else f.default_factory()
+            if value != default:
+                out[f.name] = value
         return out
 
     def to_json(self) -> str:
@@ -210,18 +202,17 @@ class Report:
 
     @classmethod
     def from_json(cls, text: str) -> "Report":
+        """Unknown keys are ignored; a missing field without a default, but
+        ``name``, is ``BAD_FIELD`` at that field."""
         data = json.loads(text)
         if data.get("schema") != SCHEMA:
             raise ParseError(f"report schema must be {SCHEMA}", code="BAD_FIELD", field="schema")
-        return cls(name=data.get("name"), dim=data["dim"],
-                   arithmetic_mode=data["arithmetic_mode"],
-                   algebra_validation=data["algebra_validation"],
-                   structure_validation=data["structure_validation"],
-                   condition_report=data["condition_report"],
-                   equivalences=data["equivalences"],
-                   classification=data["classification"],
-                   feasibility=data.get("feasibility"),
-                   extras=data.get("extras", {}))
+        for f in fields(cls):
+            required = f.name != "name" and f.default is f.default_factory is MISSING
+            if required and f.name not in data:
+                raise ParseError(f"report has no {f.name}", code="BAD_FIELD", field=f.name)
+        return cls(**{"name": None,
+                      **{f.name: data[f.name] for f in fields(cls) if f.name in data}})
 
 
 def _json_value(obj):

@@ -93,6 +93,26 @@ def test_report_from_json_reads_only_schema_2(schema):
     assert (err.value.code, err.value.field) == ("BAD_FIELD", "schema")
 
 
+@pytest.mark.parametrize("missing", ["dim", "arithmetic_mode", "algebra_validation",
+                                     "structure_validation", "condition_report",
+                                     "equivalences", "classification"])
+def test_report_from_json_names_a_missing_field(missing):
+    data = json.loads(run_report(catalog_entry("A4_1")).to_json())
+    del data[missing]
+    with pytest.raises(ParseError) as err:
+        Report.from_json(json.dumps(data))
+    assert (err.value.code, err.value.field) == ("BAD_FIELD", missing)
+
+
+def test_report_from_json_optional_fields_and_unknown_keys():
+    data = json.loads(run_report(catalog_entry("A4_1"), feasibility=True).to_json())
+    for key in ("name", "feasibility", "extras"):
+        del data[key]
+    rep = Report.from_json(json.dumps({**data, "unknown": 1}))
+    assert (rep.name, rep.feasibility, rep.extras) == (None, None, {})
+    assert json.loads(rep.to_json()) == {**data, "name": None}
+
+
 def test_load_spec_a41_text():
     s = load_spec(A41_SPEC)
     assert s.exact and s.dim == 4
