@@ -3,17 +3,16 @@
     PYTHONPATH=src python3 tools/fuzz_digest.py
     PYTHONPATH=../parent/src python3 tools/fuzz_digest.py
 
-The hash is fed ``summary_to_json(fuzz(seed, count, family))`` in UTF-8 for
-each family of ``lcak.fuzzing.FAMILIES`` and seeds ``0 .. seeds - 1``,
-family-major: every seed of the first family, then of the next.  The
-defaults (16 seeds, count 12) take about a second.  ``lcak`` is imported from
-``PYTHONPATH``, so the second line hashes another checkout's fuzzer with this
-script.  Compare two checkouts on one machine: float round-off, and so a
-summary's worst residuals, can differ under another BLAS.
+The hash is fed ``summary_to_json(fuzz(seed, 12, family))`` in UTF-8 for
+each family of ``lcak.fuzzing.FAMILIES`` and seeds 0 .. 15, family-major:
+every seed of the first family, then of the next.  It takes about a second.
+``lcak`` is imported from ``PYTHONPATH``, so the second line hashes another
+checkout's fuzzer with this script.  Compare two checkouts on one machine:
+float round-off, and so a summary's worst residuals, can differ under
+another BLAS.
 """
 from __future__ import annotations
 
-import argparse
 import hashlib
 
 from lcak.fuzzing import FAMILIES, fuzz, summary_to_json
@@ -28,12 +27,8 @@ def fuzz_digest(seeds=range(16), count=12):
     return h.hexdigest()
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    ap.add_argument("--seeds", type=int, default=16, help="hash seeds 0 .. SEEDS-1")
-    ap.add_argument("--count", type=int, default=12, help="samples per fuzz call")
-    args = ap.parse_args(argv)
-    print(fuzz_digest(range(args.seeds), args.count))
+def main():
+    print(fuzz_digest())
 
 
 if __name__ == "__main__":
