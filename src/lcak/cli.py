@@ -77,11 +77,7 @@ def cmd_check(args, out):
     elif args.mode == "exact" and not structure.exact:
         raise ValidationError('the file asks for arithmetic_mode "float", cannot run --exact',
                               code="BAD_FIELD")
-    report = run_report(structure, feasibility=args.feasibility)
-    if args.json:
-        out.write(report.to_json())
-    else:
-        _print_report_text(report, out)
+    report = _write_report(structure, args, out)
     ok = report.all_checks_pass
     flags = report.condition_report["flags"]
     for key, val in expectations.items():
@@ -99,13 +95,18 @@ def cmd_catalog(args, out):
         for name in CATALOG_NAMES:
             print(name, file=out)
         return 0
-    structure = catalog_entry(args.name)
+    report = _write_report(catalog_entry(args.name), args, out)
+    return 0 if report.all_checks_pass else 1
+
+
+def _write_report(structure, args, out):
+    """The report on ``structure``, written to ``out`` as JSON (``--json``) or text."""
     report = run_report(structure, feasibility=args.feasibility)
     if args.json:
         out.write(report.to_json())
     else:
         _print_report_text(report, out)
-    return 0 if report.all_checks_pass else 1
+    return report
 
 
 def _parse_vector(text):

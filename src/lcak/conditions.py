@@ -323,10 +323,13 @@ def symplectic_feasibility(structure: AlmostHermitianStructure) -> dict:
     subgradient ascent from ``FEASIBILITY_RESTARTS`` seeded starts maximizes the
     least eigenvalue of omega(., J.) on the subspace's unit sphere.  Outcomes:
 
-    * ``feasible`` with a witness, scaled so that <omega, F> = n;
+    * ``feasible`` only with a witness checked positive in the structure's
+      field (exact mode rounds the optimum's coefficients to small rationals
+      first), scaled so that <omega, F> = n;
     * ``infeasible`` only with a certificate: an empty subspace, a negative
       definite wedge square (n = 2) or u with omega(u, Ju) = 0 on the whole
-      subspace (exactly, in exact mode); else ``inconclusive``.
+      subspace, checked in the structure's field;
+    * else ``inconclusive``.
     """
     s = structure
     basis_forms = _feasibility_subspace(s)
@@ -343,15 +346,22 @@ def symplectic_feasibility(structure: AlmostHermitianStructure) -> dict:
         return {**out, "status": "infeasible", "certificate": "empty_subspace"}
     if s.n == 2:
         return {**out, **_wedge_square_test(s, basis_forms)}
-    W = np.stack([np.asarray(w.matrix(), dtype=float) for w in basis_forms])
-    G = np.stack([w @ np.asarray(s.J, dtype=float) for w in W])
+    J = np.asarray(s.J, dtype=float)
+    G = np.stack([np.asarray(w.matrix(), dtype=float) @ J for w in basis_forms])
     G = 0.5 * (G + G.transpose(0, 2, 1))
     best_val, best_x = _ascent(G, FEASIBILITY_SEED, FEASIBILITY_RESTARTS,
                                FEASIBILITY_ITERATIONS)
     out["optimum"] = best_val
     if best_val > s.tol:
-        return {**out, "status": "feasible",
-                "witness": _normalize_witness(s, W, basis_forms, best_x)}
+        # exact mode snaps x to small rationals: drops optimizer noise in flat
+        # directions and recovers canonical witnesses like F itself
+        for x in (([arith.rationalize(c, den) for c in best_x] for den in (12, 64, 4096, 10 ** 6))
+                  if s.exact else [best_x]):
+            witness = _scaled_witness(s, KForm._of(s.alg, 2, sum(
+                c * w.vec for c, w in zip(x, basis_forms))))
+            if witness is not None:
+                return {**out, "status": "feasible", "witness": witness}
+        return out
     cert = _isotropic_certificate(s, basis_forms, G, best_x)
     return out if cert is None else {**out, "status": "infeasible", "certificate": cert}
 
@@ -424,32 +434,6 @@ def _ascent(G, seed, restarts, iterations):
     return float(vals[best]), X[best]
 
 
-def _normalize_witness(structure, W, basis_forms, x):
-    """The witness sum_a x_a omega_a scaled so <omega, F> = n; rationalized
-    in exact mode.
-
-    ``W`` stacks the float matrices of the basis forms.  The exact path
-    rounds the optimizer's coefficients to rationals and re-verifies
-    positive definiteness exactly; on failure the float witness is returned,
-    on the float copy of the structure.
-    """
-    s = structure
-    if s.exact:
-        # snap to small rationals first: drops optimizer noise in flat
-        # directions and recovers canonical witnesses like F itself
-        for max_den in (12, 64, 4096, 10 ** 6):
-            cand = _scaled_witness(s, KForm._of(s.alg, 2, sum(
-                arith.rationalize(c, max_den) * w.vec for c, w in zip(x, basis_forms))))
-            if cand is not None:
-                return cand
-    s = s.as_float()
-    witness = KForm.from_matrix(s.alg, np.tensordot(x, W, 1))
-    pairing = s.form_inner(witness, s.F)
-    if abs(pairing) > 1e-12:
-        witness = (s.n / pairing) * witness
-    return witness
-
-
 def _scaled_witness(s, omega):
     """+-omega scaled so that <omega, F> = n if it is positive (checked unscaled), else None."""
     pairing = s.form_inner(omega, s.F)
@@ -459,13 +443,13 @@ def _scaled_witness(s, omega):
 
 
 def _isotropic_certificate(structure, basis_forms, G, best_x):
-    """A vector u with omega(u, Ju) = 0 for every omega in the subspace.
+    """A vector u with omega(u, Ju) = 0 for every omega in the subspace,
+    checked by ``field.is_zero``.
 
-    ``G[a]`` is the symmetrized matrix of omega_a(., J.), so u @ G[a] @ u is
-    omega_a(u, Ju).  Candidates are the coordinate axes and a basis of the
-    near-kernel of sum_a x_a G[a] at the optimum.  In exact mode each is
-    scaled so its largest entry is 1, rounded to small rationals and checked
-    exactly.
+    ``G[a]`` is the symmetrized float matrix of omega_a(., J.).  Candidates are
+    the coordinate axes and a basis of the near-kernel of sum_a x_a G[a] at
+    the optimum.  Exact mode scales each so its largest entry is 1 and rounds
+    it to small rationals; float mode scales it to unit length.
     """
     s = structure
     dim = s.dim
@@ -480,17 +464,15 @@ def _isotropic_certificate(structure, basis_forms, G, best_x):
         rows = list(max(combinations(range(dim), nk),
                         key=lambda r: abs(np.linalg.det(kernel[list(r)]))))
         candidates += list((kernel @ np.linalg.inv(kernel[rows])).T)
-    if s.exact:
-        wj = [w.matrix() @ s.J for w in basis_forms]
+    wj = [w.matrix() @ s.J for w in basis_forms]
+    fmt = arith.format_scalar if s.exact else float
     for cand in candidates:
         if s.exact:
             cand = cand / cand[np.argmax(np.abs(cand))]
-            for max_den in (64, 4096):
-                u = s.field.array([arith.rationalize(c, max_den) for c in cand])
-                if all(u @ m @ u == 0 for m in wj):
-                    return [arith.format_scalar(c) for c in u]
+            us = (s.field.array([arith.rationalize(c, den) for c in cand]) for den in (64, 4096))
         else:
-            cand = cand / np.linalg.norm(cand)
-            if np.all(np.abs(np.einsum("i,kij,j->k", cand, G, cand)) <= s.tol):
-                return [float(c) for c in cand]
+            us = [cand / np.linalg.norm(cand)]
+        for u in us:
+            if s.field.is_zero([u @ m @ u for m in wj]):
+                return [fmt(c) for c in u]
     return None

@@ -117,15 +117,15 @@ def random_nilpotent(rng, dim) -> LieAlgebra:
     return LieAlgebra(dim, br, exact=False)
 
 
-def random_hermitian_structure(rng, dim=4, lcs_only=False) -> AlmostHermitianStructure:
+def random_hermitian_structure(rng, dim=4) -> AlmostHermitianStructure:
     """A random valid almost Hermitian structure.
 
     dim 4: random base algebra (nilpotent / almost abelian / unimodular) in a
-    random basis with a random (J, g).  dim 6 with ``lcs_only``: a conjugated
-    LCS structure (the identities that need dF = theta ^ F stay testable).
+    random basis with a random (J, g).  dim 6: a conjugated LCS structure (the
+    identities that need dF = theta ^ F stay testable).
     """
-    if dim == 6 or lcs_only:
-        return _random_lcs_6d(rng) if dim == 6 else _conjugated_lcs_4d(rng)
+    if dim == 6:
+        return _random_lcs_6d(rng)
     choice = rng.integers(0, 3)
     if choice == 0:
         alg = random_nilpotent(rng, dim)
@@ -136,14 +136,6 @@ def random_hermitian_structure(rng, dim=4, lcs_only=False) -> AlmostHermitianStr
     alg = alg.change_basis(_well_conditioned(rng, dim))
     jm, g = random_compatible_pair(rng, dim)
     return AlmostHermitianStructure(alg, jm, g)
-
-
-def _conjugated_lcs_4d(rng) -> AlmostHermitianStructure:
-    from .catalogs import catalog_entry
-    name = ("A4_1", "A4_8", "A4_1_aa", "A3_4_plus_A1", "A3_6_plus_A1")[
-        int(rng.integers(0, 5))]
-    s = catalog_entry(name).as_float()
-    return s.change_basis(_well_conditioned(rng, 4))
 
 
 def _random_lcs_6d(rng) -> AlmostHermitianStructure:

@@ -74,29 +74,30 @@ def _matrix(raw, name, dim):
     return m
 
 
+def _json_object(text):
+    """``text`` parsed as a JSON object; anything else is ``PARSE_ERROR``."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"malformed JSON: {e.msg}", code="PARSE_ERROR", line=e.lineno) from e
+    if not isinstance(data, dict):
+        raise ParseError("top level must be an object", code="PARSE_ERROR")
+    return data
+
+
 def load_spec(source, tol=None) -> AlmostHermitianStructure:
     """Parse a structure file (path, text, or parsed dict) into a validated
     structure.  Raises ParseError / ValidationError with machine codes."""
-    if isinstance(source, dict):
-        data = source
-    else:
+    data = source
+    if not isinstance(source, dict):
         text = source
         if isinstance(source, str) and "\n" not in source and not source.lstrip().startswith("{"):
-            import os
-            if not os.path.exists(source):
-                raise ParseError(f"no such file: {source}", code="IO_ERROR")
             try:
                 with open(source, encoding="utf-8") as fh:
                     text = fh.read()
             except OSError as e:
                 raise ParseError(f"cannot read {source}: {e}", code="IO_ERROR") from e
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"malformed JSON: {e.msg}", code="PARSE_ERROR",
-                             line=e.lineno) from e
-    if not isinstance(data, dict):
-        raise ParseError("top level must be an object", code="PARSE_ERROR")
+        data = _json_object(text)
 
     dim = data.get("dim")
     if not isinstance(dim, int) or dim < 2 or dim % 2:
@@ -203,8 +204,9 @@ class Report:
     @classmethod
     def from_json(cls, text: str) -> "Report":
         """Unknown keys are ignored; a missing field without a default, but
-        ``name``, is ``BAD_FIELD`` at that field."""
-        data = json.loads(text)
+        ``name``, is ``BAD_FIELD`` at that field; text that is not a JSON object
+        is ``PARSE_ERROR``."""
+        data = _json_object(text)
         if data.get("schema") != SCHEMA:
             raise ParseError(f"report schema must be {SCHEMA}", code="BAD_FIELD", field="schema")
         for f in fields(cls):

@@ -1,6 +1,7 @@
 """Identity residuals and a fuzz sample that only the tests use: no library
 code, demo or benchmark calls them."""
 from lcak.almostabelian import build_almost_abelian
+from lcak.catalogs import catalog_entry
 from lcak.errors import UnsupportedDimension
 from lcak.forms import KForm, hodge_star
 from lcak.fuzzing import _well_conditioned, random_params_4d
@@ -66,3 +67,11 @@ def unimodular_lcs_orthogonal_sample(rng):
     if rng.random() < 0.5:
         s = s.change_basis(_well_conditioned(rng, 4))
     return s
+
+
+def conjugated_lcs_4d(rng):
+    """A float LCS catalog entry in a random well-conditioned basis."""
+    name = ("A4_1", "A4_8", "A4_1_aa", "A3_4_plus_A1", "A3_6_plus_A1")[
+        int(rng.integers(0, 5))]
+    s = catalog_entry(name).as_float()
+    return s.change_basis(_well_conditioned(rng, 4))

@@ -10,16 +10,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from identity_helpers import unimodular_lcs_orthogonal_sample
+from identity_helpers import conjugated_lcs_4d, unimodular_lcs_orthogonal_sample
 from lcak import arith, connection, identities
 from lcak.catalogs import catalog_entry
 from lcak.conditions import (_feasibility_subspace, classify_metric, symplectic_feasibility,
                              verify_equivalences)
 from lcak.forms import KForm
-from lcak.fuzzing import (_conjugated_lcs_4d, _random_j_invariant_pair,
-                          build_almost_abelian, random_compatible_pair,
-                          random_hermitian_structure, random_params_4d,
-                          random_unimodular_4d)
+from lcak.fuzzing import (_random_j_invariant_pair, build_almost_abelian,
+                          random_compatible_pair, random_hermitian_structure,
+                          random_params_4d, random_unimodular_4d)
 from lcak.hermitian import AlmostHermitianStructure
 
 TOL = 1e-9
@@ -154,7 +153,7 @@ def test_criterion_5_identity_fuzzing():
         if idx % 4 == 3:
             s = random_hermitian_structure(rng, dim=6)  # conjugated LCS, dim 6
         else:
-            s = _conjugated_lcs_4d(rng) if idx % 2 else build_almost_abelian(
+            s = conjugated_lcs_4d(rng) if idx % 2 else build_almost_abelian(
                 random_params_4d(rng, "lee_closed"))[1].as_float()
         from lcak.conditions import check_lcs
         assert check_lcs(s)["is_lcs"], "LCS family produced a non-LCS sample"
@@ -254,7 +253,7 @@ def test_criterion_9_anti_pluricanonical_equivalence():
         if pick == 0:
             s = build_almost_abelian(random_params_4d(rng, "lee_closed"))[1].as_float()
         elif pick == 1:
-            s = _conjugated_lcs_4d(rng)
+            s = conjugated_lcs_4d(rng)
         else:
             s = build_almost_abelian(
                 random_params_4d(rng, "pluricanonical"))[1].as_float()

@@ -22,6 +22,7 @@ from lcak.conditions import (automorphism_algebra, check_adapted, check_first_ki
 from lcak.fuzzing import random_hermitian_structure
 from lcak.hermitian import AlmostHermitianStructure, preset_j
 from lcak.specfile import run_report
+from identity_helpers import conjugated_lcs_4d
 from ref_adapted import ref_check_adapted
 
 SCALES = (1, 4, 9, Fraction(1, 3), Fraction(2, 7))
@@ -157,7 +158,8 @@ def test_left_out_conditions_hold_in_floats():
     samples = first_kind = 0
     while samples < 100:
         kind = samples % 4
-        s = random_hermitian_structure(rng, dim=6 if kind == 3 else 4, lcs_only=kind == 2)
+        s = (conjugated_lcs_4d(rng) if kind == 2
+             else random_hermitian_structure(rng, dim=6 if kind == 3 else 4))
         if arith.max_abs(s.lee_form().theta.vector()) <= 1e-6:
             continue
         samples += 1

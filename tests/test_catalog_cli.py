@@ -113,6 +113,13 @@ def test_report_from_json_optional_fields_and_unknown_keys():
     assert json.loads(rep.to_json()) == {**data, "name": None}
 
 
+@pytest.mark.parametrize("text", ["[]", '"x"', "{bad"])
+def test_report_from_json_refuses_text_that_is_not_an_object(text):
+    with pytest.raises(ParseError) as err:
+        Report.from_json(text)
+    assert err.value.code == "PARSE_ERROR"
+
+
 def test_load_spec_a41_text():
     s = load_spec(A41_SPEC)
     assert s.exact and s.dim == 4
@@ -301,6 +308,16 @@ def test_cli_check_exit_codes(tmp_path):
     bad.write_text('{"dim": 4, "J": [[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]}',
                    encoding="utf-8")
     assert main(["check", str(bad)], out=io.StringIO()) == 2
+
+
+@pytest.mark.parametrize("where", ["missing_file", "directory"])
+def test_unreadable_path_is_io_error(tmp_path, capsys, where):
+    path = tmp_path / "missing.json" if where == "missing_file" else tmp_path
+    with pytest.raises(ParseError) as err:
+        load_spec(str(path))
+    assert err.value.code == "IO_ERROR"
+    assert main(["check", str(path)], out=io.StringIO()) == 2
+    assert capsys.readouterr().err.startswith("input error [IO_ERROR]")
 
 
 # A4_1 with a J for which the structure is not LCS, so not pluricanonical

@@ -637,6 +637,26 @@ def test_batched_search_matches_per_restart_loop(make, monkeypatch):
     assert abs(got["optimum"] - want["optimum"]) <= 1e-12
 
 
+def test_dim6_feasible_needs_a_witness_checked_in_the_field(monkeypatch):
+    # the ascent finds a positive optimum, but no rounded witness passes the
+    # exact positivity check: no float witness stands in for it
+    monkeypatch.setattr(conditions, "_scaled_witness", lambda s, omega: None)
+    out = symplectic_feasibility(_abelian_6d())
+    assert out["optimum"] > 0
+    assert (out["status"], out["witness"], out["certificate"]) == ("inconclusive", None, None)
+
+
+@pytest.mark.parametrize("name", BATCHED_CASES)
+def test_float_dim6_witness_is_positive_and_scaled(name):
+    s = BATCHED_CASES[name]().as_float()
+    out = symplectic_feasibility(s)
+    if out["status"] == "feasible":
+        m = out["witness"].matrix() @ s.J
+        assert np.linalg.eigvalsh(0.5 * (m + m.T))[0] > 0
+        assert abs(s.form_inner(out["witness"], s.F) - 3) <= 1e-12
+    assert (out["status"] == "feasible") == (name in ("abelian_6d", "abelian_kahler"))
+
+
 def test_restart_stepping_onto_zero_stops_there():
     # one 1x1 form: a start at -1 steps exactly onto 0 and must stay there
     # (optimum 0); a start at +1 stays at +1 (optimum 2)

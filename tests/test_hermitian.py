@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from identity_helpers import (lee_codifferential_residual,
+from identity_helpers import (conjugated_lcs_4d, lee_codifferential_residual,
                               lie_derivative_nijenhuis_residual)
 from lcak import arith, connection, identities
 from lcak.algebra import LieAlgebra, abelian_algebra
@@ -277,11 +277,11 @@ def test_orthogonality_implies_symmetric_nt_and_invariant_djtheta(rng):
     # fuzz over LCS samples: whenever T orth im N holds, N(T) is symmetric
     # and dJtheta is J-invariant
     from lcak.conditions import classify_metric
-    from lcak.fuzzing import _conjugated_lcs_4d, random_params_4d, build_almost_abelian
+    from lcak.fuzzing import random_params_4d, build_almost_abelian
     hits = 0
     for trial in range(16):
         if trial % 2:
-            s = _conjugated_lcs_4d(rng)
+            s = conjugated_lcs_4d(rng)
         else:
             params = random_params_4d(rng, "lee_closed")
             s = build_almost_abelian(params)[1].as_float()

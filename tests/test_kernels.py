@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import dict_forms
+from identity_helpers import conjugated_lcs_4d
 from lcak import arith, conditions, connection, forms, hermitian, identities
 from lcak.algebra import LieAlgebra
 from lcak.almostabelian import AlmostAbelianParams, build_almost_abelian
@@ -638,7 +639,7 @@ def _loop_reference_cases():
     rng = np.random.default_rng(23)
     return ([make() for make in CASES.values()]
             + [random_hermitian_structure(rng, dim=d) for d in (4, 4, 6)]
-            + [random_hermitian_structure(rng, dim=4, lcs_only=True)])
+            + [conjugated_lcs_4d(rng)])
 
 
 def test_deta_gram_and_nijenhuis_cyclic_match_loops():
