@@ -16,11 +16,11 @@ supports the operators the package uses on float arrays (``@``, ``+``, ``-``,
 ``*``, ``.T``, indexing), so one expression serves both modes: a product
 multiplies the integer numerators and the denominators once, a sum brings
 both operands to the lcm of their denominators.  :meth:`Field.einsum` is
-``np.einsum`` on the numerators.  Python ints cannot overflow, and there is
-no int64 path.  Exact scalars are ``Fraction``s: one entry read out of a
-``QArray``, ``Field.scalar`` and a determinant; ``np.asarray`` of a ``QArray``
-is its Fraction array, so ``repr``, ``str`` and ``tolist`` are those of the
-Fraction array.
+``np.einsum`` on the numerators, on int64 copies when a bound proves no sum
+overflows and the loop is long enough to pay for the copies.  Exact scalars
+are ``Fraction``s: one entry read out of a ``QArray``, ``Field.scalar`` and a
+determinant; ``np.asarray`` of a ``QArray`` is its Fraction array, so
+``repr``, ``str`` and ``tolist`` are those of the Fraction array.
 
 The solvers take the field; they are written for the tiny systems that show
 up here (dimensions <= ~70 coming from spaces of 2- and 3-forms on algebras of
@@ -31,6 +31,7 @@ and ``eigvalsh``.
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -41,6 +42,9 @@ import numpy as np
 from .errors import DegenerateMetric
 
 DEFAULT_TOL = 1e-9
+# Shorter contractions stay on Python ints: on this package's specs, int64 copies
+# lose up to 256 loop steps, win from 625 on, and break even near 512.
+_INT64_LOOP = 1024
 
 _ZERO = Fraction(0)
 
@@ -61,6 +65,19 @@ def _scaled(num, k):
 def _wrap(num, den):
     """An array result as a QArray, a scalar one as a Fraction."""
     return QArray(num, den) if isinstance(num, np.ndarray) else Fraction(num, den)
+
+
+@functools.lru_cache(maxsize=256)
+def _contraction_size(spec, shapes):
+    """``(loop, terms)`` of ``np.einsum(spec)`` on ``shapes``: the product of all index
+    extents, and of the summed ones; ``(0, 0)`` for a spec with ``...`` or no ``->``."""
+    if "->" not in spec or "." in spec:
+        return 0, 0
+    inputs, output = spec.split("->")
+    sizes = {}
+    for c, n in zip(inputs.replace(",", ""), sum(shapes, ())):
+        sizes[c] = max(sizes.get(c, 0), n)
+    return math.prod(sizes.values()), math.prod(n for c, n in sizes.items() if c not in output)
 
 
 def as_qarray(x):
@@ -242,11 +259,23 @@ class Field:
 
     def einsum(self, spec, *operands):
         """``np.einsum(spec, *operands)``; in exact mode the operands' integer
-        numerators are contracted over the product of their denominators."""
+        numerators are contracted over the product of their denominators, as
+        int64 when the loop has ``_INT64_LOOP`` steps or more and ``terms *
+        prod(max(1, max|num_i|)) < 2**63``, ``terms`` the number of products in
+        one output entry: that bounds every partial sum.  Else as Python ints."""
         if not self.exact:
             return np.einsum(spec, *operands)
         qs = [as_qarray(a) for a in operands]
-        return _wrap(np.einsum(spec, *(q.num for q in qs)), math.prod(q.den for q in qs))
+        nums, den = [q.num for q in qs], math.prod(q.den for q in qs)
+        loop, terms = _contraction_size(spec, tuple(n.shape for n in nums))
+        try:
+            small = [n.astype(np.int64) for n in nums] if loop >= _INT64_LOOP else []
+        except OverflowError:  # an entry past int64
+            small = []
+        top = math.prod(max(1, int(a.max(initial=0)), -int(a.min(initial=0))) for a in small)
+        if small and terms * top < 2 ** 63:
+            return _wrap(np.einsum(spec, *small).astype(object), den)  # a scalar's is an int
+        return _wrap(np.einsum(spec, *nums), den)
 
     def scatter(self, shape, index, values):
         """Zeros of ``shape`` with ``values`` summed into the entries ``index``

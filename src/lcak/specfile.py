@@ -91,7 +91,8 @@ def load_spec(source, tol=None) -> AlmostHermitianStructure:
     data = source
     if not isinstance(source, dict):
         text = source
-        if isinstance(source, str) and "\n" not in source and not source.lstrip().startswith("{"):
+        named = isinstance(source, str) and "\n" not in source and source.lstrip()[:1] != "{"
+        if named or hasattr(source, "__fspath__"):  # a file named by a str or an os.PathLike
             try:
                 with open(source, encoding="utf-8") as fh:
                     text = fh.read()

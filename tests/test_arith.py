@@ -1,10 +1,13 @@
 import math
 import operator
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lcak
 from lcak.arith import Field, QArray, as_qarray, max_abs, parse_scalar, to_float
 
 EXACT, FLOAT = Field(True), Field(False, 1e-9)
@@ -189,6 +192,94 @@ def test_einsum_zero_size_operands():
         assert all(type(v) is Fraction and v == 0 for v in np.asarray(got).flat)
         want = np.einsum(spec, *(np.zeros(s) for s in shapes))
         assert FLOAT.einsum(spec, *(np.zeros(s) for s in shapes)).tobytes() == want.tobytes()
+
+
+# -- the int64 path of exact Field.einsum ------------------------------------------------
+
+# Every exact Field.einsum spec in src/lcak; each operand axis has the algebra's dimension.
+PACKAGE_SPECS = (
+    "kij,i,j->k", "kij,i->kj", "mij,lmk->lijk", "kik->i",  # algebra
+    "k,kij->ij",  # conditions
+    "iab,bc->iac", "ab,ibc->iac", "imj,mk->ijk", "lij,lk->ijk", "mk,ijk->imj", "m,imj->ij",
+    "iab,jbc->ijac", "kij,kab->ijab",  # connection
+    "kab,ai,bj->kij", "kl,laj,ai->kij", "kl,lib,bj->kij", "kij,i,lk->jl", "ab,akb->k",
+    "ab,bk,akc->c", "kca,kb->cab",  # hermitian
+    "ab,aq,bqx->x", "mij,mk->ijk")  # identities
+GATE, LIMIT = 1024, 2 ** 63
+
+
+def test_every_package_contraction_is_in_the_overflow_test():
+    """A contraction added to src/lcak must join PACKAGE_SPECS, so that
+    test_int64_path_is_taken_exactly_when_the_bound_allows covers it."""
+    found = [spec for path in Path(lcak.__file__).parent.glob("*.py")
+             for spec in re.findall(r"(?<!np)\.einsum\(\s*['\"]([^'\"]+)['\"]", path.read_text())]
+    assert set(found) == set(PACKAGE_SPECS) and len(set(PACKAGE_SPECS)) == len(PACKAGE_SPECS)
+
+
+def _size(spec, n):
+    """``(loop, terms)`` counted from the spec's letters, every extent ``n``."""
+    inputs, output = spec.split("->")
+    labels = set(inputs) - {","}
+    return n ** len(labels), n ** len(labels - set(output))
+
+
+def _dims(spec):
+    """4 and 8, and the first dimension whose loop reaches the gate if neither does."""
+    width = len(set(spec.split("->")[0]) - {","})
+    return (4, 8) if 8 ** width >= GATE else (4, 8, math.ceil(GATE ** (1 / width)))
+
+
+def _operand(rng, ndim, n, top):
+    """An ``n``-sized QArray whose largest numerator is ``top``: its entries lie
+    in [top - 2, top], so sums come near the bound, but for one 1 that keeps a
+    random denominator; zeros when ``top`` is 0."""
+    if top == 0:
+        return EXACT.zeros(*(n,) * ndim)
+    num = np.array([max(top - int(rng.integers(3)), 1) for _ in range(n ** ndim)], dtype=object)
+    num[int(rng.integers(1, n ** ndim))], num[0] = top, 1
+    return QArray(num.reshape((n,) * ndim), int(rng.choice([1, 2, 3, 7])))
+
+
+def _cases(rng, spec, n):
+    """(name, operands, whether int64 may run) for the cases the bound must tell apart."""
+    ndims = [len(labels) for labels in spec.split("->")[0].split(",")]
+    terms, k = _size(spec, n)[1], len(ndims)
+    below = (LIMIT - 1) // (terms * 3 ** (k - 1))  # a big operand's top next to tops of 3
+    yield "small", [QArray(rng.integers(-4, 5, (n,) * d).astype(object),
+                           int(rng.choice([1, 2, 6]))) for d in ndims], True
+    for big in range(k):
+        for name, top, fits in (("just below", below, True), ("just above", below + 1, False)):
+            yield (f"{name} 2**63 in operand {big}",
+                   [_operand(rng, d, n, top if i == big else 3) for i, d in enumerate(ndims)], fits)
+    for entry in (LIMIT, -LIMIT):  # 2**63 is past int64, -2**63 fits but breaks the bound
+        ops = [_operand(rng, d, n, 3) for d in ndims]
+        ops[-1] = QArray(np.where(ops[-1].num == 1, entry, ops[-1].num), ops[-1].den)
+        yield f"entry {entry}", ops, False
+    if k > 1:  # operand 0 is all zero, and counts as 1 in the bound, not as 0
+        zero_below = (LIMIT - 1) // (terms * 3 ** (k - 2))
+        for name, top, fits in (("below", zero_below, True), ("above", zero_below + 1, False)):
+            tops = [0, *[3] * (k - 2), top]
+            yield (f"zero operand, {name} 2**63",
+                   [_operand(rng, d, n, t) for d, t in zip(ndims, tops)], fits)
+
+
+@pytest.mark.parametrize("spec", PACKAGE_SPECS)
+def test_int64_path_is_taken_exactly_when_the_bound_allows(spec, monkeypatch):
+    """Each package contraction equals the Fraction einsum on small numerators,
+    on ones whose bound lands just below 2**63 (int64 runs, and its sums come
+    near 2**63), just above it, on entries of +-2**63 and next to an all-zero
+    operand; the dtype that reaches np.einsum shows the path: int64 from the
+    gate's loop size on and with the bound below 2**63, else Python ints."""
+    rng, einsum, ran = np.random.default_rng(len(spec)), np.einsum, []
+    monkeypatch.setattr(np, "einsum", lambda s, *ops: ran.append({a.dtype for a in ops})
+                        or einsum(s, *ops))
+    for n in _dims(spec):
+        for name, operands, fits in _cases(rng, spec, n):
+            want = einsum(spec, *(np.asarray(q) for q in operands))
+            ran.clear()
+            assert _same(EXACT.einsum(spec, *operands), want), (n, name)
+            int64 = fits and _size(spec, n)[0] >= GATE
+            assert ran == [{np.dtype(np.int64 if int64 else object)}], (n, name)
 
 
 # -- @ chains ------------------------------------------------------------------------

@@ -127,6 +127,17 @@ def test_load_spec_a41_text():
     assert report.condition_report["flags"]["pluricanonical"]
 
 
+def test_load_spec_opens_a_path(tmp_path):
+    """An ``os.PathLike`` is opened as a file, as a str naming one is."""
+    golden = Path(__file__).parent / "golden" / "A4_1.json"
+    (tmp_path / "a41.json").write_text(A41_SPEC, encoding="utf-8")
+    for path in (golden, tmp_path / "a41.json"):
+        assert run_report(load_spec(path)).to_json() == run_report(load_spec(str(path))).to_json()
+    with pytest.raises(ParseError) as err:
+        load_spec(tmp_path / "missing.json")
+    assert err.value.code == "IO_ERROR"
+
+
 def test_load_spec_empty_brackets_identity_preset():
     s = load_spec({"dim": 4, "brackets": [], "J": "split", "g": "identity"})
     report = run_report(s)
