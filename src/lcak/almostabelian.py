@@ -60,16 +60,26 @@ class AlmostAbelianParams:
         rows = [[self.a, *self.b]] + [[vi, *row] for vi, row in zip(self.v, self.A)]
         return arith.Field(self.exact).array(rows)
 
+    @classmethod
+    def of(cls, structure):
+        """The inverse of :func:`build_almost_abelian`, g up to a factor c > 0: None
+        unless span(e_1 .. e_{2n-1}) is an abelian ideal, J the mirror preset and g = c id."""
+        s, c, zero = structure, structure.alg.structure_tensor, structure.field.is_zero
+        if not (s.dim >= 4 and zero(c[:, :-1, :-1]) and zero(c[-1]) and s.g[0, 0] > 0
+                and zero(s.J - preset_j("mirror", s.dim))
+                and zero(s.g - s.g[0, 0] * s.field.eye(s.dim))):
+            return None
+        m = c[:-1, -1, :-1]
+        return cls(s.dim // 2, m[0, 0], m[0, 1:], m[1:, 0], m[1:, 1:])
+
 
 def build_almost_abelian(params: AlmostAbelianParams, tol=DEFAULT_TOL):
     """The Lie algebra and its adapted orthonormal almost Hermitian structure."""
-    dim = params.dim
-    ad = params.ad_matrix()
-    brackets = {(dim, c + 1): {r + 1: ad[r, c] for r in range(dim - 1) if ad[r, c] != 0}
-                for c in range(dim - 1)}
-    alg = LieAlgebra(dim, brackets, exact=params.exact, tol=tol)
-    structure = AlmostHermitianStructure(alg, preset_j("mirror", dim))
-    return alg, structure
+    dim, field = params.dim, arith.Field(params.exact, float(tol))
+    c = field.zeros(dim, dim, dim)
+    c[:-1, -1, :-1] = params.ad_matrix()  # [e_{2n}, e_j] = ad e_j
+    alg = LieAlgebra._of(c - c.transpose(0, 2, 1), field)
+    return alg, AlmostHermitianStructure(alg, preset_j("mirror", dim))
 
 
 def lee_form_aa(params: AlmostAbelianParams, structure=None) -> KForm:
@@ -132,11 +142,8 @@ class ClassLabel:
         return {"name": self.name, "invariants": self.invariants}
 
 
-def ad_jordan_type(alg: LieAlgebra) -> str:
-    """Real-Jordan type of ad_{e_4} restricted to span(e_1, e_2, e_3).
-
-    Works straight off the built algebra (independent of any (a, b, v, A)
-    bookkeeping) via the characteristic polynomial and nilpotency ranks:
+def ad_jordan_type(m, field) -> str:
+    """Real-Jordan type of m = ad_{e_4}|_n by characteristic polynomial and ranks:
 
     * ``semisimple_real``: eigenvalues {0, r, -r}, r > 0 real;
     * ``rotation``: eigenvalues {0, i s, -i s};
@@ -144,11 +151,6 @@ def ad_jordan_type(alg: LieAlgebra) -> str:
       indicated Jordan block sizes;
     * ``general`` otherwise.
     """
-    if alg.dim != 4:
-        raise UnsupportedDimension("Jordan cross-check is for dim 4")
-    field = alg.field
-    ad4 = alg.ad_basis(3)
-    m = ad4[:3, :3]
     scale = arith.max_abs(m)
     tr = m[0, 0] + m[1, 1] + m[2, 2]
     det = arith.determinant(m, field)
@@ -169,16 +171,15 @@ def ad_jordan_type(alg: LieAlgebra) -> str:
 def classify_4d(params: AlmostAbelianParams, tol=DEFAULT_TOL) -> ClassLabel:
     """Classify a unimodular dim-4 pluricanonical family member by sign(b.v).
 
-    Preconditions, decided in the field of the built algebra: unimodular,
-    then the condition systems vanish (they are derived on that locus; hence
-    a = 0 and A = 0), v != 0.
-    Cross-validated against the Jordan type of the built ad_{e_4}.
+    Preconditions, decided in the parameters' field with tolerance ``tol``:
+    unimodular (a + tr A = 0), then the condition systems vanish (they are
+    derived on that locus; hence a = 0 and A = 0), v != 0.  The sign(b.v)
+    rule is cross-checked against the Jordan type of the same block ad_{e_4}|_n.
     """
     if params.n != 2:
         raise UnsupportedDimension("classification is for dim 4")
-    alg, _ = build_almost_abelian(params, tol=tol)
-    field = alg.field
-    if not alg.is_unimodular()[0]:
+    m, field = params.ad_matrix(), arith.Field(params.exact, float(tol))
+    if not field.is_zero(params.a + params.trace_a()):
         raise PreconditionFailed("parameters are not unimodular")
     if not field.is_zero(pluricanonical_conditions_aa(params)["max_residual"]):
         raise PreconditionFailed("pluricanonical condition systems do not vanish")
@@ -188,7 +189,7 @@ def classify_4d(params: AlmostAbelianParams, tol=DEFAULT_TOL) -> ClassLabel:
         raise Degenerate("v = 0 and b = 0: abelian algebra")
     if v_zero:
         raise PreconditionFailed("v must be nonzero")
-    jordan = ad_jordan_type(alg)
+    jordan = ad_jordan_type(m, field)
     bv = sum(x * y for x, y in zip(params.b, params.v))
     invariants = {
         "b_dot_v": arith.to_float(bv),

@@ -111,9 +111,6 @@ class CurvatureTensor:
     structure: AlmostHermitianStructure
     endos: np.ndarray  # endos[i][j] = matrix of R_{e_i, e_j}
 
-    def endomorphism(self, i, j):
-        return self.endos[i][j]
-
     @cached_property
     def components(self):
         """R4[i][j][k][l] = g(R_{e_i,e_j} e_k, e_l)."""

@@ -130,7 +130,7 @@ def random_hermitian_structure(rng, dim=4) -> AlmostHermitianStructure:
     if choice == 0:
         alg = random_nilpotent(rng, dim)
     elif choice == 1:
-        alg = build_almost_abelian(random_params_4d(rng, "general"))[0].as_float()
+        alg = build_almost_abelian(random_params_4d(rng, "general"))[0]
     else:
         alg = random_unimodular_4d(rng)
     alg = alg.change_basis(_well_conditioned(rng, dim))
@@ -176,7 +176,7 @@ def fuzz(seed: int, count: int, family: str) -> dict:
             kind = ("general", "lee_closed", "pluricanonical", "orth_not_pluri")[
                 idx % 4]
             params = random_params_4d(rng, kind)
-            s = build_almost_abelian(params)[1].as_float()
+            s = build_almost_abelian(params)[1]
             rep = conditions.classify_metric(s)
             eq = conditions.verify_equivalences(s, report=rep)
             if not eq["all_consistent"]:

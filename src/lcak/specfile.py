@@ -15,7 +15,8 @@ the rule of :class:`~lcak.algebra.LieAlgebra`: a pair may be listed in one
 order or in both, and in both its two brackets must be negatives of each
 other (else ``BAD_FIELD`` on ``brackets``) and count once.  A pair listed
 twice in the same order is ``BAD_FIELD`` and a nonzero ``[e_i, e_i]`` is
-``BAD_INDEX``, each at its ``brackets[pos]``.
+``BAD_INDEX``, each at its ``brackets[pos]``.  ``options`` that is not an
+object, or ``brackets`` not a list, is ``BAD_FIELD`` (null means absent).
 
 Every bracket, J and g value is the rational it is written as
 (:func:`~lcak.arith.parse_scalar`): "1/4", "0.25" and the JSON number 0.25
@@ -104,6 +105,10 @@ def load_spec(source, tol=None) -> AlmostHermitianStructure:
     if not isinstance(dim, int) or dim < 2 or dim % 2:
         raise ValidationError(f"dim must be a positive even integer, got {dim!r}",
                               code="BAD_DIM", field="dim")
+    for name, kind in (("options", dict), ("brackets", list)):
+        if data.get(name) is not None and not isinstance(data[name], kind):
+            raise ParseError(f"{name} must be a JSON {'object' if kind is dict else 'array'}",
+                             code="BAD_FIELD", field=name)
     options = data.get("options") or {}
     mode = options.get("arithmetic_mode", "auto")
     if mode not in ("auto", "exact", "float"):
@@ -238,24 +243,6 @@ def _form_dict(form):
             for key, val in sorted(form.coeffs.items())}
 
 
-def _detect_aa_params(structure):
-    """Recover (a, b, v, A) in the standard mirror frame, g a multiple of 1."""
-    s = structure
-    if s.dim != 4:
-        return None
-    alg = s.alg
-    zero = s.field.is_zero
-    if not all(zero(alg.basis_bracket(i, j)) for i, j in ((0, 1), (0, 2), (1, 2))):
-        return None
-    ad = alg.ad_basis(3)
-    if not (zero(s.J - preset_j("mirror", 4)) and s.g[0, 0] > 0
-            and zero(s.g - s.g[0, 0] * s.field.eye(4)) and zero(ad[3])):
-        return None
-    return AlmostAbelianParams(
-        2, ad[0, 0], (ad[0, 1], ad[0, 2]), (ad[1, 0], ad[2, 0]),
-        ((ad[1, 1], ad[1, 2]), (ad[2, 1], ad[2, 2])))
-
-
 def run_report(structure: AlmostHermitianStructure, feasibility: bool = False) -> Report:
     """validation -> Lee form -> connection -> checkers -> classification."""
     rep = conditions.classify_metric(structure)
@@ -264,7 +251,7 @@ def run_report(structure: AlmostHermitianStructure, feasibility: bool = False) -
     except LcakError as e:  # equivalences are reporting, never fatal
         eq = {"error": str(e), "all_consistent": False}
     classification = {"applicable": False}
-    params = _detect_aa_params(structure)
+    params = AlmostAbelianParams.of(structure) if structure.dim == 4 else None
     if params is not None:
         classification["almost_abelian"] = True
         classification["params"] = {

@@ -4,14 +4,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lcak.almostabelian import (AlmostAbelianParams, ad_jordan_type, build_almost_abelian,
-                                classify_4d, lee_form_aa, pluricanonical_conditions_aa)
+from lcak.algebra import LieAlgebra
+from lcak.almostabelian import (AlmostAbelianParams, build_almost_abelian, classify_4d,
+                                lee_form_aa, pluricanonical_conditions_aa)
+from lcak.catalogs import catalog_entry
 from lcak.cli import main
 from lcak.conditions import classify_metric
 from lcak.errors import (Degenerate, DimensionMismatch, PreconditionFailed,
                          UnsupportedDimension)
 from lcak.forms import KForm
 from lcak.fuzzing import random_params_4d
+from lcak.hermitian import AlmostHermitianStructure
 from lcak.specfile import run_report
 
 
@@ -42,6 +45,83 @@ def test_build_positive_pairing_family():
     params = AlmostAbelianParams(2, 0, (1, 0), (1, 0), zero_a())
     assert sum(x * y for x, y in zip(params.b, params.v)) == 1
     assert classify_4d(params).name == "A3_4_plus_A1"
+
+
+def _random_params(rng, n, exact):
+    """(a, b, v, A) with small rational entries, or their floats."""
+    def q():
+        x = Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4)))
+        return x if exact else float(x)
+    m = 2 * n - 2
+    return AlmostAbelianParams(n, q(), [q() for _ in range(m)], [q() for _ in range(m)],
+                               [[q() for _ in range(m)] for _ in range(m)])
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_params_of_the_built_structure_are_the_params(rng, n, exact):
+    for _ in range(5):
+        params = _random_params(rng, n, exact)
+        alg, s = build_almost_abelian(params)
+        assert alg.exact == exact
+        assert AlmostAbelianParams.of(s) == params
+        assert AlmostAbelianParams.of(s.rescaled(2)) == params
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_built_tensor_is_the_ad_block_and_its_negative(rng, n, exact):
+    """[e_2n, e_j] = ad e_j and [e_j, e_2n] = -ad e_j; no other bracket."""
+    params = _random_params(rng, n, exact)
+    alg, _ = build_almost_abelian(params)
+    c, dim = alg.structure_tensor, alg.dim
+    assert alg.field.is_zero(alg.ad_basis(dim - 1)[:-1, :-1] - params.ad_matrix())
+    assert alg.field.is_zero(c + c.transpose(0, 2, 1))
+    assert alg.field.is_zero(c[:, :-1, :-1]) and alg.field.is_zero(c[-1])
+
+
+@pytest.mark.parametrize("name", ["A4_1", "A4_8", "abelian_kahler"])
+def test_params_of_a_structure_outside_the_layout_is_none(name):
+    assert AlmostAbelianParams.of(catalog_entry(name)) is None
+
+
+def test_params_of_is_none_in_another_basis_or_for_negative_g():
+    s = catalog_entry("A3_4_plus_A1")
+    p = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 1]], dtype=object)
+    assert AlmostAbelianParams.of(s) is not None
+    assert AlmostAbelianParams.of(s.change_basis(p)) is None
+    assert AlmostAbelianParams.of(s.rescaled(-1)) is None
+
+
+def _spy_constructions(monkeypatch):
+    """Names of the LieAlgebra and structure constructors, one per call."""
+    calls = []
+    for owner, name in ((LieAlgebra, "__init__"), (LieAlgebra, "_of"),
+                        (AlmostHermitianStructure, "__init__")):
+        raw = owner.__dict__[name]
+        func = raw.__func__ if isinstance(raw, classmethod) else raw
+
+        def spy(*args, _func=func, _label=f"{owner.__name__}.{name}", **kwargs):
+            calls.append(_label)
+            return _func(*args, **kwargs)
+        monkeypatch.setattr(owner, name, classmethod(spy) if isinstance(raw, classmethod) else spy)
+    return calls
+
+
+def test_build_makes_the_algebra_from_its_tensor(monkeypatch):
+    calls = _spy_constructions(monkeypatch)
+    build_almost_abelian(AlmostAbelianParams(2, 0, (1, 0), (0, 1), zero_a()))
+    assert calls == ["LieAlgebra._of", "AlmostHermitianStructure.__init__"]
+
+
+def test_classify_and_report_build_no_algebra_and_no_structure(monkeypatch):
+    s = catalog_entry("A4_1_aa")
+    calls = _spy_constructions(monkeypatch)
+    assert classify_4d(AlmostAbelianParams(2, 0, (1, 0), (0, 1), zero_a())).name == "A4_1"
+    assert classify_4d(AlmostAbelianParams(2, 0.0, (1.0, 0.0), (1.0, 0.0), zero_a())).name == (
+        "A3_4_plus_A1")
+    assert run_report(s).classification["label"]["name"] == "A4_1"
+    assert calls == []
 
 
 def test_build_dimension_checks():

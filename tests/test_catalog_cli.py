@@ -213,6 +213,9 @@ BAD_BRACKETS = {
                         "BAD_FIELD", "brackets[0]"),
     "index_not_finite": ([{"i": 2, "j": float("inf"), "coefficients": {"1": "1"}}],
                          "BAD_FIELD", "brackets[0]"),
+    "not_a_list_but_a_number": (5, "BAD_FIELD", "brackets"),
+    "not_a_list_but_false": (False, "BAD_FIELD", "brackets"),
+    "not_a_list_but_an_object": ({}, "BAD_FIELD", "brackets"),
 }
 
 
@@ -230,6 +233,17 @@ def _assert_rejected(tmp_path, capsys, text, code, field):
 def test_load_spec_rejects_bad_brackets(tmp_path, capsys, name):
     brackets, code, field = BAD_BRACKETS[name]
     _assert_rejected(tmp_path, capsys, json.dumps(_a41_with(brackets=brackets)), code, field)
+
+
+@pytest.mark.parametrize("options", [[1], "float", False], ids=["list", "string", "false"])
+def test_load_spec_rejects_options_that_are_not_an_object(tmp_path, capsys, options):
+    _assert_rejected(tmp_path, capsys, json.dumps(_a41_with(options=options)),
+                     "BAD_FIELD", "options")
+
+
+def test_load_spec_reads_null_options_and_brackets_as_absent():
+    assert load_spec(json.dumps(_a41_with(options=None))).exact
+    assert load_spec(json.dumps(_a41_with(brackets=None))).alg.sparse_constants() == {}
 
 
 @pytest.mark.parametrize("raw", ["1e400", '"1e400"', '"-1e400"', "NaN", "true"])

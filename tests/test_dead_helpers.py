@@ -12,6 +12,9 @@ names); a ``def`` or ``class`` line is not such an appearance.
   not start with an underscore.  It must be used in the package, in
   ``demos/*.py`` or in ``perfbench/**/*.py``: a helper that only tests call
   belongs in ``tests/``.
+* A public member is a method or property of a module-level class whose name
+  does not start with an underscore.  It must be used in the package, the
+  demos, the benchmark, ``tools/*.py`` or ``tests/**/*.py``.
 """
 import ast
 from pathlib import Path
@@ -106,3 +109,39 @@ def test_no_public_definition_of_the_package_is_test_only():
                           *sorted((ROOT / "perfbench").rglob("*.py"))]}
     assert len(sources) > 10 and len(users) > 5
     assert definitions_only_tests_use(sources, users) == []
+
+
+def unused_public_members(sources, users):
+    """``module:line: Class.name`` of every public method or property of a
+    module-level class in ``sources`` (module name -> text) whose name is used
+    neither in them nor in ``users`` (file name -> text), in order."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    used = _used([*trees.values(), *(ast.parse(text) for text in users.values())])
+    return [f"{module}:{d.lineno}: {node.name}.{d.name}"
+            for module, tree in trees.items() for node in tree.body
+            if isinstance(node, ast.ClassDef) for d in node.body
+            if isinstance(d, DEFS) and not d.name.startswith("_") and d.name not in used]
+
+
+def test_scanner_flags_public_members_no_file_uses():
+    a = ("class K:\n    def called(self):\n        pass\n\n"
+         "    @property\n    def read(self):\n        return 1\n\n"
+         "    def tested(self):\n        pass\n\n"
+         "    def unused(self):\n        pass\n\n"
+         "    @property\n    def unread(self):\n        return 2\n\n"
+         "    def __len__(self):\n        return 0\n\n"
+         "    def _private(self):\n        pass\n\n"
+         "def unused_function():\n    return K().called()\n")
+    tool = "from lcak.a import K\nprint(K().read)\n"
+    test = "def test_k():\n    getattr(K(), 'tested')()\n"
+    got = unused_public_members({"a.py": a}, {"tool.py": tool, "test_a.py": test})
+    assert got == ["a.py:12: K.unused", "a.py:16: K.unread"]
+
+
+def test_no_public_member_of_the_package_is_unused():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    users = {str(path): path.read_text(encoding="utf-8")
+             for folder in ("demos", "perfbench", "tools", "tests")
+             for path in sorted((ROOT / folder).rglob("*.py"))}
+    assert len(sources) > 10 and len(users) > 20
+    assert unused_public_members(sources, users) == []
