@@ -322,10 +322,13 @@ def parse_scalar(x) -> Fraction:
     """The rational ``x`` is written as: a string as written ("3", "-1/4",
     "0.25", "1e-3", "1e400"), an int or a Fraction as it is, and a float (how
     JSON numbers arrive) as the shortest decimal that prints it, so 0.1 is
-    1/10.  A bool, NaN or an infinity raises ``ValueError``."""
+    1/10.  A bool, NaN, an infinity or a zero denominator raises ``ValueError``."""
     if isinstance(x, bool):
         raise ValueError(f"{x!r} is not a number")
-    return Fraction(repr(float(x)) if isinstance(x, float) else x)
+    try:
+        return Fraction(repr(float(x)) if isinstance(x, float) else x)
+    except ZeroDivisionError as e:
+        raise ValueError(f"{x!r} has a zero denominator") from e
 
 
 def format_scalar(x) -> str:

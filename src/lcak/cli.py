@@ -95,6 +95,8 @@ def cmd_catalog(args, out):
         for name in CATALOG_NAMES:
             print(name, file=out)
         return 0
+    if args.name not in CATALOG_NAMES:
+        raise ValueError(f"unknown catalog entry {args.name!r}; have {', '.join(CATALOG_NAMES)}")
     report = _write_report(catalog_entry(args.name), args, out)
     return 0 if report.all_checks_pass else 1
 

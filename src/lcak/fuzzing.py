@@ -1,6 +1,10 @@
 """Deterministic random generators and the identity-fuzzing harness.
 
-Families:
+A family is one function ``(rng, idx)`` in ``_SAMPLERS``: it draws one sample
+and yields ``(check, outcome, context)`` per check, so a new family is one
+function and one entry.  ``fuzz`` has one failure rule: a float outcome is a
+residual, kept in ``worst_residuals`` and failing above ``IDENTITY_TOL``; a
+bool outcome is a yes/no check that fails with residual 1.0 when ``True``.
 
 * ``almost_abelian_4d`` -- mixed (a, b, v, A) draws: fully random, Lee-closed
   (A = v c^T), pluricanonical (a = 0, A = 0), and the off-family with
@@ -27,8 +31,6 @@ from .almostabelian import (AlmostAbelianParams, build_almost_abelian, lee_form_
                            pluricanonical_conditions_aa)
 from .forms import KForm
 from .hermitian import AlmostHermitianStructure, preset_j
-
-FAMILIES = ("almost_abelian_4d", "random_unimodular", "random_hermitian")
 
 IDENTITY_TOL = 1e-8
 
@@ -78,10 +80,7 @@ def random_params_4d(rng, kind="general") -> AlmostAbelianParams:
         A = np.outer(v, c)
     else:
         raise ValueError(f"unknown sub-family {kind!r}")
-    return AlmostAbelianParams(2, float(a) if kind != "pluricanonical" else 0.0,
-                               tuple(float(x) for x in b),
-                               tuple(float(x) for x in v),
-                               tuple(tuple(float(x) for x in row) for row in A))
+    return AlmostAbelianParams(2, a, b.tolist(), v.tolist(), A.tolist())
 
 
 def random_unimodular_4d(rng) -> LieAlgebra:
@@ -94,8 +93,7 @@ def random_unimodular_4d(rng) -> LieAlgebra:
             k = int(rng.integers(1, 5))
             br.setdefault((int(i), int(j)), {})[k] = float(rng.integers(-2, 3))
         alg = LieAlgebra(4, br, exact=False)
-        for i in range(1, 5):
-            tr = float(sum(alg.ad_basis(i - 1)[k, k] for k in range(4)))
+        for i, tr in enumerate(alg.is_unimodular()[1], start=1):
             if abs(tr) > 1e-13:
                 k0 = 1 if i != 1 else 2
                 comps = br.setdefault((min(i, k0), max(i, k0)), {})
@@ -152,6 +150,53 @@ def _random_lcs_6d(rng) -> AlmostHermitianStructure:
 # harness
 # ---------------------------------------------------------------------------
 
+def _almost_abelian_4d(rng, idx):
+    kind = ("general", "lee_closed", "pluricanonical", "orth_not_pluri")[idx % 4]
+    params = random_params_4d(rng, kind)
+    s = build_almost_abelian(params)[1]
+    rep = conditions.classify_metric(s)
+    eq = conditions.verify_equivalences(s, report=rep)
+    context = {"kind": kind, "params": {"a": params.a, "b": list(params.b), "v": list(params.v),
+                                        "A": [list(row) for row in params.A]}}
+    yield "equivalences", not eq["all_consistent"], context
+    # the dim-4 systems are derived on the unimodular locus a + tr A = 0
+    system_says = pluricanonical_conditions_aa(params)["max_residual"] <= 1e-9
+    yield "condition_system_oracle", bool(rep.flags["is_lcs"] and rep.flags["unimodular"]
+                                          and system_says != rep.flags["pluricanonical"]), context
+    yield "lee_cross_oracle", (lee_form_aa(params, s) - s.lee_form().theta).max_abs(), {}
+    yield "implication_warnings", bool(rep.warnings), {"warnings": rep.warnings}
+
+
+def _random_unimodular(rng, idx):
+    alg = random_unimodular_4d(rng)
+    s = AlmostHermitianStructure(alg, *random_compatible_pair(rng, 4))
+    for _ in range(3):
+        alpha = rng.standard_normal(4)
+        delta = s.codifferential(KForm.from_vector(s.alg, alpha))
+        yield "codifferential_one_form", abs(delta.coeffs.get((), 0)), {"alpha": alpha.tolist()}
+    constants = {f"{i},{j}->{k}": float(v) for (i, j, k), v in alg.sparse_constants().items()}
+    yield "dim4_integrand", identities.dim4_integrand_value(s), {"constants": constants}
+    yield "bianchi", s.curvature.bianchi_residual(), {}
+
+
+def _random_hermitian(rng, idx):
+    s = random_hermitian_structure(rng, dim=6 if idx % 5 == 4 else 4)
+    yield "dj_theta_expansion", identities.dj_theta_expansion_residual(s), {}
+    yield "chern_ricci", identities.chern_ricci_residual(s), {}
+    for _ in range(2):
+        yield "bochner", identities.bochner_residual(s, rng.standard_normal(s.dim)), {}
+    phi, psi = _random_j_invariant_pair(s, rng)
+    yield "j_invariant_wedge", identities.j_invariant_wedge_residual(s, phi, psi), {}
+    if conditions.check_lcs(s)["is_lcs"]:
+        yield "covariant_f_lcs", identities.covariant_f_residual(s), {}
+        yield "nijenhuis_cyclic_lcs", identities.nijenhuis_cyclic_residual(s), {}
+
+
+_SAMPLERS = {"almost_abelian_4d": _almost_abelian_4d, "random_unimodular": _random_unimodular,
+             "random_hermitian": _random_hermitian}
+FAMILIES = tuple(_SAMPLERS)
+
+
 def _sample_rng(seed, index):
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(index)]))
 
@@ -160,92 +205,19 @@ def fuzz(seed: int, count: int, family: str) -> dict:
     """Run the identity checks of one family; deterministic for fixed seed."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; have {FAMILIES}")
-    failures = []
-    worst = {}
-
-    def record(name, sample_idx, value, context=None):
-        value = float(value)
-        worst[name] = max(worst.get(name, 0.0), abs(value))
-        if abs(value) > IDENTITY_TOL:
-            failures.append({"check": name, "sample": sample_idx,
-                             "residual": value, "context": context or {}})
-
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    failures, worst = [], {}
     for idx in range(count):
-        rng = _sample_rng(seed, idx)
-        if family == "almost_abelian_4d":
-            kind = ("general", "lee_closed", "pluricanonical", "orth_not_pluri")[
-                idx % 4]
-            params = random_params_4d(rng, kind)
-            s = build_almost_abelian(params)[1]
-            rep = conditions.classify_metric(s)
-            eq = conditions.verify_equivalences(s, report=rep)
-            if not eq["all_consistent"]:
-                failures.append({"check": "equivalences", "sample": idx,
-                                 "residual": 1.0,
-                                 "context": {"kind": kind,
-                                             "params": _params_context(params)}})
-            # the dim-4 systems are derived on the unimodular locus a + tr A = 0
-            system_says = pluricanonical_conditions_aa(params)["max_residual"] <= 1e-9
-            if (rep.flags["is_lcs"] and rep.flags["unimodular"]
-                    and system_says != rep.flags["pluricanonical"]):
-                failures.append({"check": "condition_system_oracle", "sample": idx,
-                                 "residual": 1.0,
-                                 "context": {"kind": kind,
-                                             "params": _params_context(params)}})
-            diff = lee_form_aa(params, s) - s.lee_form().theta
-            record("lee_cross_oracle", idx, diff.max_abs())
-            if rep.warnings:
-                failures.append({"check": "implication_warnings", "sample": idx,
-                                 "residual": 1.0, "context": {"warnings": rep.warnings}})
-        elif family == "random_unimodular":
-            alg = random_unimodular_4d(rng)
-            jm, g = random_compatible_pair(rng, 4)
-            s = AlmostHermitianStructure(alg, jm, g)
-            for t in range(3):
-                alpha = rng.standard_normal(4)
-                delta = s.codifferential(KForm.from_vector(s.alg, alpha))
-                record("codifferential_one_form", idx,
-                       abs(float(delta.coeffs.get((), 0))),
-                       context={"alpha": [float(x) for x in alpha]})
-            record("dim4_integrand", idx, identities.dim4_integrand_value(s),
-                   context={"constants": _constants_context(alg)})
-            record("bianchi", idx, s.curvature.bianchi_residual())
-        else:  # random_hermitian
-            dim = 6 if idx % 5 == 4 else 4
-            s = random_hermitian_structure(rng, dim=dim)
-            record("dj_theta_expansion", idx, identities.dj_theta_expansion_residual(s))
-            record("chern_ricci", idx, identities.chern_ricci_residual(s))
-            for _ in range(2):
-                alpha = rng.standard_normal(s.dim)
-                record("bochner", idx, identities.bochner_residual(s, alpha))
-            phi, psi = _random_j_invariant_pair(s, rng)
-            record("j_invariant_wedge", idx,
-                   identities.j_invariant_wedge_residual(s, phi, psi))
-            lcs = conditions.check_lcs(s)
-            if lcs["is_lcs"]:
-                record("covariant_f_lcs", idx, identities.covariant_f_residual(s))
-                record("nijenhuis_cyclic_lcs", idx,
-                       identities.nijenhuis_cyclic_residual(s))
-    summary = {
-        "family": family,
-        "seed": int(seed),
-        "count": int(count),
-        "samples": int(count),
-        "identity_failures": failures,
-        "worst_residuals": {k: worst[k] for k in sorted(worst)},
-    }
-    return summary
-
-
-def _params_context(params):
-    return {"a": float(params.a), "b": [float(x) for x in params.b],
-            "v": [float(x) for x in params.v],
-            "A": [[float(x) for x in row] for row in params.A]}
-
-
-def _constants_context(alg):
-    return {f"{i},{j}->{k}": float(v)
-            for (i, j, k), v in alg.sparse_constants().items()}
+        for check, outcome, context in _SAMPLERS[family](_sample_rng(seed, idx), idx):
+            residual = float(outcome)
+            if not isinstance(outcome, bool):
+                worst[check] = max(worst.get(check, 0.0), abs(residual))
+            if abs(residual) > IDENTITY_TOL:
+                failures.append({"check": check, "sample": idx,
+                                 "residual": residual, "context": context})
+    return {"family": family, "seed": int(seed), "count": int(count), "samples": int(count),
+            "identity_failures": failures, "worst_residuals": {k: worst[k] for k in sorted(worst)}}
 
 
 def _random_j_invariant_pair(structure, rng):

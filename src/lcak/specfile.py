@@ -53,7 +53,7 @@ def _parse_value(raw, field_name):
     """The rational ``raw`` is written as; anything else is ``BAD_FIELD``."""
     try:
         return arith.parse_scalar(raw)
-    except (ValueError, TypeError, ZeroDivisionError) as e:
+    except (ValueError, TypeError) as e:
         raise ParseError(f"bad scalar {raw!r} in {field_name}", code="BAD_FIELD",
                          field=field_name) from e
 

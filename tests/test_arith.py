@@ -55,7 +55,7 @@ def test_parse_scalar_reads_the_rational_as_written(raw, value):
 @pytest.mark.parametrize("raw", [True, False, math.nan, math.inf, -math.inf, "nan", "inf",
                                  "0.25.1", "1/0", "", None, [1]], ids=repr)
 def test_parse_scalar_refuses_what_is_not_a_rational(raw):
-    with pytest.raises((ValueError, TypeError, ZeroDivisionError)):
+    with pytest.raises((ValueError, TypeError)):
         parse_scalar(raw)
 
 

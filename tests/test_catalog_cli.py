@@ -395,6 +395,22 @@ def test_cli_catalog_listing_and_entry():
     assert data["extras"]["theta"] == {"4": "-1"}
 
 
+def test_cli_catalog_unknown_name_is_an_input_error(capsys):
+    assert main(["catalog", "NOPE"], out=io.StringIO()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: unknown catalog entry 'NOPE'")
+    assert all(name in err for name in CATALOG_NAMES)
+    with pytest.raises(KeyError):
+        catalog_entry("NOPE")
+
+
+@pytest.mark.parametrize("field, value", [("--a", "1/0"), ("--b", "1/0,0"), ("--A", "0,1/0;0,0")])
+def test_cli_classify_aa_zero_denominator_is_an_input_error(capsys, field, value):
+    args = {"--a": "0", "--b": "1,0", "--v": "0,1", "--A": "0,0;0,0", field: value}
+    assert main(["classify-aa", *(x for kv in args.items() for x in kv)], out=io.StringIO()) == 2
+    assert capsys.readouterr().err == "input error: '1/0' has a zero denominator\n"
+
+
 def test_cli_classify_aa():
     out = io.StringIO()
     assert main(["classify-aa", "--a", "0", "--b", "1,0", "--v", "0,1",
@@ -429,6 +445,16 @@ def test_cli_fuzz_deterministic():
     s2 = fuzz(0, 10, "almost_abelian_4d")
     assert summary_to_json(s1) == summary_to_json(s2)
     assert s1["identity_failures"] == []
+
+
+def test_cli_fuzz_refuses_a_negative_count(capsys):
+    assert main(["fuzz", "--count", "-3"], out=io.StringIO()) == 2
+    assert capsys.readouterr().err == "input error: count must be >= 0, got -3\n"
+    with pytest.raises(ValueError):
+        fuzz(0, -1, "random_hermitian")
+    out = io.StringIO()
+    assert main(["fuzz", "--count", "0"], out=out) == 0
+    assert out.getvalue() == "family=random_hermitian seed=0 samples=0\nfailures: 0\n"
 
 
 def test_cli_version_prints_conventions():
